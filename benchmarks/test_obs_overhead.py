@@ -27,27 +27,15 @@ difference is dominated by per-process code-layout noise (observed
 swinging ±7 % in either direction between sessions at best-of-80),
 not by guard cost.  The edge row is the cleanest control: both arms
 execute byte-identical code there, so its |overhead| is the session's
-measurement noise floor.  Results land in ``BENCH_PR9.json`` at the
-repo root next to the recorded pre-PR seed baselines.
+measurement noise floor.  The rows are reported, not written to any
+file: ``perfbench/`` is the benchmark record.
 """
 
-import json
 from contextlib import contextmanager
-from pathlib import Path
 
 from conftest import run_burst
 
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_PR9.json"
-
 OVERHEAD_CEILING = 0.02
-
-#: Pre-PR fig14 burst wall times (best-of-N, report.wall_s) recorded
-#: on this runner immediately before the observability layer landed.
-SEED_BASELINES = {
-    "fast_60msg_wall_s": 0.0032936280003923457,
-    "edge_6msg_wall_s": 0.008778913999776705,
-    "batch_60msg_wall_s": 0.0001710540000203764,
-}
 
 #: (backend, burst size, asserted) measurement points.  Only the fast
 #: point is asserted — see the module docstring for why the batch and
@@ -127,13 +115,6 @@ def test_disabled_obs_overhead_under_ceiling(report):
                 f"best-of-{repeats}): the OBS guard is no longer a "
                 "strict no-op on the hot path"
             )
-    doc = {
-        "benchmark": "obs_disabled_overhead",
-        "overhead_ceiling": OVERHEAD_CEILING,
-        "seed_baselines": SEED_BASELINES,
-        "points": rows,
-    }
-    BENCH_PATH.write_text(json.dumps(doc, indent=2) + "\n")
     lines = ["Disabled-observability overhead (guarded vs bypassed)"]
     for mode, row in rows.items():
         tag = "guard" if row["asserted"] else "info "
@@ -143,7 +124,6 @@ def test_disabled_obs_overhead_under_ceiling(report):
             f"bypassed {row['bypassed_wall_s'] * 1e3:8.4f} ms  "
             f"overhead {row['overhead']:+7.2%}"
         )
-    lines.append(f"  written to {BENCH_PATH.name}")
     report("\n".join(lines))
 
 

@@ -4,54 +4,26 @@ Runs the Figure 14 burst-saturation workload (defined once in
 ``conftest.py`` and shared with the session smoke guard via the
 ``burst_runner`` fixture) on both simulation backends, measuring
 wall-clock time, simulator events and achieved transaction
-throughput, and emits ``BENCH_PR1.json`` at the repo root so the perf
-trajectory across PRs stays machine-readable.
+throughput.  It writes no files: ``perfbench/`` is the benchmark
+record; this module only keeps the coarse speedup guard.
 
 Acceptance: the fast path must clear a 10x wall-clock speedup on this
 workload (it typically lands well above that); the cheaper 5x smoke
 guard in ``conftest.py`` runs for every benchmark session.
 """
 
-import json
 import time
-from pathlib import Path
 
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_PR1.json"
 REPEATS = 5
 REQUIRED_SPEEDUP = 10.0
 
 
 def test_perf_engine_speedup(report, burst_runner):
     measure_burst = burst_runner["measure"]
-    edge_wall, edge_events, txns, sim_s = measure_burst("edge", REPEATS)
+    edge_wall, edge_events, txns, _ = measure_burst("edge", REPEATS)
     fast_wall, fast_events, _, _ = measure_burst("fast", REPEATS)
 
     speedup = edge_wall / fast_wall
-    payload = {
-        "benchmark": "fig14_burst_saturation",
-        "workload": {
-            "messages": burst_runner["messages"],
-            "payload_bytes": burst_runner["payload_bytes"],
-            "clock_hz": burst_runner["clock_hz"],
-        },
-        "edge": {
-            "wall_s": edge_wall,
-            "events": edge_events,
-            "events_per_s": edge_events / edge_wall,
-            "transactions_per_wall_s": txns / edge_wall,
-        },
-        "fast": {
-            "wall_s": fast_wall,
-            "events": fast_events,
-            "events_per_s": fast_events / fast_wall if fast_wall else None,
-            "transactions_per_wall_s": txns / fast_wall,
-        },
-        "speedup": speedup,
-        "event_reduction": edge_events / fast_events,
-        "simulated_bus_seconds": sim_s,
-    }
-    BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-
     report(
         "engine perf (burst of "
         f"{burst_runner['messages']}x{burst_runner['payload_bytes']}B @ "
@@ -61,8 +33,7 @@ def test_perf_engine_speedup(report, burst_runner):
         f"  fast: {fast_wall * 1e3:8.2f} ms  {fast_events:>6} events  "
         f"{txns / fast_wall:10.0f} txn/s (wall)\n"
         f"  speedup: {speedup:.0f}x wall-clock, "
-        f"{edge_events / fast_events:.0f}x fewer events "
-        f"(written to {BENCH_PATH.name})"
+        f"{edge_events / fast_events:.0f}x fewer events"
     )
     assert fast_events * 20 < edge_events
     assert speedup >= REQUIRED_SPEEDUP, (

@@ -445,6 +445,7 @@ class Campaign:
                         to_execute, on_outcome, stop_event
                     )
             finally:
+                live_store.sync()
                 for signum, previous in restore:
                     signal.signal(signum, previous)
             for trial in aliases:

@@ -7,17 +7,23 @@ executed records.  The on-disk form is one directory holding a single
 
 Properties the campaign layer leans on:
 
-* **resumable** — a killed campaign leaves every completed trial on
-  disk; reopening the store and re-running the campaign executes only
-  the missing trials.  A write interrupted mid-line leaves a partial
-  tail with no newline; :meth:`_load` rolls the file back to the last
-  complete line before appending anything new, so one torn record
-  never poisons the log.
-* **append-only** — records are never rewritten in place.  Re-putting
-  an identical record is a no-op; a *different* record under an
-  existing key (e.g. after a schema bump, or a failed trial re-run
-  under ``retry_failed``) is appended and wins on reload (last write
-  wins), preserving full history in the log.
+* **durable** — records are appended, never rewritten in place, and
+  each append is flushed to the kernel before :meth:`put` returns, so
+  a killed or crashed *process* loses nothing: a resume executes only
+  the missing trials, and readonly observers see every complete line.
+  Disk durability is batched: :meth:`sync` fsyncs the unsynced
+  appends and closes the append handle.  The campaign layer calls it
+  at every pass end and SIGINT/SIGTERM checkpoint, and :meth:`put`
+  calls it on its own every ``SYNC_EVERY`` records.  A power loss or
+  kernel crash can therefore drop at most the unsynced tail, possibly
+  cut mid-line.  :meth:`_load` rolls a torn tail back to the last
+  complete line before appending anything new and skips a corrupt
+  interior line, so the damage is a few missing records, which a
+  resume re-executes deterministically.  Re-putting an identical
+  record is a no-op; a *different* record under an existing key (e.g.
+  after a schema bump, or a failed trial re-run under
+  ``retry_failed``) is appended and wins on reload (last write wins),
+  preserving full history in the log.
 * **bounded** — last-write-wins appending leaves superseded lines
   behind, and a cross-run retry loop (a flaky trial failed and
   re-recorded every campaign run) would otherwise grow the log
@@ -56,7 +62,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Union
+from typing import BinaryIO, Dict, Iterator, List, Optional, Union
 
 from repro.campaign.trial import canonical_json
 from repro.core.errors import ConfigurationError
@@ -67,6 +73,10 @@ RESULTS_FILENAME = "results.jsonl"
 #: carries more stale (superseded or unparsable) lines than live
 #: records *and* at least this many — tiny stores never churn disk.
 AUTO_COMPACT_MIN_STALE = 64
+
+#: Unsynced appends after which :meth:`ResultStore.put` fsyncs on its
+#: own — the most records a power loss can cost between checkpoints.
+SYNC_EVERY = 64
 
 
 class ResultStore:
@@ -87,6 +97,10 @@ class ResultStore:
         #: Bytes of the log consumed so far (complete lines only) —
         #: the resume point for :meth:`refresh`.
         self._offset = 0
+        #: The append handle (opened lazily by :meth:`put`, closed by
+        #: :meth:`sync`) and the appends it has not yet fsynced.
+        self._handle: Optional[BinaryIO] = None
+        self._unsynced = 0
         if self._path is not None:
             if not readonly:
                 self._path.mkdir(parents=True, exist_ok=True)
@@ -154,7 +168,11 @@ class ResultStore:
 
         Identical re-puts are no-ops.  A changed record under an
         existing key is appended (the log keeps history; the index
-        takes the newest).
+        takes the newest).  The store takes ownership of ``record``:
+        it is indexed as given, so it must be JSON-native
+        (``json.loads(canonical_json(record)) == record``) and must
+        not be mutated afterwards.  The line is flushed but not
+        fsynced; see :meth:`sync`.
         """
         if self._readonly:
             raise ConfigurationError(
@@ -174,15 +192,34 @@ class ResultStore:
             self._order.append(key)
         else:
             self._stale += 1  # the old line is now dead weight
-        self._records[key] = json.loads(line)
+        self._records[key] = record
         self._lines[key] = line
         if self._path is not None:
-            with open(self.results_path, "a") as handle:
-                handle.write(line + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
-            self._offset += len(line.encode("utf-8")) + 1
+            if self._handle is None:
+                self._handle = open(self.results_path, "ab")
+            data = (line + "\n").encode("utf-8")
+            self._handle.write(data)
+            self._handle.flush()
+            self._offset += len(data)
+            self._unsynced += 1
+            if self._unsynced >= SYNC_EVERY:
+                self.sync()
         return True
+
+    def sync(self) -> None:
+        """Make every append so far durable: fsync the unsynced lines,
+        then close the append handle (the next :meth:`put` reopens
+        it).  A no-op when nothing was appended since the last sync,
+        and for memory stores."""
+        handle = self._handle
+        if handle is None:
+            return
+        self._handle = None
+        try:
+            os.fsync(handle.fileno())
+        finally:
+            handle.close()
+            self._unsynced = 0
 
     # -- loading -----------------------------------------------------------
     def _load(self) -> None:
@@ -280,6 +317,9 @@ class ResultStore:
         reclaimed = self._stale
         if self._path is None or reclaimed == 0:
             return 0
+        # Appends after the replace must land in the new file, not in
+        # the orphaned inode an open handle would still point at.
+        self.sync()
         path = self.results_path
         tmp = path.with_suffix(".jsonl.tmp")
         written = 0

@@ -198,6 +198,11 @@ class Scheduler:
             self._journal = ResultStore(self._root / JOBS_DIR)
         self._jobs: Dict[str, Job] = {}
         self._order: List[str] = []           # submission order
+        #: Per submission key: its newest job (the only one that can
+        #: still be live, since identical submissions coalesce onto
+        #: it) and how many jobs it has had (the next job's serial).
+        self._latest: Dict[str, Job] = {}
+        self._serials: Dict[str, int] = {}
         self._queues: Dict[str, Deque[Job]] = {}
         self._rr: Deque[str] = deque()        # round-robin client ring
         self._buckets: Dict[str, TokenBucket] = {}
@@ -226,6 +231,8 @@ class Scheduler:
             "resumptions": job.resumptions,
             "error": job.error,
         })
+        # A 202 promises the job survives a restart: make it durable.
+        self._journal.sync()
 
     def _recover(self) -> None:
         """Rebuild jobs from the journal: terminal jobs become
@@ -255,8 +262,14 @@ class Scheduler:
                 job.state = "queued"
                 job.resumptions += 1
                 self._enqueue(job)
-            self._jobs[job.job_id] = job
-            self._order.append(job.job_id)
+            self._add(job, request.key)
+
+    def _add(self, job: Job, key: str) -> None:
+        """Register ``job`` (submitted under ``key``) in every index."""
+        self._jobs[job.job_id] = job
+        self._order.append(job.job_id)
+        self._latest[key] = job
+        self._serials[key] = self._serials.get(key, 0) + 1
 
     # ------------------------------------------------------------------
     # Lifecycle.
@@ -338,14 +351,9 @@ class Scheduler:
                 )
             raise RateLimited(request.client, bucket.retry_after_s)
         key = request.key
-        for job_id in reversed(self._order):
-            candidate = self._jobs[job_id]
-            if (
-                candidate.job_id.startswith(key)
-                and not candidate.terminal
-                and candidate.request.key == key
-            ):
-                return candidate, False
+        latest = self._latest.get(key)
+        if latest is not None and not latest.terminal:
+            return latest, False
         if self._backlog() >= self.queue_depth:
             raise QueueFull(
                 f"queue is at capacity ({self.queue_depth} job(s) "
@@ -355,14 +363,9 @@ class Scheduler:
         # submission (HTTP 400), not poison the queue later.
         campaign = Campaign.from_dict(request.campaign, lenient=True)
         n_trials = len(campaign.trials())
-        serial = sum(
-            1 for job_id in self._order
-            if self._jobs[job_id].request.key == key
-        )
-        job = Job(f"{key}-{serial}", request)
+        job = Job(f"{key}-{self._serials.get(key, 0)}", request)
         job.n_trials = n_trials
-        self._jobs[job.job_id] = job
-        self._order.append(job.job_id)
+        self._add(job, key)
         self._journal_put(job)
         self._enqueue(job)
         if OBS.enabled:

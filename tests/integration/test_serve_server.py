@@ -16,6 +16,7 @@ import time
 
 import pytest
 
+import repro.campaign.executors
 from repro import obs
 from repro.campaign import Campaign, Grid, ResultStore, canonical_json
 from repro.core import Address
@@ -93,6 +94,41 @@ class ServerThread:
         return ServeClient(port=self.server.port)
 
 
+class TrialGate:
+    """Holds a job mid-run on purpose: the serial executor's
+    ``execute_trial`` is wrapped so that every trial after the first
+    ``free`` ones blocks until :meth:`release` (or the end of the
+    ``with`` block).  ``entered`` is set once a trial reaches the gate,
+    i.e. once the job is running."""
+
+    def __init__(self, monkeypatch, free=0):
+        self.entered = threading.Event()
+        self._released = threading.Event()
+        self._free = free
+        real = repro.campaign.executors.execute_trial
+
+        def gated(*args, **kwargs):
+            if self._free > 0:
+                self._free -= 1
+            else:
+                self.entered.set()
+                self._released.wait(60)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(
+            repro.campaign.executors, "execute_trial", gated
+        )
+
+    def release(self):
+        self._released.set()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *_exc):
+        self.release()
+
+
 class TestHTTPSurface:
     def test_healthz_and_unknown_routes(self):
         with ServerThread() as live:
@@ -161,14 +197,16 @@ class TestHTTPSurface:
             )
             assert status.client == "bob"
 
-    def test_full_queue_answers_503(self):
-        with ServerThread(queue_depth=1) as live:
+    def test_full_queue_answers_503(self, monkeypatch):
+        gate = TrialGate(monkeypatch)
+        with ServerThread(queue_depth=1) as live, gate:
             client = live.client()
-            # A long job occupies the worker; one more fills the queue.
+            # A held job occupies the worker; one more fills the queue.
             client.submit(
                 campaign_doc("long", counts=tuple(range(1, 9))),
                 client="alice",
             )
+            assert gate.entered.wait(30), "job never started"
             client.submit(campaign_doc("queued", counts=(1,)))
             with pytest.raises(ServeError) as exc:
                 client.submit(campaign_doc("rejected", counts=(2,)))
@@ -196,10 +234,12 @@ class TestHTTPSurface:
 
 
 class TestStreaming:
-    def test_results_stream_while_running(self):
+    def test_results_stream_while_running(self, monkeypatch):
         """The JSONL stream delivers records before the job is done:
-        the first line must arrive while the job is still live."""
-        with ServerThread() as live:
+        the first line must arrive while the job is still live (held
+        at its second trial until the line is seen)."""
+        gate = TrialGate(monkeypatch, free=1)
+        with ServerThread() as live, gate:
             client = live.client()
             status, _ = client.submit(
                 campaign_doc("stream", counts=tuple(range(1, 7)))
@@ -210,6 +250,7 @@ class TestStreaming:
                 records.append(record)
                 if not client.status(status.job_id).terminal:
                     seen_live = True
+                gate.release()
             assert len(records) == 6
             assert seen_live, "stream only yielded after completion"
 

@@ -1,11 +1,21 @@
 """ResultStore: content-addressed memoisation, persistence, recovery."""
 
 import json
+import os
 
 import pytest
 
-from repro.campaign import RESULTS_FILENAME, ResultStore, canonical_json
+from repro.campaign import (
+    RESULTS_FILENAME,
+    Campaign,
+    Grid,
+    ResultStore,
+    canonical_json,
+)
+from repro.campaign.chaos import Chaos
+from repro.campaign.store import SYNC_EVERY
 from repro.core.errors import ConfigurationError
+from repro.scenario import NodeSpec, SystemSpec
 
 
 def record(key: str, **extra):
@@ -111,3 +121,110 @@ class TestDiskStore:
         )
         assert store.entries() == on_disk
         assert [json.loads(line)["key"] for line in on_disk] == ["k1", "k2"]
+
+
+NATIVE_SPEC = SystemSpec(
+    name="store-native",
+    clock_hz=400_000.0,
+    nodes=(
+        NodeSpec("m", short_prefix=0x1, is_mediator=True),
+        NodeSpec("a", short_prefix=0x2),
+    ),
+)
+
+
+@pytest.fixture
+def synced(monkeypatch):
+    """The file descriptors of every ``os.fsync`` call, in order."""
+    calls = []
+    real_fsync = os.fsync
+    monkeypatch.setattr(
+        os, "fsync", lambda fd: calls.append(fd) or real_fsync(fd)
+    )
+    return calls
+
+
+class TestWritePath:
+    """A put is a flushed append; fsync is batched into :meth:`sync`."""
+
+    def test_put_is_visible_to_other_opens_before_sync(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        store.put(record("k1"))
+        # No sync yet: the line sits in the page cache, which every
+        # other open of the file already sees.
+        assert ResultStore(tmp_path / "store").get("k1") == record("k1")
+        observer = ResultStore(tmp_path / "store", readonly=True)
+        assert observer.keys() == ["k1"]
+        store.put(record("k2"))
+        assert observer.refresh() == 1
+        assert observer.keys() == ["k1", "k2"]
+
+    def test_puts_after_compact_land_in_the_live_file(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        store.put(record("k1"))
+        store.put(record("k1", params={"v": 2}))   # supersedes: 1 stale
+        store.put(record("k2"))                    # append handle open
+        assert store.compact() == 1
+        store.put(record("k3"))
+        path = tmp_path / "store" / RESULTS_FILENAME
+        assert path.read_text().splitlines() == store.entries()
+        assert ResultStore(tmp_path / "store").keys() == ["k1", "k2", "k3"]
+
+    def test_put_sync_put_reopens_cleanly(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        store.put(record("k1"))
+        store.sync()
+        store.sync()                               # idempotent
+        store.put(record("k2"))
+        store.sync()
+        path = tmp_path / "store" / RESULTS_FILENAME
+        assert path.read_text().splitlines() == store.entries()
+        assert ResultStore(tmp_path / "store").keys() == ["k1", "k2"]
+
+    def test_fsync_is_batched(self, tmp_path, synced):
+        store = ResultStore(tmp_path / "store")
+        for i in range(2 * SYNC_EVERY + 3):
+            store.put(record(f"k{i}"))
+        assert len(synced) == 2                    # one per SYNC_EVERY
+        store.sync()
+        assert len(synced) == 3                    # the 3-record tail
+        store.sync()
+        assert len(synced) == 3                    # nothing unsynced
+        assert len(ResultStore(tmp_path / "store")) == 2 * SYNC_EVERY + 3
+
+    def test_campaign_pass_fsyncs_once_at_its_end(self, tmp_path, synced):
+        campaign = Campaign(
+            spec=NATIVE_SPEC,
+            workload=Chaos(),
+            grid=Grid.product(**{"workload.payload": ["01", "02", "03"]}),
+            backend="fast",
+        )
+        store = ResultStore(tmp_path / "store")
+        assert campaign.run(store=store).executed == 3
+        assert len(synced) == 1
+        assert store._handle is None               # no handle outlives it
+
+    def test_memory_store_sync_is_a_noop(self):
+        store = ResultStore.memory()
+        store.put(record("k1"))
+        store.sync()
+        assert store.get("k1") == record("k1")
+
+    @pytest.mark.parametrize("backend", ["edge", "fast", "batch"])
+    def test_indexed_records_equal_their_parsed_lines(self, tmp_path, backend):
+        """put indexes the caller's dict instead of re-parsing its
+        line, so real records (ok and failure, every backend) must be
+        JSON-native."""
+        campaign = Campaign(
+            spec=NATIVE_SPEC,
+            workload=Chaos(),
+            grid=Grid.product(**{"workload.behavior": ["ok", "raise"]}),
+            backend=backend,
+        )
+        store = ResultStore(tmp_path / "store")
+        results = campaign.run(store=store)
+        assert sorted(r.record["outcome"] for r in results) == [
+            "error", "ok",
+        ]
+        for key, entry in zip(store.keys(), store.entries()):
+            assert store.get(key) == json.loads(entry)

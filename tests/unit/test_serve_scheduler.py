@@ -3,6 +3,7 @@ journal recovery, and dedupe accounting through a real (tiny)
 campaign."""
 
 import asyncio
+import os
 
 import pytest
 
@@ -150,6 +151,29 @@ class TestSubmission:
         job, _ = scheduler.submit(request())
         assert job.job_id == f"{request().key}-0"
 
+    def test_submit_hashes_no_earlier_job(self, monkeypatch):
+        """Submission cost does not grow with job history: a submit
+        after N jobs computes only its own request's key."""
+        scheduler = Scheduler(queue_depth=100, burst=100.0)
+        for i in range(12):
+            job, _ = scheduler.submit(request(name=f"j{i}", counts=(1,)))
+            job.state = "done"
+        hashed = []
+        real_key = SubmitRequest.key
+
+        def counting_key(self):
+            hashed.append(self)
+            return real_key.fget(self)
+
+        monkeypatch.setattr(SubmitRequest, "key", property(counting_key))
+        fresh = request(name="j-new", counts=(1,))
+        scheduler.submit(fresh)
+        # Resubmitting a finished document makes a new job, still
+        # without touching history.
+        scheduler.submit(request(name="j0", counts=(1,)))
+        assert len(hashed) == 2
+        assert hashed[0] is fresh
+
 
 class TestExecution:
     def test_runs_to_done_with_accounting(self):
@@ -208,6 +232,42 @@ class TestJournalRecovery:
         assert twin.outcomes == {"ok": 2}
         # Results materialise from the shared store by trial key.
         assert recovered.materialize(twin) == lines
+
+    def test_submission_is_durable_before_it_returns(
+        self, tmp_path, monkeypatch
+    ):
+        synced = []
+        real_fsync = os.fsync
+        monkeypatch.setattr(
+            os, "fsync", lambda fd: synced.append(fd) or real_fsync(fd)
+        )
+        scheduler = Scheduler(root=tmp_path / "serve")
+        scheduler.submit(request())
+        assert len(synced) == 1   # the journal line, before the 202
+
+    def test_job_ids_unchanged_across_journal_replay(self, tmp_path):
+        """Serials continue where the journal left off, so a replayed
+        scheduler hands out exactly the ids an uninterrupted one
+        would."""
+        root = tmp_path / "serve"
+        live = Scheduler(root=root)
+        straight = Scheduler()
+        for scheduler in (live, straight):
+            for name in ("a", "b", "a", "a"):
+                job, _ = scheduler.submit(request(name=name, counts=(1,)))
+                job.state = "done"   # let the next identical one in
+                scheduler._journal_put(job)
+        replayed = Scheduler(root=root)
+        assert [j.job_id for j in replayed.jobs()] == [
+            j.job_id for j in straight.jobs()
+        ]
+        # Still-live jobs coalesce; finished ones get the next serial.
+        again, created = replayed.submit(request(name="a", counts=(1,)))
+        expected, _ = straight.submit(request(name="a", counts=(1,)))
+        assert created and again.job_id == expected.job_id
+        assert again.job_id.endswith("-3")
+        twin, coalesced = replayed.submit(request(name="a", counts=(1,)))
+        assert twin is again and not coalesced
 
     def test_recovered_queued_job_resumes_and_completes(self, tmp_path):
         root = tmp_path / "serve"
