@@ -15,9 +15,10 @@ boundary):
   with no simulation at all.
 
 Assertions are deliberately coarse (service overhead under a
-generous multiple of the in-process run; the cached arm strictly
-cheaper than the cold arm) — this is a regression tripwire for
-accidental per-trial rescans or busy-wait loops, not a latency SLO.
+generous multiple of the in-process run; the cached arm executes no
+trial, a count rather than a race between two wall times) — this is
+a regression tripwire for accidental per-trial rescans or busy-wait
+loops, not a latency SLO.  Both wall times are reported.
 """
 
 import asyncio
@@ -116,16 +117,18 @@ def test_serve_overhead_bounded(tmp_path, report):
 
     assert cold.ok and cold.executed == N_TRIALS
     assert cached.ok and cached.cached == N_TRIALS
+    # Dedupe saves work when the resubmit executes nothing; comparing
+    # two wall times of tens of milliseconds would race the host.
+    assert cached.executed == 0, (
+        f"the all-cache resubmit executed {cached.executed} trial(s): "
+        "dedupe is not saving work"
+    )
     assert cold_lines == cached_lines == expected
 
     assert cold_s <= OVERHEAD_CEILING * direct_s + 1.0, (
         f"serving the campaign took {cold_s:.3f}s vs {direct_s:.3f}s "
         f"in-process — service overhead beyond the "
         f"{OVERHEAD_CEILING:.0f}x + 1s envelope"
-    )
-    assert cached_s <= cold_s, (
-        f"the all-cache resubmit ({cached_s:.3f}s) was slower than "
-        f"the cold run ({cold_s:.3f}s): dedupe is not saving work"
     )
 
     report(

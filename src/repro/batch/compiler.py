@@ -29,6 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.batch import accel
 from repro.core import constants
+from repro.core.addresses import Address
 from repro.core.errors import ConfigurationError
 from repro.core.messages import Message
 from repro.core.tlm_engine import NODE_SETTLE_FACTOR, RingTopology, TLMNode
@@ -65,7 +66,8 @@ class CompiledSystem:
         # mutable caches shared by every workload compiled against
         # this system: round templates (see executor) and the global
         # message intern table (workload ``ref`` values index it, so
-        # template keys are pure-integer and stable across trials)
+        # template keys are pure-integer and stable across trials),
+        # keyed by ``(dest, payload, priority)``
         "templates", "template_list", "message_ids", "message_table",
     )
 
@@ -139,7 +141,7 @@ class CompiledSystem:
         self.settle_ps = NODE_SETTLE_FACTOR * self.timing.node_delay_ps
         self.templates: Dict[tuple, object] = {}
         self.template_list: List[object] = []
-        self.message_ids: Dict[Message, int] = {}
+        self.message_ids: Dict[Tuple[Address, bytes, bool], int] = {}
         self.message_table: List[Message] = []
 
     def _resolve_anchor(
@@ -205,24 +207,24 @@ def _validate_prefixes(nodes: Sequence[NodeSpec]) -> None:
 
 class CompiledWorkload:
     """A compiled schedule as sorted parallel ``(t, node, kind, ref)``
-    arrays with an interned message table.
+    arrays.
 
     ``t_ps[i]`` is the quantized post/interrupt instant (the same
     ``int(round(at_s * 1e12))`` the event-loop runner applies),
     ``pos[i]`` the mediator-rooted ring position, ``kind[i]`` one of
     :data:`KIND_POST` / :data:`KIND_INTERRUPT`, and ``ref[i]`` an
-    index into ``messages`` (``-1`` for interrupts).  Messages are
-    interned on the *compiled system* (``messages`` is a snapshot of
-    its table), so equal messages share one integer id across every
-    workload compiled against the same system — which keeps the
-    executor's template keys integer-only and valid across campaign
-    trials.  Index order *is* scheduler order: the runner schedules
-    all workload events before the simulation starts, so their
-    insertion sequence — and therefore their priority at equal
-    timestamps — is exactly this array order.
+    index into the compiled system's ``message_table`` (``-1`` for
+    interrupts).  Messages are interned on the *compiled system*, so
+    equal messages share one integer id across every workload
+    compiled against the same system — which keeps the executor's
+    template keys integer-only and valid across campaign trials.
+    Index order *is* scheduler order: the runner schedules all
+    workload events before the simulation starts, so their insertion
+    sequence — and therefore their priority at equal timestamps — is
+    exactly this array order.
     """
 
-    __slots__ = ("t_ps", "pos", "kind", "ref", "messages")
+    __slots__ = ("t_ps", "pos", "kind", "ref")
 
     def __init__(
         self,
@@ -230,13 +232,11 @@ class CompiledWorkload:
         pos: Sequence[int],
         kind: Sequence[int],
         ref: Sequence[int],
-        messages: Tuple[Message, ...],
     ) -> None:
         self.t_ps = tuple(t_ps)
         self.pos = tuple(pos)
         self.kind = tuple(kind)
         self.ref = tuple(ref)
-        self.messages = messages
 
     def __len__(self) -> int:
         return len(self.t_ps)
@@ -245,7 +245,14 @@ class CompiledWorkload:
 def compile_workload(
     schedule: Sequence[ScheduleEvent], csys: CompiledSystem
 ) -> CompiledWorkload:
-    """Lower a compiled schedule against ``csys``'s node table."""
+    """Lower a compiled schedule against ``csys``'s node table.
+
+    Each distinct event is lowered once: a run of one shared event
+    object (a gap-free :class:`~repro.scenario.workload.Burst`)
+    repeats the previous row, and a post builds a
+    :class:`~repro.core.messages.Message` only the first time its
+    ``(dest, payload, priority)`` is seen on ``csys``.
+    """
     position_of = csys.position_of
     t_s: List[float] = []
     pos: List[int] = []
@@ -253,38 +260,41 @@ def compile_workload(
     ref: List[int] = []
     interned = csys.message_ids
     messages = csys.message_table
+    prev = None
     for event in schedule:
-        if isinstance(event, PostEvent):
-            source = event.source
-            kind.append(KIND_POST)
-            message = Message(
-                dest=event.dest,
-                payload=event.payload,
-                priority=event.priority,
-            )
-            index = interned.get(message)
-            if index is None:
-                index = len(messages)
-                interned[message] = index
-                messages.append(message)
-            ref.append(index)
-        elif isinstance(event, InterruptEvent):
-            source = event.node
-            kind.append(KIND_INTERRUPT)
-            ref.append(-1)
-        else:
-            raise ConfigurationError(
-                f"workload items must be schedule events, got {event!r}"
-            )
-        position = position_of.get(source)
-        if position is None:
-            raise ConfigurationError(f"no node named {source!r}")
-        pos.append(position)
+        if event is not prev:
+            prev = event
+            if isinstance(event, PostEvent):
+                source = event.source
+                event_kind = KIND_POST
+                key = (event.dest, event.payload, event.priority)
+                index = interned.get(key)
+                if index is None:
+                    index = len(messages)
+                    messages.append(Message(
+                        dest=event.dest,
+                        payload=event.payload,
+                        priority=event.priority,
+                    ))
+                    interned[key] = index
+            elif isinstance(event, InterruptEvent):
+                source = event.node
+                event_kind = KIND_INTERRUPT
+                index = -1
+            else:
+                raise ConfigurationError(
+                    f"workload items must be schedule events, got {event!r}"
+                )
+            position = position_of.get(source)
+            if position is None:
+                raise ConfigurationError(f"no node named {source!r}")
         t_s.append(event.at_s)
+        pos.append(position)
+        kind.append(event_kind)
+        ref.append(index)
     return CompiledWorkload(
         t_ps=accel.quantize_times(t_s, PS_PER_S),
         pos=pos,
         kind=kind,
         ref=ref,
-        messages=tuple(messages),
     )

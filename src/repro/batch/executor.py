@@ -59,19 +59,25 @@ MAX_STEPS = 50_000_000
 
 
 class RoundTemplate:
-    """One planned round shape; every time field is a ``t0`` offset."""
+    """One planned round shape; every time field is a ``t0`` offset.
+
+    Besides what the executor replays, a template holds every report
+    field that does not depend on ``t0`` (``tx_node`` and the ``rx``
+    rows), so :func:`materialize` fills only the times per round.
+    """
 
     __slots__ = (
-        "tid", "key", "winner", "message", "ok", "control", "general_error",
-        "error_reason", "clock_cycles", "control_cycles", "end_off",
-        "fin_off", "node_end_off", "end_order", "bus_wake", "layer_wake",
-        "rx", "rx_broadcast", "wire_row",
+        "tid", "key", "winner", "tx_node", "message", "ok", "control",
+        "general_error", "error_reason", "clock_cycles", "control_cycles",
+        "end_off", "fin_off", "node_end_off", "end_order", "bus_wake",
+        "layer_wake", "rx", "wire_row",
     )
 
     def __init__(self, tid: int, key: tuple, csys: CompiledSystem, plan) -> None:
         self.tid = tid
         self.key = key
         self.winner = plan.winner
+        self.tx_node = None if plan.winner is None else csys.names[plan.winner]
         self.message = plan.message
         self.control = plan.control
         self.ok = (
@@ -93,13 +99,14 @@ class RoundTemplate:
         self.layer_wake = tuple(
             (pos, at) for pos, (at, _reason) in plan.layer_wake_at.items()
         )
-        self.rx = tuple(
-            (csys.names[d.position], d.payload, d.control, d.arrived_at_ps)
+        # (receiver, dest, payload, broadcast, control, arrival offset):
+        # the receiver, then ReceivedMessage's fields in positional
+        # order with the arrival time as a t0 offset.
+        self.rx = () if plan.message is None else tuple(
+            (csys.names[d.position], plan.message.dest, d.payload,
+             plan.message.dest.is_broadcast, d.control, d.arrived_at_ps)
             for d in plan.rx
             if d.delivered
-        )
-        self.rx_broadcast = (
-            plan.message is not None and plan.message.dest.is_broadcast
         )
         self.wire_row = tuple(
             plan.wire_activity.get(q, 0) for q in range(csys.n)
@@ -625,42 +632,27 @@ class BatchExecutor:
 # ----------------------------------------------------------------------
 def materialize(csys: CompiledSystem, result: BatchResult):
     """Expand a round log into the event-loop backends' report shape:
-    (transactions, power report, wire activity)."""
+    (transactions, power report, wire activity).
+
+    Every field but ``index`` and the times comes ready-made from the
+    round's template, so each round only builds its
+    :class:`TransactionResult` and one ``ReceivedMessage`` per
+    delivery, positionally in field order."""
     names = csys.names
     transactions: List[TransactionResult] = []
     append = transactions.append
     for index, (t0, tpl) in enumerate(result.round_log):
-        rx_deliveries = []
-        if tpl.message is not None and tpl.rx:
-            dest = tpl.message.dest
-            broadcast = tpl.rx_broadcast
-            rx_deliveries = [
-                (
-                    name,
-                    ReceivedMessage(
-                        source_hint="",
-                        dest=dest,
-                        payload=payload,
-                        broadcast=broadcast,
-                        control=control,
-                        arrived_at_ps=t0 + arr_off,
-                    ),
-                )
-                for name, payload, control, arr_off in tpl.rx
-            ]
         append(TransactionResult(
-            index=index,
-            ok=tpl.ok,
-            control=tpl.control,
-            tx_node=None if tpl.winner is None else names[tpl.winner],
-            message=tpl.message,
-            rx_deliveries=rx_deliveries,
-            clock_cycles=tpl.clock_cycles,
-            control_cycles=tpl.control_cycles,
-            start_ps=t0,
-            end_ps=t0 + tpl.end_off,
-            general_error=tpl.general_error,
-            error_reason=tpl.error_reason,
+            index, tpl.ok, tpl.control, tpl.tx_node, tpl.message,
+            [
+                (name, ReceivedMessage(
+                    "", dest, payload, broadcast, control, t0 + arr_off
+                ))
+                for name, dest, payload, broadcast, control, arr_off
+                in tpl.rx
+            ],
+            tpl.clock_cycles, tpl.control_cycles, t0, t0 + tpl.end_off,
+            tpl.general_error, tpl.error_reason,
         ))
     power = {}
     for name in csys.spec_order_names:

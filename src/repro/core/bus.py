@@ -23,7 +23,7 @@ from repro.sim.signals import Net
 from repro.sim.tracer import Tracer
 
 
-@dataclass
+@dataclass(slots=True)
 class TransactionResult:
     """One completed bus transaction, as recorded by the system."""
 

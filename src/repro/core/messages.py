@@ -119,7 +119,7 @@ class Message:
         return self.dest.bits()
 
 
-@dataclass
+@dataclass(slots=True)
 class ReceivedMessage:
     """What a layer controller sees after a successful reception."""
 

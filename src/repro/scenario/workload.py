@@ -33,6 +33,7 @@ traffic — can live in one JSON document.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Optional, Tuple, Union
@@ -176,14 +177,21 @@ class Burst(Workload):
     kind = "burst"
 
     def _events(self, spec):
-        for i in range(self.count):
-            yield PostEvent(
-                at_s=self.at_s + i * self.gap_s,
-                source=self.source,
-                dest=self.dest,
-                payload=self.payload,
-                priority=self.priority,
-            )
+        if self.gap_s == 0:
+            # ``at_s + i * gap_s`` is the same float for every i, so one
+            # frozen event serves all copies: a saturating burst costs
+            # one PostEvent, not ``count`` of them.
+            return itertools.repeat(self._post(0), self.count)
+        return (self._post(i) for i in range(self.count))
+
+    def _post(self, i: int) -> PostEvent:
+        return PostEvent(
+            at_s=self.at_s + i * self.gap_s,
+            source=self.source,
+            dest=self.dest,
+            payload=self.payload,
+            priority=self.priority,
+        )
 
     def _params(self) -> Dict:
         return {

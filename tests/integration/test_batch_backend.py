@@ -9,6 +9,8 @@ not implement (setup hooks, fault injection, tracing) with clear
 errors, and slot into :mod:`repro.campaign` unchanged.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.batch import cache_stats, clear_cache, compile_system_cached
@@ -17,6 +19,43 @@ from repro.core.errors import BusLockedError, ConfigurationError
 from repro.scenario import Burst, NodeSpec, OneShot, SystemSpec, run
 
 from tests.integration.test_scenario_runner import SHAPES
+
+
+def staggered_fleet(members=8, posts=5):
+    """A small fleet: the mediator bursts to each full-prefix member in
+    turn, one microsecond apart, so its queue holds a run of rounds
+    per member (the benchmark fleet's shape, scaled down)."""
+    spec = SystemSpec(
+        name="staggered-fleet",
+        clock_hz=400_000,
+        nodes=(NodeSpec("m", short_prefix=0x1, is_mediator=True),)
+        + tuple(
+            NodeSpec(f"n{i}", full_prefix=0x10000 + i)
+            for i in range(members)
+        ),
+    )
+    workload = Burst("m", Address.full(0x10000, 5), b"\x00\x01", count=posts)
+    for i in range(1, members):
+        workload = workload + Burst(
+            "m", Address.full(0x10000 + i, 5), bytes([i, i + 1]),
+            count=posts, at_s=i * 1e-6,
+        )
+    return spec, workload
+
+
+BATCH_SHAPES = {**SHAPES, "staggered_fleet": staggered_fleet()}
+
+
+def fields_of(obj):
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+
+
+def timing_free_doc(report):
+    """``to_dict()`` without the backend name and host wall times."""
+    return {
+        key: value for key, value in report.to_dict().items()
+        if key != "backend" and not key.startswith("wall_")
+    }
 
 
 def run_matrix(spec, workload, **kwargs):
@@ -47,18 +86,29 @@ class TestThreeWayEquivalence:
                         == other.power[node][counter]
                     ), (backend, node, counter)
 
-    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    @pytest.mark.parametrize("shape", sorted(BATCH_SHAPES))
     def test_batch_matches_fast_exactly(self, shape):
         """Beyond the cross-tier contract, batch replays the fast
-        path's event loop perfectly: same wire totals, same simulated
-        end time, same event count."""
-        spec, workload = SHAPES[shape]
+        path's event loop perfectly: every field of every transaction
+        and delivery (times included), the same wire totals, simulated
+        end time and event count, and the same report document."""
+        spec, workload = BATCH_SHAPES[shape]
         fast = run(spec, workload, backend="fast")
         batch = run(spec, workload, backend="batch")
         assert batch.wire_activity == fast.wire_activity
         assert batch.sim_time_s == fast.sim_time_s
         assert batch.events_processed == fast.events_processed
         assert batch.power == fast.power
+        assert len(batch.transactions) == len(fast.transactions)
+        for f, b in zip(fast.transactions, batch.transactions):
+            f_fields, b_fields = fields_of(f), fields_of(b)
+            f_rx = f_fields.pop("rx_deliveries")
+            b_rx = b_fields.pop("rx_deliveries")
+            assert b_fields == f_fields, f.index
+            assert [(name, fields_of(m)) for name, m in b_rx] == [
+                (name, fields_of(m)) for name, m in f_rx
+            ], f.index
+        assert timing_free_doc(batch) == timing_free_doc(fast)
 
     def test_timeout_semantics_match_fast(self):
         spec, workload = SHAPES["burst"]

@@ -8,6 +8,8 @@ accel equivalence, the content-addressed compiled-system cache, and
 the table-driven backend registry.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.batch import (
@@ -21,7 +23,7 @@ from repro.batch import (
     compile_workload,
     spec_digest,
 )
-from repro.core import Address
+from repro.core import Address, Message
 from repro.core.errors import ConfigurationError
 from repro.scenario import (
     BACKEND_REGISTRY,
@@ -187,11 +189,49 @@ class TestCompiledWorkload:
         assert cwl.kind == (
             KIND_POST, KIND_POST, KIND_POST, KIND_INTERRUPT,
         )
-        # Three identical posts intern to a single message...
-        assert len(cwl.messages) == 1
+        # Three identical posts intern to a single message on the
+        # compiled system...
+        assert csys.message_table == [
+            Message(Address.short(0x2, 5), b"\xAA")
+        ]
         assert cwl.ref == (0, 0, 0, -1)
         # ...and positions are mediator-rooted (cpu=0, radio=1).
         assert cwl.pos == (0, 0, 0, 1)
+        # A later workload on the same system reuses the interned id
+        # and appends only its new message.
+        again = compile_workload(
+            (
+                OneShot("radio", Address.short(0x2, 5), b"\xAA")
+                + OneShot("cpu", Address.short(0x2, 5), b"\xAA",
+                          priority=True)
+            ).compile(spec),
+            csys,
+        )
+        assert again.ref == (0, 1)
+        assert csys.message_table[1] == Message(
+            Address.short(0x2, 5), b"\xAA", priority=True
+        )
+        assert len(csys.message_table) == 2
+
+    @pytest.mark.parametrize("workload", [
+        Burst("cpu", Address.short(0x2, 5), b"\xAA", count=4),
+        Burst("cpu", Address.short(0x2, 5), b"\xAA", count=3, at_s=0.01)
+        + Interrupt("radio", at_s=0.01)
+        + Burst("radio", Address.short(0x1, 5), b"\xBB", count=2,
+                at_s=0.01),
+    ])
+    def test_shared_events_compile_like_distinct_ones(self, workload):
+        spec = three_chip()
+        csys = CompiledSystem(spec)
+        shared = workload.compile(spec)
+        # The gap-free bursts share one event object per burst.
+        assert len({id(event) for event in shared}) < len(shared)
+        distinct = tuple(dataclasses.replace(event) for event in shared)
+        assert distinct == shared
+        a = compile_workload(shared, csys)
+        b = compile_workload(distinct, csys)
+        for column in ("t_ps", "pos", "kind", "ref"):
+            assert getattr(a, column) == getattr(b, column), column
 
     def test_quantization_matches_event_loop_runner(self):
         spec = three_chip()

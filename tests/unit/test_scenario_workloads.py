@@ -1,11 +1,13 @@
 """Unit tests for workload primitives (repro.scenario.workload)."""
 
 import json
+from collections import Counter
 
 import pytest
 
 from repro.core import Address
 from repro.core.errors import ConfigurationError
+from repro.faults.report import expected_deliveries
 from repro.scenario import (
     Broadcast,
     Burst,
@@ -20,6 +22,8 @@ from repro.scenario import (
     SystemSpec,
     workload_from_dict,
 )
+
+from tests.integration.test_scenario_runner import SHAPES
 
 SPEC = SystemSpec(
     name="unit",
@@ -82,6 +86,57 @@ class TestCompilation:
     def test_compile_is_deterministic_and_spec_independent_backends(self):
         workload = RandomTraffic(seed=7, count=20)
         assert workload.compile(SPEC) == workload.compile(SPEC)
+
+    @pytest.mark.parametrize("workload", [
+        Burst("m", Address.short(0x2, 5), b"\xAA", count=4, at_s=0.1),
+        Burst("m", Address.short(0x2, 5), b"\xAA", count=4, at_s=0.1,
+              gap_s=0.1),
+        Periodic("m", Address.short(0x2), b"\x01", period_s=0.1, count=5,
+                 start_s=0.3),
+        Burst("a", Address.short(0x3), b"\x01", count=3, at_s=0.2)
+        + Periodic("m", Address.short(0x2), b"\x02", period_s=0.1, count=4)
+        + Burst("b", Address.short(0x2), b"\x03", count=2, at_s=0.2),
+        SHAPES["contending_sources"][1],
+    ], ids=["burst", "spaced-burst", "periodic", "combined",
+            "contending-sources"])
+    def test_shared_events_match_per_copy_construction(self, workload):
+        compiled = workload.compile(SPEC)
+        expected = per_copy(workload)
+        assert compiled == expected
+        # Same order and bit-identical times, not merely equal ones.
+        assert [float(e.at_s).hex() for e in compiled] == [
+            float(e.at_s).hex() for e in expected
+        ]
+
+    def test_expected_deliveries_count_every_shared_copy(self):
+        burst = Burst("m", Address.short(0x2, 5), b"\xAA", count=4)
+        assert len({id(event) for event in burst.compile(SPEC)}) == 1
+        assert expected_deliveries(SPEC, burst) == Counter(
+            {("a", b"\xAA"): 4}
+        )
+
+
+def per_copy(workload):
+    """The schedule built one PostEvent per copy, as each primitive's
+    docstring defines it."""
+    if isinstance(workload, Combined):
+        events = [e for part in workload.parts for e in per_copy(part)]
+    elif isinstance(workload, Burst):
+        events = [
+            PostEvent(workload.at_s + i * workload.gap_s, workload.source,
+                      workload.dest, workload.payload, workload.priority)
+            for i in range(workload.count)
+        ]
+    elif isinstance(workload, Periodic):
+        events = [
+            PostEvent(workload.start_s + i * workload.period_s,
+                      workload.source, workload.dest, workload.payload,
+                      workload.priority)
+            for i in range(workload.count)
+        ]
+    else:
+        events = list(workload.compile(SPEC))
+    return tuple(sorted(events, key=lambda e: e.at_s))
 
 
 class TestRandomTraffic:
