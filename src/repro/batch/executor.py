@@ -245,8 +245,8 @@ class BatchExecutor:
             else:
                 _t, _s, p = heappop(sleeps)
                 self._auto_sleep(best_t, p)
-        # Simulator.run(until=...) leaves now == until whether the
-        # queue drained or stopped at the horizon.
+        # Simulator.run(until=...) ends at max(now, until) whether the
+        # queue drained or stopped at the horizon: time never rewinds.
         end_ps = until if until is not None and until > self.now else self.now
         if not self._is_idle():
             raise BusLockedError(

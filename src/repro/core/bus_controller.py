@@ -354,7 +354,8 @@ class MemberEngine:
         # priority drive slot; falling #4 onward carry address/data
         # bits (bit i is driven at falling #(4+i), latched at rising
         # #(4+i)).
-        self._run_deferred_line_actions()
+        if self._deferred_line_actions:
+            self._run_deferred_line_actions()
         if not self.hooks.is_powered():
             return
         if (

@@ -6,6 +6,7 @@ the section reference is given next to each constant.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from repro.sim.scheduler import NS
@@ -122,12 +123,15 @@ class MBusTiming:
         if self.node_delay_ps <= 0:
             raise ValueError("node_delay_ps must be positive")
 
-    @property
+    # Computed once per instance (the mediator reads the half period
+    # on every clock edge); a clock change builds a new instance via
+    # dataclasses.replace, which starts with empty caches.
+    @functools.cached_property
     def period_ps(self) -> int:
         """Full bus clock period in picoseconds."""
         return int(round(1e12 / self.clock_hz))
 
-    @property
+    @functools.cached_property
     def half_period_ps(self) -> int:
         return self.period_ps // 2
 

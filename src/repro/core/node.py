@@ -305,8 +305,12 @@ class MBusNode:
             self._null_pulse_active = False
         if not self.bus_domain.is_on:
             self._bus_seq.arm("transaction")
-        self._bus_seq.edge()
-        self._layer_seq.edge()
+        # A sequencer only steps while armed; skipping the call
+        # otherwise saves two calls per node per CLK edge.
+        if self._bus_seq.armed:
+            self._bus_seq.edge()
+        if self._layer_seq.armed:
+            self._layer_seq.edge()
         self.engine.on_clk_edge(edge)
 
     def _on_interjection_detected(self) -> None:

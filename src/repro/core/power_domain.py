@@ -95,15 +95,13 @@ class WakeupSequencer:
         self.domain = domain
         self.on_awake = on_awake
         self._step = 0
-        self._armed = False
-
-    @property
-    def armed(self) -> bool:
-        return self._armed
+        #: A plain attribute, not a property: the node reads it on
+        #: every CLK edge and feeds :meth:`edge` only while it is set.
+        self.armed = False
 
     @property
     def in_progress(self) -> bool:
-        return self._armed and self._step > 0
+        return self.armed and self._step > 0
 
     def arm(self, reason: str = "wakeup") -> None:
         """Begin a wakeup; subsequent :meth:`edge` calls advance it.
@@ -111,19 +109,19 @@ class WakeupSequencer:
         Re-arming while a sequence is in flight is a no-op, so feeding
         ``arm`` on every observed edge is safe.
         """
-        if self.domain.is_on or self._armed:
+        if self.domain.is_on or self.armed:
             return
-        self._armed = True
+        self.armed = True
         self._step = 0
         self._reason = reason
 
     def disarm(self) -> None:
-        self._armed = False
+        self.armed = False
         self._step = 0
 
     def edge(self) -> None:
         """Feed one bus-clock edge to the sequencer."""
-        if not self._armed or self.domain.is_on:
+        if not self.armed or self.domain.is_on:
             return
         step_name = WAKEUP_STEPS[self._step]
         self.domain.log.append(
@@ -136,7 +134,7 @@ class WakeupSequencer:
         )
         self._step += 1
         if self._step >= WAKEUP_EDGES:
-            self._armed = False
+            self.armed = False
             self._step = 0
             self.domain.power_on(self._reason)
             if self.on_awake is not None:

@@ -46,35 +46,58 @@ class LineController:
         self.drive_delay_ps = drive_delay_ps
         self.forwarding = True
         self.driven_value = 1
-        #: count of output transitions while driving vs forwarding —
-        #: consumed by the activity-based power model.
-        self.forward_transitions = 0
-        self.drive_transitions = 0
+        # Output transitions are counted by ``out_net`` itself; each
+        # forward/drive switch credits the ones since the previous
+        # switch to the mode that just ended.
+        self._switch_mark = out_net.transitions
+        self._forwarded = 0
+        self._driven = 0
         in_net.on_edge(self._on_input_edge)
-        out_net.on_edge(self._on_output_edge)
+
+    # -- activity counters (consumed by the activity-based power model) -------
+    @property
+    def forward_transitions(self) -> int:
+        """Output transitions made while forwarding."""
+        if self.forwarding:
+            return self._forwarded + self.out_net.transitions - self._switch_mark
+        return self._forwarded
+
+    @property
+    def drive_transitions(self) -> int:
+        """Output transitions made while driving (or holding)."""
+        if self.forwarding:
+            return self._driven
+        return self._driven + self.out_net.transitions - self._switch_mark
+
+    def _switch_mode(self) -> None:
+        mark = self.out_net.transitions
+        if self.forwarding:
+            self._forwarded += mark - self._switch_mark
+        else:
+            self._driven += mark - self._switch_mark
+        self._switch_mark = mark
+        self.forwarding = not self.forwarding
 
     # -- event plumbing -------------------------------------------------------
     def _on_input_edge(self, net: Net, _edge: EdgeType) -> None:
+        # Hot path: once per node per ring transition.  Reads the
+        # level straight from the net's slot (no property call).
         if self.forwarding:
-            self.out_net.set(net.value, delay=self.forward_delay_ps)
-
-    def _on_output_edge(self, _net: Net, _edge: EdgeType) -> None:
-        if self.forwarding:
-            self.forward_transitions += 1
-        else:
-            self.drive_transitions += 1
+            self.out_net.set(net._value, self.forward_delay_ps)
 
     # -- mode control -----------------------------------------------------------
     def forward(self) -> None:
         """Resume forwarding: output snaps to (delayed) input value."""
-        self.forwarding = True
-        self.out_net.set(self.in_net.value, delay=self.forward_delay_ps)
+        if not self.forwarding:
+            self._switch_mode()
+        self.out_net.set(self.in_net.value, self.forward_delay_ps)
 
     def drive(self, value: int) -> None:
         """Break the ring and drive ``value`` onto the output."""
-        self.forwarding = False
+        if self.forwarding:
+            self._switch_mode()
         self.driven_value = 1 if value else 0
-        self.out_net.set(self.driven_value, delay=self.drive_delay_ps)
+        self.out_net.set(self.driven_value, self.drive_delay_ps)
 
     def hold(self) -> None:
         """Break the ring, freezing the output at its current value.
@@ -82,5 +105,6 @@ class LineController:
         This is how a node requests an interjection on the CLK line:
         it simply stops forwarding while CLK is high (Section 4.9).
         """
-        self.forwarding = False
+        if self.forwarding:
+            self._switch_mode()
         self.driven_value = self.out_net.value

@@ -2,16 +2,21 @@
 
 Zero-overhead hook
 ------------------
-The edge engine's per-transition hot path (:meth:`repro.sim.signals.Net._apply`)
-is deliberately lean — PR1 tuned it to an attribute load and a tuple
-walk — so fault interception must cost nothing when no faults are
-active.  The injector therefore never touches :class:`Net` globally:
-for each *targeted* segment it swaps the instance's class to
-:class:`FaultableNet`, a ``__slots__ = ()`` subclass whose ``_apply``
-consults per-net fault state held in a module-level registry.
-Untargeted nets (and every net in a fault-free run) keep the original
-class and the original code path, byte for byte.  ``finalize()``
-restores the classes and empties the registry.
+The edge engine pays for one wire transition with one heap entry and
+one callback: the loop pops the net's ``[time, seq, fn]`` entry and
+calls its bound ``_fire_pending``, which calls ``self._apply`` (a
+value compare, a transition count and a walk over the listener
+tuple; see :mod:`repro.sim.signals`).  Fault interception must cost
+nothing on that path when no faults are active.  The injector
+therefore never touches :class:`Net` globally: for each *targeted*
+segment it swaps the instance's class to :class:`FaultableNet`, a
+``__slots__ = ()`` subclass whose ``_apply`` consults per-net fault
+state held in a module-level registry.  Untargeted nets (and every
+net in a fault-free run) keep the original class and the original
+code path, byte for byte.  ``_fire_pending`` looks ``_apply`` up on
+the instance when the entry fires, not when it is queued, so an apply
+already queued at the swap is filtered by the fault state too.
+``finalize()`` restores the classes and empties the registry.
 
 The registry keeps a strong reference to each faulted net, so an
 ``id()`` key can never be reused while its entry is live.
@@ -66,9 +71,8 @@ class FaultableNet(Net):
 
     No extra slots: instances are ordinary ``Net`` objects whose
     ``__class__`` was swapped, so the swap is always legal and
-    reversible.  Pending-apply events captured before the swap still
-    dispatch here (``_fire_pending`` resolves ``self._apply`` at call
-    time).
+    reversible.  Applies queued before the swap still dispatch here
+    (``_fire_pending`` resolves ``self._apply`` at fire time).
     """
 
     __slots__ = ()

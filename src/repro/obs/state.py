@@ -10,8 +10,9 @@ every instrumentation site behind a single attribute check::
         OBS.metrics.inc("batch.rounds")
 
 Disabled (the default), each site costs exactly one boolean attribute
-load — the strict-no-op contract the perf guard in
-``benchmarks/test_obs_overhead.py`` enforces.  ``OBS.enabled`` is
+load — the strict-no-op contract ``benchmarks/test_obs_overhead.py``
+checks deterministically (no facet is touched, and the ``plan_round``
+wrapper is one tail call per planned round).  ``OBS.enabled`` is
 True only between :func:`enable` and :func:`disable` (or inside an
 :func:`observe` block); enabling always provisions a
 :class:`~repro.obs.metrics.MetricsRegistry`, while the tracer and

@@ -4,6 +4,37 @@ Time is kept in integer picoseconds.  Integer time makes the simulation
 fully deterministic (no floating-point tie ambiguity) and is fine-
 grained enough for the delays MBus cares about (node-to-node
 propagation is specified as at most 10 ns).
+
+Queue representation
+--------------------
+The queue is a binary heap of three-item lists ``[time, seq, fn]``.
+``seq`` is a global insertion counter, unique per entry, so
+:mod:`heapq`'s C list comparison orders entries by ``(time, seq)`` and
+never reaches ``fn``: two entries at the same instant fire in the
+order they were scheduled.  The ``fn`` slot is also the entry's state:
+the callback while the entry is live, ``None`` once it was cancelled
+(it is skipped when popped) or has fired.
+
+Two kinds of entry share the heap:
+
+* :meth:`Simulator.schedule` returns an :class:`Event`, a ``list``
+  subclass that *is* its heap entry, so a cancellable handle costs no
+  second object;
+* a delayed :meth:`repro.sim.signals.Net.set` pushes a plain list and
+  cancels it in place when a later ``set`` supersedes it.  That is the
+  one place outside this module that touches ``_queue``, ``_seq``,
+  ``_now`` and ``_cancelled``; it runs once per wire transition.
+
+No counter is updated per event.  Every entry ever pushed (``_seq`` of
+them) is still queued, or was popped and then either fired or, having
+been cancelled, discarded (``_reaped``).  Cancelling a queued entry
+counts in ``_cancelled``.  Hence::
+
+    events_processed = _seq - len(_queue) - _reaped
+    pending()        = len(_queue) - (_cancelled - _reaped)
+
+Both are O(1) and exact at any moment: inside a callback, between
+runs, and after the loop raised.
 """
 
 from __future__ import annotations
@@ -21,48 +52,53 @@ US = 1_000_000
 MS = 1_000_000_000
 S = 1_000_000_000_000
 
+#: The wall-clock deadline is polled once per this many events.
+_WALL_CHECK_EVERY = 256
+
 
 class SimulationError(RuntimeError):
     """Raised when the simulation cannot make progress or is misused."""
 
 
-class Event:
-    """A scheduled callback.
+class Event(list):
+    """A scheduled callback, and its own heap entry ``[time, seq, fn]``.
 
-    Events are ordered by ``(time, seq)`` where ``seq`` is a global
-    insertion counter, so two events at the same instant fire in the
-    order they were scheduled.  Cancelling an event is O(1): it is
-    flagged and skipped when popped, and the owning simulator's live
-    pending counter is decremented immediately.
+    Returned by :meth:`Simulator.schedule` and
+    :meth:`Simulator.schedule_at`.  Cancelling is O(1): the entry's
+    ``fn`` slot is cleared, the loop discards it when popped, and the
+    simulator's pending count drops at once.  Cancelling an event that
+    already fired (e.g. the mediator cancelling its own clock event
+    while handling it) only marks the handle.
     """
 
-    __slots__ = ("time", "seq", "fn", "cancelled", "sim")
+    __slots__ = ("sim",)
 
-    def __init__(self, time: int, seq: int, fn: Callable[[], None], sim=None):
-        self.time = time
-        self.seq = seq
-        self.fn = fn
-        self.cancelled = False
-        self.sim = sim
+    @property
+    def time(self) -> int:
+        return self[0]
+
+    @property
+    def seq(self) -> int:
+        return self[1]
+
+    @property
+    def cancelled(self) -> bool:
+        """True once :meth:`cancel` was called, fired or not."""
+        return self.sim is None
 
     def cancel(self) -> None:
-        """Prevent this event from firing (safe to call twice).
-
-        Cancelling an event that already fired is a no-op for the
-        counter: ``sim`` is cleared when the event is consumed.
-        """
-        if not self.cancelled:
-            self.cancelled = True
-            if self.sim is not None:
-                self.sim._pending_count -= 1
-                self.sim = None
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
+        """Prevent this event from firing (safe to call twice)."""
+        sim = self.sim
+        if sim is None:
+            return
+        self.sim = None
+        if self[2] is not None:          # still queued
+            self[2] = None
+            sim._cancelled += 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = " cancelled" if self.cancelled else ""
-        return f"<Event t={self.time}ps seq={self.seq}{state}>"
+        state = " cancelled" if self.sim is None else ""
+        return f"<Event t={self[0]}ps seq={self[1]}{state}>"
 
 
 class Simulator:
@@ -81,12 +117,11 @@ class Simulator:
     def __init__(self) -> None:
         self._now = 0
         self._seq = 0
-        self._queue: List[Event] = []
-        self._events_processed = 0
-        # Live count of queued, non-cancelled events.  Kept in sync by
-        # schedule/pop/Event.cancel so pending() is O(1) instead of a
-        # full-queue scan.
-        self._pending_count = 0
+        self._queue: List[list] = []
+        # See the module docstring: these two counts plus ``_seq`` and
+        # the queue length give events_processed and pending().
+        self._cancelled = 0
+        self._reaped = 0
 
     @property
     def now(self) -> int:
@@ -96,7 +131,7 @@ class Simulator:
     @property
     def events_processed(self) -> int:
         """Total number of events that have fired."""
-        return self._events_processed
+        return self._seq - len(self._queue) - self._reaped
 
     def schedule(self, delay: int, fn: Callable[[], None]) -> Event:
         """Schedule ``fn`` to run ``delay`` picoseconds from now."""
@@ -110,30 +145,28 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at t={time} before now={self._now}"
             )
-        event = Event(time, self._seq, fn, self)
+        event = Event((time, self._seq, fn))
+        event.sim = self
         self._seq += 1
-        self._pending_count += 1
         heapq.heappush(self._queue, event)
         return event
 
     def pending(self) -> int:
         """Number of queued, non-cancelled events (O(1))."""
-        return self._pending_count
+        return len(self._queue) - self._cancelled + self._reaped
 
     def step(self) -> bool:
         """Fire the next event.  Returns False if the queue is empty."""
-        while self._queue:
-            event = heapq.heappop(self._queue)
-            if event.cancelled:
+        queue = self._queue
+        while queue:
+            entry = heapq.heappop(queue)
+            fn = entry[2]
+            if fn is None:
+                self._reaped += 1
                 continue
-            self._now = event.time
-            self._events_processed += 1
-            self._pending_count -= 1
-            # Consumed: a cancel() arriving from inside the callback
-            # (e.g. the mediator cancelling its own clock event while
-            # handling it) must not decrement the counter again.
-            event.sim = None
-            event.fn()
+            entry[2] = None
+            self._now = entry[0]
+            fn()
             return True
         return False
 
@@ -144,6 +177,10 @@ class Simulator:
         wall_deadline: Optional[float] = None,
     ) -> None:
         """Run until the queue drains, or until absolute time ``until``.
+
+        Time never moves backwards: ``until`` earlier than :attr:`now`
+        fires nothing and leaves :attr:`now` where it is; otherwise the
+        run ends with ``now == until``.
 
         ``max_events`` guards against runaway feedback loops (e.g. a
         combinational ring oscillating); hitting it raises
@@ -166,7 +203,7 @@ class Simulator:
             if OBS.enabled:
                 OBS.metrics.inc("sim.run_calls")
                 OBS.metrics.set("sim.events_processed",
-                                self._events_processed)
+                                self.events_processed)
                 OBS.metrics.set("sim.now_ps", self._now)
 
     def _run_loop(
@@ -175,23 +212,34 @@ class Simulator:
         max_events: int,
         wall_deadline: Optional[float],
     ) -> None:
-        fired = 0
+        # The hot loop: one heap pop and one callback per event.  The
+        # event budget and the wall clock are checked only when
+        # ``fired`` reaches ``checkpoint``, so an event pays one
+        # compare for both.
+        queue = self._queue
+        pop = heapq.heappop
         check_wall = wall_deadline is not None
-        while self._queue:
-            head = self._queue[0]
-            if head.cancelled:
-                heapq.heappop(self._queue)
+        fired = 0
+        checkpoint = max_events + 1
+        if check_wall:
+            checkpoint = min(checkpoint, _WALL_CHECK_EVERY)
+        while queue:
+            if until is not None and queue[0][0] > until:
+                break
+            entry = pop(queue)
+            fn = entry[2]
+            if fn is None:
+                self._reaped += 1
                 continue
-            if until is not None and head.time > until:
-                self._now = until
-                return
-            self.step()
+            entry[2] = None
+            self._now = entry[0]
+            fn()
             fired += 1
-            if fired > max_events:
-                raise SimulationError(
-                    f"exceeded {max_events} events; likely oscillation"
-                )
-            if check_wall and not fired & 255:
+            if fired >= checkpoint:
+                if fired > max_events:
+                    raise SimulationError(
+                        f"exceeded {max_events} events; likely oscillation"
+                    )
                 if time.perf_counter() > wall_deadline:
                     from repro.core.errors import WallClockTimeout
 
@@ -199,9 +247,14 @@ class Simulator:
                         f"simulation exceeded its wall-clock budget "
                         f"after {fired} events at t={self._now} ps"
                     )
+                checkpoint = min(max_events + 1, fired + _WALL_CHECK_EVERY)
         if until is not None and until > self._now:
             self._now = until
 
     def advance(self, delay: int) -> None:
-        """Run all events in the next ``delay`` picoseconds."""
+        """Run all events in the next ``delay`` picoseconds.
+
+        A negative ``delay`` fires nothing and leaves :attr:`now` as
+        it is (see :meth:`run`).
+        """
         self.run(until=self._now + delay)

@@ -15,12 +15,22 @@ Hot-path notes
 --------------
 ``Net.set`` / ``Net._apply`` run once per transition of every segment
 of both rings — millions of times in the burst benchmarks — so this
-module avoids per-call allocation:
+module avoids per-call allocation and per-call indirection:
 
+* a delayed ``set`` pushes its own ``[time, seq, fn]`` heap entry
+  straight onto the simulator's queue (no :class:`Event` handle, no
+  ``schedule`` call), and a later ``set`` supersedes it by clearing
+  that entry's ``fn`` slot in place — O(1), and the loop discards it
+  when popped (see :mod:`repro.sim.scheduler`);
+* every entry's ``fn`` is the same bound ``_fire_pending``, created
+  once per net; it calls ``self._apply`` at fire time, so an apply
+  queued before a fault injector swaps the net's class still goes
+  through the new class's ``_apply``;
 * the listener chain is stored as an immutable tuple (snapshotted on
   registration, not copied per edge);
-* deferred applies reuse one bound method instead of allocating a
-  closure per ``set()``;
+* the net counts its own transitions, so the wire controller that
+  drives it needs no listener on it (it splits the count between
+  forwarding and driving when it switches mode);
 * :class:`EdgeType` is an :class:`enum.IntEnum` whose two members are
   cached at module level, so edge classification is an index into a
   pair instead of an Enum construction, and hot listeners may compare
@@ -30,9 +40,10 @@ module avoids per-call allocation:
 from __future__ import annotations
 
 import enum
+from heapq import heappush
 from typing import Callable, Optional, Tuple
 
-from repro.sim.scheduler import Simulator
+from repro.sim.scheduler import SimulationError, Simulator
 
 
 class EdgeType(enum.IntEnum):
@@ -83,6 +94,7 @@ class Net:
         "_pending",
         "_pending_value",
         "_apply_pending",
+        "transitions",
     )
 
     def __init__(self, sim: Simulator, name: str, initial: int = 1):
@@ -93,11 +105,16 @@ class Net:
         # the per-edge hot path.  Registration during notification is
         # still safe — an in-flight iteration keeps the old tuple.
         self._listeners: Tuple[EdgeCallback, ...] = ()
-        self._pending = None  # type: Optional[object]
+        #: The queued heap entry of a delayed set(), until it fires.
+        self._pending: Optional[list] = None
         self._pending_value = 0
         # One reusable bound applier instead of a fresh lambda per
         # delayed set().
         self._apply_pending = self._fire_pending
+        #: Number of value changes so far (driver-made or injected).
+        #: A line controller splits it between forwarding and driving
+        #: instead of listening to every edge of its output.
+        self.transitions = 0
 
     @property
     def value(self) -> int:
@@ -125,13 +142,22 @@ class Net:
         value = 1 if value else 0
         pending = self._pending
         if pending is not None:
-            pending.cancel()
+            pending[2] = None            # cancelled in place
+            self.sim._cancelled += 1
             self._pending = None
-        if delay == 0:
+        if delay > 0:
+            sim = self.sim
+            entry = [sim._now + delay, sim._seq, self._apply_pending]
+            sim._seq += 1
+            heappush(sim._queue, entry)
+            self._pending = entry
+            self._pending_value = value
+        elif delay == 0:
             self._apply(value)
         else:
-            self._pending_value = value
-            self._pending = self.sim.schedule(delay, self._apply_pending)
+            raise SimulationError(
+                f"cannot schedule into the past (delay={delay})"
+            )
 
     def _fire_pending(self) -> None:
         self._pending = None
@@ -141,6 +167,7 @@ class Net:
         if value == self._value:
             return
         self._value = value
+        self.transitions += 1
         edge = _EDGES[value]
         for fn in self._listeners:
             fn(self, edge)

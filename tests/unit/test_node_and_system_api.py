@@ -105,6 +105,19 @@ class TestRunControl:
         system.run_for(0.001)
         assert system.sim.now == pytest.approx(1e9, rel=0.01)
 
+    @pytest.mark.parametrize("queued", [False, True])
+    def test_negative_horizons_never_rewind_time(self, queued):
+        system = self._system()
+        system.send("m", Address.short(0x2, 5), b"\x01")
+        if queued:
+            system.post("m", Address.short(0x2, 5), b"\x02")
+            system.run_for(20e-6)             # stops mid-transaction
+            assert system.sim.pending() > 0
+        now = system.sim.now
+        system.run_for(-5e-6)
+        system.run_until_idle(timeout_s=-5e-6, require_idle=False)
+        assert system.sim.now == now
+
     def test_send_failure_reports_protocol_error(self):
         system = self._system()
         system.build()

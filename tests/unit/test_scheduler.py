@@ -1,8 +1,11 @@
 """Unit tests for the event scheduler."""
 
+import time
+
 import pytest
 
-from repro.sim.scheduler import NS, Simulator, SimulationError, US
+from repro.core.errors import WallClockTimeout
+from repro.sim.scheduler import NS, Event, Simulator, SimulationError, US
 
 
 class TestScheduling:
@@ -125,6 +128,44 @@ class TestCancellation:
             sim.run()
         assert sim.pending() == 0
 
+    def test_handle_exposes_time_seq_and_cancelled(self):
+        sim = Simulator()
+        sim.schedule(3, lambda: None)
+        event = sim.schedule_at(40, lambda: None)
+        assert isinstance(event, Event)
+        assert (event.time, event.seq, event.cancelled) == (40, 1, False)
+        event.cancel()
+        assert event.cancelled
+
+    def test_cancel_through_handle_before_it_fires(self):
+        sim = Simulator()
+        fired = []
+        event = sim.schedule(10, lambda: fired.append("dropped"))
+        sim.schedule(20, lambda: fired.append("kept"))
+        assert sim.pending() == 2
+        event.cancel()
+        assert sim.pending() == 1           # at once, not when popped
+        sim.run()
+        assert fired == ["kept"]
+        assert sim.events_processed == 1
+        assert sim.pending() == 0
+
+    def test_self_cancel_after_firing_marks_handle_only(self):
+        sim = Simulator()
+        holder = {}
+
+        def fire():
+            assert sim.events_processed == 1   # exact inside a callback
+            holder["event"].cancel()
+            assert sim.pending() == 1
+
+        holder["event"] = sim.schedule(10, fire)
+        sim.schedule(20, lambda: None)
+        sim.run()
+        assert holder["event"].cancelled
+        assert sim.events_processed == 2
+        assert sim.pending() == 0
+
 
 class TestRunControl:
     def test_run_until_stops_at_boundary(self):
@@ -168,3 +209,86 @@ class TestRunControl:
             sim.schedule(i + 1, lambda: None)
         sim.run()
         assert sim.events_processed == 5
+
+    def _self_rescheduling(self, sim):
+        def loop():
+            sim.schedule(1, loop)
+
+        sim.schedule(1, loop)
+
+    def test_counters_exact_after_max_events_raised(self):
+        sim = Simulator()
+        self._self_rescheduling(sim)
+        with pytest.raises(SimulationError):
+            sim.run(max_events=1000)
+        # The 1001st event fired (and queued its successor) before
+        # the budget check raised.
+        assert sim.events_processed == 1001
+        assert sim.pending() == 1
+        assert sim.now == 1001
+
+    def test_counters_exact_after_wall_clock_timeout(self):
+        sim = Simulator()
+        self._self_rescheduling(sim)
+        with pytest.raises(WallClockTimeout):
+            sim.run(wall_deadline=time.perf_counter() - 1.0)
+        # The deadline is polled every 256 events.
+        assert sim.events_processed == 256
+        assert sim.pending() == 1
+        # A later run counts on from there.
+        with pytest.raises(SimulationError):
+            sim.run(max_events=10)
+        assert sim.events_processed == 256 + 11
+
+    def test_run_until_with_cancelled_head(self):
+        sim = Simulator()
+        fired = []
+        head = sim.schedule(10, lambda: fired.append("head"))
+        sim.schedule(100, lambda: fired.append("late"))
+        head.cancel()
+        sim.run(until=50)
+        assert fired == [] and sim.now == 50
+        assert sim.pending() == 1 and sim.events_processed == 0
+        sim.run()
+        assert fired == ["late"] and sim.now == 100
+        assert sim.pending() == 0 and sim.events_processed == 1
+
+    def test_run_until_with_cancelled_head_beyond_horizon(self):
+        sim = Simulator()
+        sim.schedule(80, lambda: None).cancel()
+        sim.schedule(90, lambda: None)
+        sim.run(until=50)
+        assert sim.now == 50
+        assert sim.pending() == 1 and sim.events_processed == 0
+
+
+class TestTimeNeverRewinds:
+    """``run(until=T)`` with ``T < now`` leaves ``now`` alone, whether
+    or not events are still queued (the batch tier's rule too)."""
+
+    def test_queued_events(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(100, lambda: fired.append(100))
+        sim.schedule(500, lambda: fired.append(500))
+        sim.run(until=200)
+        assert sim.now == 200 and fired == [100]
+        sim.run(until=150)
+        assert sim.now == 200
+        sim.advance(-120)
+        assert sim.now == 200
+        assert fired == [100] and sim.pending() == 1
+        sim.run()
+        assert sim.now == 500 and fired == [100, 500]
+
+    def test_empty_queue(self):
+        sim = Simulator()
+        sim.schedule(100, lambda: None)
+        sim.run()
+        assert sim.now == 100
+        sim.run(until=40)
+        assert sim.now == 100
+        sim.advance(-60)
+        assert sim.now == 100
+        sim.advance(25)
+        assert sim.now == 125

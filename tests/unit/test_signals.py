@@ -1,6 +1,8 @@
 """Unit tests for nets, edges, and the tracer."""
 
-from repro.sim.scheduler import NS, Simulator
+import pytest
+
+from repro.sim.scheduler import NS, SimulationError, Simulator
 from repro.sim.signals import EdgeType, Net, connect
 from repro.sim.tracer import Tracer
 
@@ -53,6 +55,70 @@ class TestNet:
         sim.run()
         assert net.value == 1
         assert edges == []          # value never actually changed
+
+    def test_superseding_keeps_pending_exact(self):
+        sim = Simulator()
+        net = Net(sim, "n")
+        net.set(0, delay=10 * NS)
+        assert sim.pending() == 1
+        net.set(1, delay=2 * NS)     # supersedes: still one live apply
+        assert sim.pending() == 1
+        net.set(0, delay=4 * NS)
+        assert sim.pending() == 1
+        sim.run()
+        assert net.value == 0 and sim.now == 4 * NS
+        assert sim.pending() == 0
+        assert sim.events_processed == 1   # superseded applies never fire
+
+    def test_immediate_set_cancels_pending_apply(self):
+        sim = Simulator()
+        net = Net(sim, "n")
+        edges = []
+        net.on_edge(lambda n, e: edges.append((sim.now, n.value)))
+        net.set(0, delay=10 * NS)
+        net.set(0)
+        assert sim.pending() == 0
+        sim.run()
+        assert edges == [(0, 0)]
+        assert sim.events_processed == 0
+
+    def test_set_after_apply_fired_cancels_nothing(self):
+        sim = Simulator()
+        net = Net(sim, "n")
+        net.set(0, delay=NS)
+        sim.run()
+        net.set(1, delay=NS)
+        assert sim.pending() == 1
+        sim.run()
+        assert net.value == 1 and sim.events_processed == 2
+
+    def test_negative_delay_rejected(self):
+        sim = Simulator()
+        with pytest.raises(SimulationError):
+            Net(sim, "n").set(0, delay=-1)
+
+    def test_apply_queued_before_fault_swap_goes_through_fault_state(self):
+        """The injector swaps a net's class mid-run; an apply queued
+        before the swap must still be filtered by the fault state."""
+        from repro.faults.injector import _STATE, FaultableNet, _NetFaultState
+
+        sim = Simulator()
+        net = Net(sim, "n")
+        edges = []
+        net.on_edge(lambda n, e: edges.append(n.value))
+        net.set(0, delay=10 * NS)      # queued while still a plain Net
+        state = _NetFaultState(net)
+        _STATE[id(net)] = state
+        net.__class__ = FaultableNet
+        state.inverted = True          # the wire carries the complement
+        try:
+            sim.run()
+        finally:
+            del _STATE[id(net)]
+            net.__class__ = Net
+        assert state.shadow == 0       # the driver's intent was seen...
+        assert net.value == 1          # ...and inverted: no transition
+        assert edges == []
 
     def test_truthy_values_normalised(self):
         sim = Simulator()
