@@ -60,7 +60,6 @@ from repro.scenario import (
     Workload,
     load_scenario,
     run,
-    sweep,
 )
 
 __version__ = "1.0.0"
@@ -100,6 +99,5 @@ __all__ = [
     "Workload",
     "load_scenario",
     "run",
-    "sweep",
     "__version__",
 ]

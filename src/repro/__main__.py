@@ -243,7 +243,6 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args) -> int:
     from repro.campaign import Campaign
     from repro.scenario import load_scenario
-    from repro.scenario.runner import SweepPoint
 
     spec, workload, grid = load_scenario(args.scenario)
     faults = _load_cli_faults(args)
@@ -251,52 +250,47 @@ def _cmd_sweep(args) -> int:
         print(f"error: {args.scenario} has no 'sweep' grid; use 'run' "
               "for a single execution", file=sys.stderr)
         return 2
-    # The old serial in-memory sweep, expressed as a campaign (see
-    # the `campaign` command for the cached / parallel form).
+    # A serial, uncached, in-memory campaign (see the `campaign`
+    # command for the cached / parallel form).
     results = Campaign(
         spec=spec, workload=workload, grid=grid, faults=faults,
         backend=args.backend,
     ).run(executor="serial", resume=False, dedupe=False, keep_reports=True)
-    points = [
-        SweepPoint(params=dict(r.params), report=r.live) for r in results
-    ]
-    if not points:
+    if not results:
         print(f"error: the sweep grid in {args.scenario} enumerates no "
               "points (a parameter has an empty value list)",
               file=sys.stderr)
         return 2
+    documents = [
+        {"params": dict(r.params), "report": r.live.to_dict()}
+        for r in results
+    ]
     if args.output:
         with open(args.output, "w") as handle:
-            for p in points:
-                handle.write(json.dumps(
-                    {"params": p.params, "report": p.report.to_dict()}
-                ))
+            for document in documents:
+                handle.write(json.dumps(document))
                 handle.write("\n")
-        print(f"wrote {len(points)} sweep points to {args.output}")
+        print(f"wrote {len(documents)} sweep points to {args.output}")
     if args.json:
-        print(json.dumps(
-            [{"params": p.params, "report": p.report.to_dict()}
-             for p in points],
-            indent=2,
-        ))
+        print(json.dumps(documents, indent=2))
         return 0
     if args.output:
         return 0
     rows = [
         (
-            ", ".join(f"{k}={v}" for k, v in p.params.items()),
-            f"{p.report.n_ok}/{p.report.n_transactions}",
-            f"{p.report.throughput_tps:,.0f}",
-            f"{p.report.goodput_bps / 1e3:,.1f}",
-            f"{p.report.energy_pj() / 1e3:.2f}",
+            ", ".join(f"{k}={v}" for k, v in r.params.items()),
+            f"{r.live.n_ok}/{r.live.n_transactions}",
+            f"{r.live.throughput_tps:,.0f}",
+            f"{r.live.goodput_bps / 1e3:,.1f}",
+            f"{r.live.energy_pj() / 1e3:.2f}",
         )
-        for p in points
+        for r in results
     ]
     print(format_table(
         ["Point", "OK", "txn/s", "kbit/s", "nJ"],
         rows,
         title=f"Sweep: {spec.name or 'scenario'} "
-              f"[{points[0].report.backend} backend]",
+              f"[{results[0].live.backend} backend]",
     ))
     return 0
 

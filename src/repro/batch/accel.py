@@ -1,105 +1,15 @@
-"""Optional numpy acceleration seam for the batch backend.
+"""Name of the batch tier's array implementation: always pure Python.
 
-Every array primitive the batch tier needs lives behind this module's
-three functions; each has a pure-Python implementation and a numpy
-implementation with *identical* results (integer-for-integer — the
-quantizer in particular must reproduce ``int(round(x))`` exactly,
-which works because both CPython's ``round`` and ``numpy.rint`` use
-round-half-even on doubles).  The active implementation is chosen
-once by :func:`configure`:
-
-* ``REPRO_BATCH_NUMPY=1`` forces numpy (ImportError if absent),
-* ``REPRO_BATCH_NUMPY=0`` forces pure Python,
-* unset: numpy when importable, pure Python otherwise.
-
-Keeping the seam this narrow means equivalence tests can run the same
-workload through both implementations and diff the outputs directly
-(``tests/unit/test_batch_compiler.py``).
+The batch tier quantizes workload times once per distinct event in
+:func:`~repro.batch.compiler.compile_workload` and sums wire activity
+per round template in :func:`~repro.batch.executor.materialize`, in
+plain Python.  Only :func:`backend_name` remains, for callers that
+record which implementation ran.
 """
 
 from __future__ import annotations
 
-import os
-from typing import List, Optional, Sequence
-
-_np = None            # the numpy module when the numpy backend is active
-_backend = "python"   # "python" | "numpy"
-
-
-def configure(force: Optional[str] = None) -> str:
-    """Select the array implementation; returns the active name.
-
-    ``force`` overrides the ``REPRO_BATCH_NUMPY`` environment variable
-    (``"numpy"`` / ``"python"`` / ``None`` = re-read the env var).
-    """
-    global _np, _backend
-    choice = force
-    if choice is None:
-        env = os.environ.get("REPRO_BATCH_NUMPY")
-        if env is None:
-            choice = "auto"
-        else:
-            choice = "numpy" if env not in ("0", "false", "no") else "python"
-    if choice == "python":
-        _np, _backend = None, "python"
-        return _backend
-    try:
-        import numpy
-    except ImportError:
-        if choice == "numpy":
-            raise
-        _np, _backend = None, "python"
-        return _backend
-    _np, _backend = numpy, "numpy"
-    return _backend
-
 
 def backend_name() -> str:
-    """The active implementation: ``"python"`` or ``"numpy"``."""
-    return _backend
-
-
-def quantize_times(seconds: Sequence[float], scale: int) -> List[int]:
-    """``[int(round(s * scale)) for s in seconds]`` — the schedule
-    quantizer, byte-compatible with the event-loop backends."""
-    if _np is not None and len(seconds) >= 8:
-        arr = _np.rint(_np.asarray(seconds, dtype=_np.float64) * scale)
-        return [int(v) for v in arr.astype(_np.int64)]
-    return [int(round(s * scale)) for s in seconds]
-
-
-def prefix_sums(values: Sequence[int]) -> List[int]:
-    """Exclusive-then-inclusive running totals: ``out[i] = sum(values[:i+1])``."""
-    if _np is not None and len(values) >= 8:
-        return [int(v) for v in _np.cumsum(_np.asarray(values, dtype=_np.int64))]
-    out, total = [], 0
-    for v in values:
-        total += v
-        out.append(total)
-    return out
-
-
-def weighted_sum_rows(
-    rows: Sequence[Sequence[int]], weights: Sequence[int]
-) -> List[int]:
-    """``sum(w * row for row, w in zip(rows, weights))`` element-wise.
-
-    The wire-activity reducer: each row is one round template's
-    per-node toggle counts, each weight is how many times that
-    template executed.
-    """
-    if not rows:
-        return []
-    if _np is not None and len(rows) * len(rows[0]) >= 64:
-        mat = _np.asarray(rows, dtype=_np.int64)
-        w = _np.asarray(weights, dtype=_np.int64)
-        return [int(v) for v in (mat * w[:, None]).sum(axis=0)]
-    width = len(rows[0])
-    out = [0] * width
-    for row, w in zip(rows, weights):
-        for i in range(width):
-            out[i] += w * row[i]
-    return out
-
-
-configure()
+    """The active array implementation: ``"python"``."""
+    return "python"

@@ -26,11 +26,11 @@ compiled spec share warm templates.
 
 Equivalence contract (enforced by ``tests/integration`` and the
 three-way diffcheck fuzz): byte-identical transaction signatures,
-delivery sets and wake counts versus the fast path.  The post-round
-choreography below — pulser exclusion, keep-earliest start merging,
-return-to-idle pumping, auto-sleep suppression by in-flight request
-falls — mirrors :class:`~repro.sim.fastpath.FastPathBackend` line for
-line; deviations are bugs, not optimisations.
+delivery sets and wake counts versus the fast path.  Both tiers run
+one post-round policy — round starts from idle, re-requests, null
+pulses, auto-sleep suppression by in-flight request falls — written
+once in :mod:`repro.core.tlm_engine`; the template cache and the
+steady-state replay below are optimisations on top of it.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from heapq import heappop, heappush
 from itertools import islice
 from typing import Dict, List, Optional, Tuple
 
-from repro.batch import accel
 from repro.batch.compiler import (
     KIND_POST,
     CompiledSystem,
@@ -50,7 +49,13 @@ from repro.batch.compiler import (
 from repro.core.bus import TransactionResult
 from repro.core.errors import BusLockedError, WallClockTimeout
 from repro.core.messages import ControlCode, ReceivedMessage
-from repro.core.tlm_engine import NodeRoundState, RoundContext, plan_round
+from repro.core.tlm_engine import (
+    NodeRoundState,
+    RoundContext,
+    plan_round,
+    post_round,
+    raise_from_idle,
+)
 from repro.obs.state import OBS
 from repro.sim.scheduler import SimulationError
 
@@ -143,6 +148,8 @@ class BatchExecutor:
         self.queues: List[deque] = [deque() for _ in range(n)]
         self.backlog: set = set()
         self.pulsers: set = set()
+        # The coming round's DATA falls (repro.core.tlm_engine).
+        self.falls: Dict[int, int] = {}
         self.pending = [False] * n
         self.pending_set: set = set()
         # Power state; non-gated domains come up at t=0 exactly like
@@ -158,10 +165,6 @@ class BatchExecutor:
         # Positions whose (bus, layer, pending) state differs from the
         # always-on default — the only ones a template key must name.
         self.dirty: set = {p for p in range(n) if csys.power_gated[p]}
-        self.gated_auto = tuple(
-            p for p in range(n)
-            if csys.power_gated[p] and csys.auto_sleep[p]
-        )
         # Event sources.  Workload events occupy seqs [0, len) — they
         # were "scheduled" before the run, so at equal timestamps they
         # fire before anything scheduled at runtime, exactly like the
@@ -294,29 +297,24 @@ class BatchExecutor:
     def _post(self, t: int, p: int, ref: int) -> None:
         self.queues[p].append(ref)
         self.backlog.add(p)
-        if self.bus_on[p] and self.layer_on[p]:
-            csys = self.csys
-            trigger = t + csys.settle_ps + (
-                0 if p == 0 else csys.topology.member_to_mediator(p)
-            )
-            self._schedule_start(trigger + csys.timing.mediator_wakeup_ps)
-        else:
-            self._raise_pulse(t, p)
+        self._raise(t, p, pulse=not (self.bus_on[p] and self.layer_on[p]))
 
     def _interrupt(self, t: int, p: int) -> None:
         self.pending[p] = True
         self.pending_set.add(p)
         self.dirty.add(p)
-        self._raise_pulse(t, p)
+        self._raise(t, p, pulse=True)
 
-    def _raise_pulse(self, t: int, p: int) -> None:
-        self.pending[p] = True
-        self.pending_set.add(p)
-        self.dirty.add(p)
-        self.pulsers.add(p)
-        csys = self.csys
-        trigger = t + csys.topology.member_to_mediator(p)
-        self._schedule_start(trigger + csys.timing.mediator_wakeup_ps)
+    def _raise(self, t: int, p: int, pulse: bool) -> None:
+        t0 = raise_from_idle(self.csys.topology, self.falls, p, t, pulse)
+        if t0 is None:
+            return
+        if pulse:
+            self.pending[p] = True
+            self.pending_set.add(p)
+            self.dirty.add(p)
+            self.pulsers.add(p)
+        self._schedule_start(t0)
 
     def _schedule_start(self, t0: int) -> None:
         # Keep-earliest merge of the single start slot; a reschedule
@@ -345,13 +343,16 @@ class BatchExecutor:
         csys = self.csys
         bus_on, layer_on = self.bus_on, self.layer_on
         pulsers = self.pulsers
+        falls = self.falls
         queues = self.queues
         # Requests keyed by the system-interned message id: integer-
-        # only keys, stable across every trial sharing this csys.
+        # only keys, stable across every trial sharing this csys.  A
+        # member requests only if its own fall is among the round's.
         req_items = tuple(
             (p, queues[p][0])
             for p in sorted(self.backlog)
             if bus_on[p] and layer_on[p] and p not in pulsers
+            and (p == 0 or p in falls)
         )
         dirty = self.dirty
         state_key = tuple(sorted(
@@ -455,61 +456,30 @@ class BatchExecutor:
                     pending[p] = False
                     pending_set.discard(p)
                     self._refresh(p)
-        # Re-arm queued traffic (FastPathBackend._pump_after_round,
-        # inlined: this runs once per round on the hot path).
-        topology = csys.topology
-        settle = csys.settle_ps
-        return_to_idle = (
-            t0 + tpl.end_off + 2 * csys.timing.ring_delay_ps(csys.n)
-        )
-        candidates: List[int] = []
-        request_falls: Dict[int, int] = {}
-        node_end_off = tpl.node_end_off
-        actors = (
+        # The post-round policy (repro.core.tlm_engine): re-arm what
+        # remains queued, then schedule the idle gated nodes' sleeps.
+        ready, waking = [], []
+        for p in (
             sorted(backlog) if not pending_set
             else sorted(backlog | pending_set)
-        )
-        for p in actors:
-            t_end = t0 + node_end_off[p]
+        ):
             if bus_on[p] and layer_on[p] and queues[p]:
-                if p == 0:
-                    candidates.append(t_end + settle)
-                else:
-                    request_falls[p] = t_end + settle
-                    arrival = (
-                        t_end + settle + topology.member_to_mediator(p)
-                    )
-                    candidates.append(max(arrival, return_to_idle))
+                ready.append(p)
             else:
-                pending[p] = True
-                pending_set.add(p)
-                self.dirty.add(p)
-                self.pulsers.add(p)
-                request_falls[p] = t_end + settle
-                arrival = t_end + settle + topology.member_to_mediator(p)
-                candidates.append(max(arrival, return_to_idle))
-        if candidates:
-            self._schedule_start(
-                min(candidates) + csys.timing.mediator_wakeup_ps
-            )
-        # Auto-sleep scheduling (FastPathBackend's per-round sleep
-        # timers, inlined).  Another node's request fall reaching a
-        # node before its settle expires cancels the sleep (the node
-        # rides into the next round without a fresh wakeup).
-        hop = topology.hop_delay
-        for p in self.gated_auto:
-            if queues[p] or pending[p]:
-                continue
-            at = t0 + node_end_off[p] + settle
-            if at < fin_t:
-                at = fin_t
-            suppressed = False
-            for q, tq in request_falls.items():
-                if q != p and tq + hop(q, p) <= at:
-                    suppressed = True
-                    break
-            if suppressed:
-                continue
+                waking.append(p)
+        rearm = post_round(
+            csys.topology, t0, tpl.end_off, tpl.node_end_off, ready, waking,
+            fin_t,
+        )
+        for p in waking:
+            pending[p] = True
+            pending_set.add(p)
+            self.dirty.add(p)
+        self.pulsers.update(rearm.pulsers)
+        self.falls = rearm.falls
+        if rearm.start_ps is not None:
+            self._schedule_start(rearm.start_ps)
+        for p, at in rearm.sleeps:
             self.seq += 1
             heappush(self.sleeps, (at, self.seq, p))
         self.now = fin_t
@@ -608,6 +578,9 @@ class BatchExecutor:
         self.seq += 1
         self.start_t0 = s + delta
         self.start_seq = self.seq
+        if self.falls:
+            # w's re-request fall, as round k's post-round step left it.
+            self.falls = {w: self.falls[w] + (s - t0)}
         if p_s is not None:
             # Each cycle the sleeper is on from its wake offset until
             # the sleep instant — a constant span — and both domains
@@ -663,13 +636,9 @@ def materialize(csys: CompiledSystem, result: BatchResult):
             "bus_wakeups": result.bus_wakeups[p],
             "layer_wakeups": result.layer_wakeups[p],
         }
-    tids = sorted(result.hit_counts)
-    if tids:
-        totals = accel.weighted_sum_rows(
-            [csys.template_list[tid].wire_row for tid in tids],
-            [result.hit_counts[tid] for tid in tids],
-        )
-    else:
-        totals = [0] * csys.n
+    totals = [0] * csys.n
+    for tid, hits in result.hit_counts.items():
+        for p, count in enumerate(csys.template_list[tid].wire_row):
+            totals[p] += hits * count
     wire = {names[p]: totals[p] for p in range(csys.n)}
     return transactions, power, wire

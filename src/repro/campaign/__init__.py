@@ -39,9 +39,6 @@ same store (see :mod:`repro.campaign.failures`), retried under a
 :class:`RetryPolicy` and quarantined when poisonous.  ``python -m
 repro campaign run/status/results/compact`` exposes the same
 machinery over JSON campaign documents (see EXPERIMENTS.md).
-
-The legacy :func:`repro.scenario.runner.sweep` survives as a
-deprecated shim over a serial campaign.
 """
 
 from __future__ import annotations

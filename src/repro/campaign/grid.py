@@ -219,7 +219,7 @@ def as_grid(source: GridLike) -> "Grid":
     Accepts a :class:`Grid`, a grid document (a mapping with a
     ``"kind"`` entry naming one of :data:`GRID_KINDS`), or a plain
     ``{axis: values}`` mapping, which means :meth:`Grid.product` —
-    the shape :func:`repro.scenario.runner.sweep` always took.
+    the shape of a scenario document's ``"sweep"`` grid.
     """
     if isinstance(source, Grid):
         return source

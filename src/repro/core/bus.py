@@ -9,7 +9,7 @@ transaction the mediator completes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core import constants
 from repro.core.addresses import Address
@@ -21,6 +21,51 @@ from repro.core.node import MBusNode, NodeConfig
 from repro.sim.scheduler import Simulator, US
 from repro.sim.signals import Net
 from repro.sim.tracer import Tracer
+
+
+def check_prefixes(configs: Sequence[NodeConfig]) -> None:
+    """Refuse a ring whose short prefixes clash, use a reserved value,
+    or exceed the 14-node short-address budget (Section 4.7)."""
+    seen_short: Dict[int, str] = {}
+    short_count = 0
+    for config in configs:
+        prefix = config.short_prefix
+        if prefix is None:
+            continue
+        short_count += 1
+        if prefix in seen_short:
+            raise ConfigurationError(
+                f"short prefix {prefix:#x} used by both "
+                f"{seen_short[prefix]!r} and {config.name!r}; run "
+                "enumeration to disambiguate duplicate chips (4.7)"
+            )
+        if prefix in (
+            constants.BROADCAST_PREFIX_VALUE,
+            constants.FULL_ADDR_MARKER_VALUE,
+        ):
+            raise ConfigurationError(
+                f"short prefix {prefix:#x} is reserved"
+            )
+        seen_short[prefix] = config.name
+    if short_count > constants.MAX_SHORT_ADDRESSED_NODES:
+        raise ConfigurationError(
+            "at most 14 short-addressed nodes per system (4.7)"
+        )
+
+
+def effective_anchor(config: NodeConfig) -> Optional[str]:
+    """The arbitration anchor a request for ``config`` resolves to:
+    its name, or ``None`` for the mediator (the default break point).
+
+    The anchor takes on always-on duties (it must break the ring the
+    moment a request appears), so a power-gated node is refused.
+    """
+    if config.power_gated:
+        raise ConfigurationError(
+            "the arbitration anchor holds always-on wire-"
+            "controller state; it cannot be power-gated"
+        )
+    return None if config.is_mediator else config.name
 
 
 @dataclass(slots=True)
@@ -159,7 +204,7 @@ class MBusSystem:
             raise ConfigurationError("an MBus system requires a mediator")
         if len(self.nodes) < 2:
             raise ConfigurationError("an MBus system needs at least two nodes")
-        self._validate_prefixes()
+        check_prefixes([node.config for node in self.nodes])
         for node in self.nodes:
             node.on_result = self._record_tx
             node.on_receive = self._make_rx_recorder(node.on_receive)
@@ -191,33 +236,6 @@ class MBusSystem:
             self.tracer.watch_all(data_segments + clk_segments)
         self._built = True
         return self
-
-    def _validate_prefixes(self) -> None:
-        seen_short: Dict[int, str] = {}
-        short_count = 0
-        for node in self.nodes:
-            prefix = node.config.short_prefix
-            if prefix is None:
-                continue
-            short_count += 1
-            if prefix in seen_short:
-                raise ConfigurationError(
-                    f"short prefix {prefix:#x} used by both "
-                    f"{seen_short[prefix]!r} and {node.name!r}; run "
-                    "enumeration to disambiguate duplicate chips (4.7)"
-                )
-            if prefix in (
-                constants.BROADCAST_PREFIX_VALUE,
-                constants.FULL_ADDR_MARKER_VALUE,
-            ):
-                raise ConfigurationError(
-                    f"short prefix {prefix:#x} is reserved"
-                )
-            seen_short[prefix] = node.name
-        if short_count > constants.MAX_SHORT_ADDRESSED_NODES:
-            raise ConfigurationError(
-                "at most 14 short-addressed nodes per system (4.7)"
-            )
 
     # ------------------------------------------------------------------
     # Recording.
@@ -345,20 +363,12 @@ class MBusSystem:
 
         With an anchor set, topological priority is measured from the
         anchor instead of the mediator.  ``None`` restores the default
-        scheme.  The anchor takes on always-on duties (it must break
-        the ring the moment a request appears), so it cannot be a
-        power-gated node.
+        scheme; so does naming the mediator.  A power-gated anchor is
+        refused (:func:`effective_anchor`).
         """
         self.build()
         if name is not None:
-            anchor = self.node(name)
-            if anchor.config.power_gated:
-                raise ConfigurationError(
-                    "the arbitration anchor holds always-on wire-"
-                    "controller state; it cannot be power-gated"
-                )
-            if anchor.config.is_mediator:
-                name = None   # anchoring at the mediator is the default
+            name = effective_anchor(self.node(name).config)
         self._anchor_name = name
         if self._fast_backend is not None:
             self._fast_backend.set_anchor(name)

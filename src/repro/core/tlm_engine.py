@@ -20,6 +20,14 @@ form* from the protocol rules of Sections 4.3-4.9:
   times (bus domain at the 4th edge, layer domain 4 edges after its
   arming event) fall out.
 
+It also owns everything else the fast path and the batch executor
+must agree on, so neither keeps a copy: the mediator-rooted ring both
+lower a system to (:func:`lower_ring`) and the post-round policy of
+Sections 4.3-4.5 — whether a request or null pulse raised on an idle
+bus acts, and when it starts the next round
+(:func:`raise_from_idle`), and who re-requests, pulses or auto-sleeps
+after a round (:func:`post_round`).
+
 Everything here is pure computation over integers — no simulator, no
 events.  The formulas were validated edge-for-edge against the
 edge-accurate engine (see ``tests/integration/
@@ -31,25 +39,42 @@ picosecond timings agree to within propagation-delay slack.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.core import constants
 from repro.core.addresses import Address
 from repro.core.constants import NODE_SETTLE_FACTOR
 from repro.core.messages import ControlCode, Message
+from repro.core.node import NodeConfig
 from repro.obs.state import OBS
 
 __all__ = [
-    "NODE_SETTLE_FACTOR",
     "NodeRoundState",
+    "Rearm",
     "RingTopology",
     "RoundContext",
     "RxDelivery",
     "TLMNode",
     "TransactionPlan",
+    "lower_ring",
     "plan_round",
+    "post_round",
+    "raise_from_idle",
     "resolve_arbitration",
 ]
+
+#: Per-position times: a tuple of offsets, or a plan's position-keyed
+#: dict.
+Times = Union[Sequence[int], Mapping[int, int]]
 
 
 @dataclass(frozen=True)
@@ -142,6 +167,14 @@ class RingTopology:
         self._prefix = [0] * (self.n + 1)
         for i, node in enumerate(self.nodes):
             self._prefix[i + 1] = self._prefix[i] + node.forward_delay_ps
+        #: The settle every node applies between observing a round's
+        #: end and acting on it (MBusNode._settle_ps).
+        self.settle_ps = NODE_SETTLE_FACTOR * timing.node_delay_ps
+        #: Positions that power themselves down once idle.
+        self.auto_sleepers = tuple(
+            pos for pos, node in enumerate(self.nodes)
+            if node.power_gated and node.auto_sleep
+        )
 
     def clk_prop(self, q: int) -> int:
         """Mediator CLK drive -> node q's CLK-in arrival delay."""
@@ -172,6 +205,39 @@ class RingTopology:
                 self._prefix[self.n] - self._prefix[src + 1]
             ) + self._prefix[dst]
         return self.drive_delay + between
+
+
+def lower_ring(
+    configs: Sequence[NodeConfig], timing: constants.MBusTiming
+) -> Tuple[List[int], RingTopology]:
+    """The mediator-rooted ring of ``configs`` (given in ring order).
+
+    The planner roots all ring arithmetic (propagation, break points,
+    control resolution) at the mediator, which a system may place at
+    any index; rotating the ring to put it at position 0 is a pure
+    relabelling that keeps adjacency and topological priority.
+    Returns the ``configs`` indices in position order, and the
+    topology.
+    """
+    first = next(i for i, config in enumerate(configs) if config.is_mediator)
+    order = list(range(first, len(configs))) + list(range(first))
+    nodes = [
+        TLMNode(
+            name=config.name,
+            position=position,
+            short_prefix=config.short_prefix,
+            full_prefix=config.full_prefix,
+            broadcast_channels=frozenset(config.broadcast_channels),
+            rx_buffer_bytes=config.rx_buffer_bytes,
+            ack_policy=config.ack_policy,
+            is_mediator=config.is_mediator,
+            power_gated=config.power_gated,
+            auto_sleep=bool(config.auto_sleep),
+            forward_delay_ps=config.node_delay_ps or timing.node_delay_ps,
+        )
+        for position, config in enumerate(configs[i] for i in order)
+    ]
+    return order, RingTopology(nodes, timing)
 
 
 def matches(node: TLMNode, address: Address) -> bool:
@@ -638,3 +704,143 @@ def _edge_time_at(
             return t_interject + prop                   # rise-back
         index -= 2
     return tc0 + (index + 1) * half + prop
+
+
+# ----------------------------------------------------------------------
+# Post-round policy (Sections 4.3-4.5).  The edge engine acts it out
+# per node (MBusNode._kick / trigger_interrupt on an idle bus,
+# MBusNode._on_transaction_end and the settle-delayed _try_request /
+# _start_null_pulse / _auto_sleep it schedules); the fast path and the
+# batch executor both compute it here.  Each keeps the ``falls`` of
+# the coming round -- position -> time it drives DATA low -- from the
+# end of one round to the start of the next: every member a fall has
+# reached is an arbitration observer until that round and does not
+# pulse, and a member requests in it only if its own request fall is
+# there.
+# ----------------------------------------------------------------------
+@dataclass
+class Rearm:
+    """What the nodes do once they observe the end of a round."""
+
+    #: Positions that raise a null pulse, in pulse order.
+    pulsers: List[int]
+    #: The coming round's falls (re-requests and pulses).
+    falls: Dict[int, int]
+    #: The next mediator start; None when nobody wants the bus.
+    start_ps: Optional[int]
+    #: ``(position, time)`` of each auto-sleep that goes ahead.
+    sleeps: List[Tuple[int, int]]
+
+
+def _observing(
+    topo: RingTopology, falls: Dict[int, int], pos: int, at_ps: int
+) -> bool:
+    """Whether another node's fall in ``falls`` has reached member
+    ``pos`` by ``at_ps``: its engine has then left idle to observe
+    the coming arbitration.  The mediator's member ignores DATA falls.
+    """
+    if not pos:
+        return False
+    hop = topo.hop_delay
+    for src, t in falls.items():
+        if t + hop(src, pos) <= at_ps:
+            return True
+    return False
+
+
+def raise_from_idle(
+    topo: RingTopology, falls: Dict[int, int], pos: int, now: int,
+    pulse: bool,
+) -> Optional[int]:
+    """A request (or, with ``pulse``, a null pulse) raised at ``now``
+    while the bus is idle: the mediator start it asks for, or None.
+
+    None means the node does not act: its own fall is already in
+    ``falls``, or another one has reached it and its engine is an
+    arbitration observer (the mediator's member never is).  A post
+    then only queues, an interrupt stays pending, and the node sits
+    the coming round out.  Otherwise its fall joins ``falls``: a
+    request goes out a settle delay after the post, a pulse at once
+    (the mediator's own member requests without touching the wire).
+    The fall travels to the mediator's input pad, and the mediator
+    spends its wakeup latency before the first clock edge.
+    """
+    if pos in falls or _observing(topo, falls, pos, now):
+        return None
+    if pulse:
+        at = falls[pos] = now
+    elif pos:
+        at = falls[pos] = now + topo.settle_ps
+    else:
+        return now + topo.settle_ps + topo.timing.mediator_wakeup_ps
+    return at + topo.member_to_mediator(pos) + topo.timing.mediator_wakeup_ps
+
+
+def post_round(
+    topo: RingTopology,
+    t0: int,
+    end_off: int,
+    node_end_off: Times,
+    ready: Sequence[int],
+    waking: Sequence[int],
+    not_before: int,
+) -> Rearm:
+    """The post-round step after the round that started at ``t0``.
+
+    ``end_off`` (the mediator's final control edge) and
+    ``node_end_off[p]`` (node ``p``'s observed end) are offsets from
+    ``t0``.  ``ready`` nodes are fully awake with traffic queued;
+    ``waking`` nodes want the bus (traffic or an interrupt) but are
+    not fully awake.  Every node acts a settle delay after its
+    observed end:
+
+    * a ready member re-requests by pulling DATA low; the mediator's
+      own member starts the clock without a fall;
+    * a waking node raises a null pulse, in time order, unless a fall
+      already emitted (a re-request or an earlier pulse) reached it
+      first: it is then an arbitration observer and only keeps its
+      pending interrupt.  Not being a pulser, its layer does not arm
+      in the coming round unless its bus domain wakes there too, so
+      a node whose bus is already on waits for a later General Error
+      round;
+    * every other gated, auto-sleeping node powers down, never before
+      ``not_before`` (the round's finalize) -- unless a fall reaches
+      it first: its engine is busy again and it rides into the next
+      round without a fresh wakeup.
+
+    The mediator catches a fall when it arrives or at its
+    return-to-idle scan (two ring delays after the round), whichever
+    is later.
+    """
+    settle = topo.settle_ps
+    to_mediator = topo.member_to_mediator
+    return_to_idle = t0 + end_off + 2 * topo.timing.ring_delay_ps(topo.n)
+    falls: Dict[int, int] = {}
+    starts: List[int] = []
+    for pos in ready:
+        at = t0 + node_end_off[pos] + settle
+        if pos == 0:
+            starts.append(at)
+        else:
+            falls[pos] = at
+            starts.append(max(at + to_mediator(pos), return_to_idle))
+    pulsers: List[int] = []
+    for at, pos in sorted(
+        (t0 + node_end_off[pos] + settle, pos) for pos in waking
+    ):
+        if _observing(topo, falls, pos, at):
+            continue
+        falls[pos] = at
+        pulsers.append(pos)
+        starts.append(max(at + to_mediator(pos), return_to_idle))
+    sleeps: List[Tuple[int, int]] = []
+    for pos in topo.auto_sleepers:
+        if pos in ready or pos in waking:
+            continue
+        at = max(t0 + node_end_off[pos] + settle, not_before)
+        if not _observing(topo, falls, pos, at):
+            sleeps.append((pos, at))
+    start_ps = (
+        min(starts) + topo.timing.mediator_wakeup_ps if starts else None
+    )
+    return Rearm(pulsers, falls, start_ps, sleeps)

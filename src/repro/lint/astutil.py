@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional
 
 
 def dotted_name(node: ast.AST) -> Optional[str]:
@@ -37,10 +37,7 @@ def string_template(node: ast.AST) -> Optional[str]:
     """A comparable template for a string expression.
 
     Plain strings map to themselves; f-strings map to the literal
-    text with every interpolation replaced by ``{}``, so two
-    f-strings that differ only in *how* they compute an interpolated
-    value still compare equal — the lint contract is about the words
-    a user reads, not the expressions behind them.  String
+    text with every interpolation replaced by ``{}``.  String
     concatenation with ``+`` concatenates templates.
     """
     if isinstance(node, ast.Constant) and isinstance(node.value, str):
@@ -63,26 +60,6 @@ def string_template(node: ast.AST) -> Optional[str]:
         if left is not None and right is not None:
             return left + right
     return None
-
-
-def raised_messages(
-    scope: ast.AST, exception: str = "ConfigurationError"
-) -> Iterator[Tuple[ast.Raise, str]]:
-    """Yield ``(raise-node, message-template)`` for every
-    ``raise <exception>(<string>)`` inside ``scope``."""
-    for node in ast.walk(scope):
-        if not isinstance(node, ast.Raise):
-            continue
-        exc = node.exc
-        if not isinstance(exc, ast.Call):
-            continue
-        if terminal_name(exc.func) != exception:
-            continue
-        if not exc.args:
-            continue
-        template = string_template(exc.args[0])
-        if template is not None:
-            yield node, template
 
 
 def dict_literal_keys(node: ast.Dict) -> List[str]:

@@ -3,8 +3,8 @@
 Every runtime guarantee the simulator sells — content-addressed trial
 caching, byte-identical cross-backend results, resumable stores —
 rests on *source-level* invariants: seeded randomness, integer-ps
-time arithmetic, canonical serialisation, mirrored validation
-messages.  The fuzzers and equivalence suites check those invariants
+time arithmetic, canonical serialisation, a consistent backend
+registry.  The fuzzers and equivalence suites check those invariants
 dynamically; this package checks them *statically*, at commit time,
 before a 1k-node campaign silently produces an uncacheable or
 divergent record.
@@ -14,7 +14,7 @@ Architecture
 * A **pass** is a named analysis registered with :func:`lint_pass`.
   File-scope passes receive one :class:`FileContext` per source file;
   project-scope passes receive the whole list at once (for
-  cross-file checks such as error-literal parity).
+  cross-file checks such as schema pairing).
 * A :class:`FileContext` wraps one parsed file: source lines, the
   AST annotated with parent links, qualified-scope lookup, and the
   file's inline suppressions.

@@ -1,136 +1,26 @@
-"""Backend-parity pass: the compiled tier mirrors the core exactly.
+"""Backend-parity pass: the backend registry is internally consistent.
 
-The differential harness asserts *error symmetry*: a bad spec must
-fail with the same ConfigurationError message on edge, fast and
-batch.  The batch compiler replicates the core construction-path
-checks, so its message literals can silently drift when someone
-rewords an error in ``core/node.py`` or ``core/bus.py`` — this pass
-compares the raise-site templates function by function and fails on
-any asymmetry.  It also checks the backend registry's internal
-consistency (unique names, exactly one selector whose capability
-flags are the union of the concrete tiers, selector targets
-registered) and that CLI backend-name defaults name registered
-backends.
+Checks that ``BACKEND_TABLE`` has unique names and exactly one
+selector whose capability flags are the union of the concrete tiers,
+that every backend ``select_backend`` can return is registered, and
+that CLI backend-name defaults name registered backends.  (The tiers
+share the core's construction checks, so a bad spec fails with the
+same error everywhere by construction; ``TestValidationParity`` in
+``tests/unit/test_batch_compiler.py`` checks that end to end.)
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.lint.astutil import (
-    assigned_name,
-    call_name,
-    raised_messages,
-    string_template,
-)
+from repro.lint.astutil import assigned_name, call_name, string_template
 from repro.lint.framework import FileContext, Finding, lint_pass
-
-
-@dataclass(frozen=True)
-class ParityPair:
-    """One compiler function whose raise templates must match a core
-    construction-path function's."""
-
-    batch_file: str
-    batch_function: str
-    batch_class: Optional[str]
-    core_file: str
-    core_function: str
-    core_class: Optional[str]
-
-
-#: The replicated-validation contract of ``repro.batch.compiler``.
-PARITY_PAIRS: Tuple[ParityPair, ...] = (
-    ParityPair(
-        "batch/compiler.py", "_validate_node_specs", None,
-        "core/node.py", "__post_init__", "NodeConfig",
-    ),
-    ParityPair(
-        "batch/compiler.py", "_validate_prefixes", None,
-        "core/bus.py", "_validate_prefixes", "MBusSystem",
-    ),
-    ParityPair(
-        "batch/compiler.py", "_resolve_anchor", "CompiledSystem",
-        "core/bus.py", "set_arbitration_anchor", "MBusSystem",
-    ),
-)
 
 _RUNNER_FILE = "scenario/runner.py"
 _CLI_FILE = "__main__.py"
 
 _CAPABILITY_FLAGS = ("supports_trace", "supports_faults", "supports_setup")
-
-
-def _templates(
-    ctx: FileContext, function: str, classname: Optional[str]
-) -> Optional[List[str]]:
-    node = ctx.find_function(function, classname=classname)
-    if node is None:
-        return None
-    return [template for _, template in raised_messages(node)]
-
-
-def _literal_parity(
-    by_path: Dict[str, FileContext]
-) -> Iterator[Finding]:
-    for pair in PARITY_PAIRS:
-        batch_ctx = by_path.get(pair.batch_file)
-        core_ctx = by_path.get(pair.core_file)
-        if batch_ctx is None or core_ctx is None:
-            continue
-        batch = _templates(batch_ctx, pair.batch_function, pair.batch_class)
-        core = _templates(core_ctx, pair.core_function, pair.core_class)
-        anchor = batch_ctx.find_function(
-            pair.batch_function, classname=pair.batch_class
-        )
-        if batch is None:
-            yield batch_ctx.finding(
-                "backend-parity",
-                batch_ctx.tree,
-                f"{pair.batch_file} no longer defines "
-                f"{pair.batch_function}; the replicated-validation "
-                "contract is unverifiable",
-                hint="keep the compiler's validation mirror functions "
-                     "named as registered in PARITY_PAIRS",
-            )
-            continue
-        if core is None:
-            yield core_ctx.finding(
-                "backend-parity",
-                core_ctx.tree,
-                f"{pair.core_file} no longer defines "
-                f"{pair.core_function}; the replicated-validation "
-                "contract is unverifiable",
-                hint="update PARITY_PAIRS if the construction path "
-                     "moved",
-            )
-            continue
-        missing = [t for t in core if t not in batch]
-        extra = [t for t in batch if t not in core]
-        for template in missing:
-            yield batch_ctx.finding(
-                "backend-parity",
-                anchor,
-                f"{pair.batch_function} is missing a core "
-                f"construction-path error: {template!r} "
-                f"(raised by {pair.core_file}:"
-                f"{pair.core_function}); a bad spec would fail with "
-                "different messages across backends",
-                hint="replicate the core error literal verbatim",
-            )
-        for template in extra:
-            yield batch_ctx.finding(
-                "backend-parity",
-                anchor,
-                f"{pair.batch_function} raises {template!r}, which "
-                f"{pair.core_file}:{pair.core_function} never does; "
-                "the batch tier would reject specs the event-loop "
-                "backends accept (or with different words)",
-                hint="match the core construction-path literals "
-                     "exactly",
-            )
 
 
 def _backend_table(
@@ -284,13 +174,12 @@ def _cli_findings(
 
 @lint_pass(
     "backend-parity",
-    "batch-compiler error literals mirror the core construction "
-    "path; backend registry internally consistent",
+    "backend registry internally consistent; CLI defaults name "
+    "registered backends",
     scope="project",
 )
 def backend_parity(contexts: List[FileContext]) -> Iterator[Finding]:
     by_path = {ctx.relpath: ctx for ctx in contexts}
-    yield from _literal_parity(by_path)
     runner_ctx = by_path.get(_RUNNER_FILE)
     if runner_ctx is not None:
         yield from _registry_findings(runner_ctx)

@@ -35,12 +35,6 @@ WALL_CLOCK_MODULES: Set[str] = {
     "serve/client.py",      # watch polling deadlines
 }
 
-#: Modules allowed to read the process environment (documented
-#: feature gates resolved once at import, never per-trial).
-ENV_MODULES: Set[str] = {
-    "batch/accel.py",
-}
-
 #: ``random.<attr>`` calls that hit the *global*, unseeded RNG.
 #: ``random.Random`` (a seeded instance) is the sanctioned spelling.
 _GLOBAL_RNG_OK = {"Random", "SystemRandom"}
@@ -108,7 +102,6 @@ def _set_iteration_findings(ctx: FileContext) -> Iterator[Finding]:
 )
 def determinism(ctx: FileContext) -> Iterator[Finding]:
     in_wall_module = ctx.relpath in WALL_CLOCK_MODULES
-    in_env_module = ctx.relpath in ENV_MODULES
     for node in ast.walk(ctx.tree):
         if isinstance(node, ast.Call):
             name = call_name(node)
@@ -144,14 +137,13 @@ def determinism(ctx: FileContext) -> Iterator[Finding]:
                     hint="time trials in the executor layer, or add a "
                          "justified suppression",
                 )
-            elif name == "os.getenv" and not in_env_module:
+            elif name == "os.getenv":
                 yield ctx.finding(
                     "determinism",
                     node,
                     "os.getenv() makes results depend on the host "
                     "environment",
-                    hint="thread configuration through documents/specs; "
-                         "env gates live in batch/accel.py",
+                    hint="thread configuration through documents/specs",
                 )
             elif (
                 name.startswith("datetime.")
@@ -165,14 +157,13 @@ def determinism(ctx: FileContext) -> Iterator[Finding]:
                 )
         elif isinstance(node, ast.Attribute):
             name = dotted_name(node)
-            if name == "os.environ" and not in_env_module:
+            if name == "os.environ":
                 yield ctx.finding(
                     "determinism",
                     node,
                     "os.environ read makes results depend on the host "
                     "environment",
-                    hint="thread configuration through documents/specs; "
-                         "env gates live in batch/accel.py",
+                    hint="thread configuration through documents/specs",
                 )
         elif isinstance(node, ast.ImportFrom):
             if node.module == "random":

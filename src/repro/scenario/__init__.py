@@ -12,10 +12,9 @@ instead of a script:
   that compile to deterministic post/interrupt schedules with no
   backend dependence.
 * :mod:`repro.scenario.runner` — :func:`run` executes a (spec,
-  workload) pair on either simulation engine and returns a
+  workload) pair on any simulation backend and returns a
   :class:`RunReport`.  Parameter studies live in
-  :mod:`repro.campaign`; the old :func:`sweep` remains as a
-  deprecated shim over a serial campaign.
+  :mod:`repro.campaign`.
 
 A complete scenario fits in one JSON document (see
 :func:`load_scenario` and ``python -m repro run`` / ``sweep``)::
@@ -39,11 +38,9 @@ from repro.scenario.runner import (
     BACKENDS,
     BackendInfo,
     RunReport,
-    SweepPoint,
     backend_help,
     run,
     select_backend,
-    sweep,
 )
 from repro.scenario.spec import NodeSpec, SystemSpec
 from repro.scenario.workload import (
@@ -102,13 +99,11 @@ __all__ = [
     "PostEvent",
     "RandomTraffic",
     "RunReport",
-    "SweepPoint",
     "SystemSpec",
     "Workload",
     "load_scenario",
     "run",
     "select_backend",
-    "sweep",
     "register_workload_kind",
     "workload_from_dict",
 ]

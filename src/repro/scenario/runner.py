@@ -1,4 +1,4 @@
-"""Backend-agnostic scenario execution: :func:`run` and :func:`sweep`.
+"""Backend-agnostic scenario execution: :func:`run`.
 
 ``run(spec, workload)`` builds the topology described by a
 :class:`~repro.scenario.spec.SystemSpec` on the selected simulation
@@ -30,16 +30,14 @@ the single source of truth for names, capabilities and help text, and
 options all derive from it.
 
 Parameter studies live in :mod:`repro.campaign` (grids, pluggable
-executors, content-addressed caching, queryable results); the old
-:func:`sweep` remains as a deprecated shim over a serial
-:class:`~repro.campaign.Campaign`.
+executors, content-addressed caching, queryable results).
 """
 
 from __future__ import annotations
 
 import functools
 import time
-import warnings
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
@@ -441,36 +439,36 @@ def run(
     fault_spec = normalize_faults(faults)
     faults_active = bool(fault_spec)
     mode = select_backend(backend, trace, faults_active=faults_active)
-    if not OBS.enabled:
-        return _run_on(
-            mode, spec, workload, trace, timeout_s, setup,
-            fault_spec, faults_active, wall_deadline,
-        )
-    OBS.metrics.inc("run.calls", labels={"backend": mode})
-    tracer = OBS.tracer
-    if tracer is None:
-        return _run_on(
-            mode, spec, workload, trace, timeout_s, setup,
-            fault_spec, faults_active, wall_deadline,
-        )
-    with tracer.span("run", cat="phase", backend=mode):
+    tracer = None
+    if OBS.enabled:
+        OBS.metrics.inc("run.calls", labels={"backend": mode})
+        tracer = OBS.tracer
+    span = (
+        nullcontext() if tracer is None
+        else tracer.span("run", cat="phase", backend=mode)
+    )
+    with span:
         report = _run_on(
             mode, spec, workload, trace, timeout_s, setup,
             fault_spec, faults_active, wall_deadline,
         )
-        # Bus rounds and transactions re-expressed as deterministic
-        # sim-time spans (integer picoseconds, no wall noise).  The
-        # transaction list is equivalence-checked across backends, so
-        # the span tree below is structurally identical on edge, fast
-        # and batch — the cross-backend contract the obs tests pin.
-        for txn in report.transactions:
-            with tracer.sim_span(
-                "bus-round", txn.start_ps, txn.duration_ps, index=txn.index
-            ):
+        if tracer is not None:
+            # Bus rounds and transactions re-expressed as deterministic
+            # sim-time spans (integer picoseconds, no wall noise).  The
+            # transaction list is equivalence-checked across backends,
+            # so the span tree below is structurally identical on edge,
+            # fast and batch — the cross-backend contract the obs
+            # tests pin.
+            for txn in report.transactions:
                 with tracer.sim_span(
-                    "transaction", txn.start_ps, txn.duration_ps, ok=txn.ok
+                    "bus-round", txn.start_ps, txn.duration_ps,
+                    index=txn.index,
                 ):
-                    pass
+                    with tracer.sim_span(
+                        "transaction", txn.start_ps, txn.duration_ps,
+                        ok=txn.ok,
+                    ):
+                        pass
     return report
 
 
@@ -485,8 +483,8 @@ def _run_on(
     faults_active: bool,
     wall_deadline: Optional[float],
 ) -> RunReport:
-    """The backend dispatch body of :func:`run`, factored out so the
-    observability wrapper above can enclose it in a ``run`` span."""
+    """The backend dispatch body of :func:`run`, which encloses it in
+    a ``run`` span when tracing."""
     if mode == "batch":
         if setup is not None:
             raise ConfigurationError(
@@ -610,66 +608,3 @@ def _run_batch(
             system=None,
         )
     return report
-
-
-@dataclass
-class SweepPoint:
-    """One grid point of a :func:`sweep`: its parameters and report."""
-
-    params: Dict[str, Any]
-    report: RunReport
-
-
-def sweep(
-    spec: SystemSpec,
-    workload: Union[Workload, Callable[[Dict[str, Any]], Workload]],
-    grid: Dict[str, Iterable[Any]],
-    backend: str = "auto",
-    trace: bool = False,
-    timeout_s: Optional[float] = None,
-    setup: Optional[Callable[[MBusSystem], Any]] = None,
-    faults: Any = None,
-) -> List[SweepPoint]:
-    """Deprecated: use :class:`repro.campaign.Campaign`.
-
-    Kept as a thin shim that compiles the same (spec, workload,
-    grid, faults) study into a :class:`Campaign` and runs it with
-    the serial executor, uncached and with live reports — exactly
-    the old serial in-memory loop, point for point.  The campaign
-    API adds what this never had: process-parallel execution,
-    content-addressed on-disk memoisation, resume after
-    interruption, and a queryable
-    :class:`~repro.campaign.resultset.ResultSet`::
-
-        Campaign(spec, workload, grid=grid, faults=faults).run(
-            executor="process", store="out/study")
-    """
-    warnings.warn(
-        "repro.scenario.sweep() is deprecated; use "
-        "repro.campaign.Campaign (serial executor = old behaviour, "
-        "plus process pools, on-disk caching and resume)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.campaign import Campaign
-
-    results = Campaign(
-        spec=spec,
-        workload=workload,
-        grid=grid,
-        faults=faults,
-        backend=backend,
-        timeout_s=timeout_s,
-    ).run(
-        executor="serial",
-        store=None,
-        resume=False,
-        dedupe=False,
-        keep_reports=True,
-        setup=setup,
-        trace=trace,
-    )
-    return [
-        SweepPoint(params=dict(result.params), report=result.live)
-        for result in results
-    ]

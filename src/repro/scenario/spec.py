@@ -13,8 +13,7 @@ machinery attached.  Specs are:
   reconstructs an equal spec, so scenarios can live in version-
   controlled ``.json`` files and be fed to ``python -m repro run``;
 * **immutable** — both dataclasses are frozen; derive variants with
-  :meth:`SystemSpec.replace` (used by :func:`repro.scenario.runner.sweep`
-  to map parameter grids over runs).
+  :meth:`SystemSpec.replace`.
 
 Behavioural chips (layer handlers, interrupt handlers) are code, not
 data, and therefore live outside the spec: pass a ``setup`` callable

@@ -11,6 +11,11 @@ closed form by :mod:`repro.core.tlm_engine` and realised as
 * one *finalize* event that performs deliveries, transaction-result
   assembly and re-arming of queued traffic.
 
+What happens between rounds — round starts from idle, re-requests,
+null pulses, auto-sleeps — is the post-round policy in
+:mod:`repro.core.tlm_engine`, the same functions the batch executor
+(:mod:`repro.batch.executor`) calls.
+
 The backend drives the same :class:`~repro.sim.scheduler.Simulator`,
 :class:`~repro.core.power_domain.PowerDomain` objects and
 :class:`~repro.core.bus.TransactionResult` plumbing as the edge
@@ -24,20 +29,20 @@ interjection and other intra-transaction behaviours require
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional
+from typing import Deque, Dict, Optional
 
 from repro.core import constants
 from repro.core.bus_controller import TxOutcome
 from repro.core.mediator import MediatorReport
 from repro.core.messages import Message, ReceivedMessage
 from repro.core.tlm_engine import (
-    NODE_SETTLE_FACTOR,
     NodeRoundState,
-    RingTopology,
     RoundContext,
-    TLMNode,
     TransactionPlan,
+    lower_ring,
     plan_round,
+    post_round,
+    raise_from_idle,
 )
 from repro.obs.state import OBS
 
@@ -48,37 +53,11 @@ class FastPathBackend:
     def __init__(self, system) -> None:
         self.system = system
         self.sim = system.sim
-        self.timing = system.timing
-        # The planner roots all ring arithmetic (propagation, break
-        # points, control resolution) at the mediator.  The system
-        # allows the mediator to be added at any insertion index, so
-        # rotate the ring to put it at position 0 — a pure relabelling
-        # on a ring, preserving adjacency and topological priority.
-        nodes = list(system.nodes)
-        mediator_index = next(
-            i for i, node in enumerate(nodes) if node.config.is_mediator
+        order, self.topology = lower_ring(
+            [node.config for node in system.nodes], system.timing
         )
-        self.nodes = nodes[mediator_index:] + nodes[:mediator_index]
+        self.nodes = [system.nodes[i] for i in order]
         self._positions = {node.name: pos for pos, node in enumerate(self.nodes)}
-        descriptors = [
-            TLMNode(
-                name=node.name,
-                position=position,
-                short_prefix=node.config.short_prefix,
-                full_prefix=node.config.full_prefix,
-                broadcast_channels=frozenset(node.config.broadcast_channels),
-                rx_buffer_bytes=node.config.rx_buffer_bytes,
-                ack_policy=node.config.ack_policy,
-                is_mediator=node.config.is_mediator,
-                power_gated=node.config.power_gated,
-                auto_sleep=bool(node.config.auto_sleep),
-                forward_delay_ps=(
-                    node.config.node_delay_ps or self.timing.node_delay_ps
-                ),
-            )
-            for position, node in enumerate(self.nodes)
-        ]
-        self.topology = RingTopology(descriptors, self.timing)
         self.queues: Dict[int, Deque[Message]] = {
             pos: deque() for pos in range(len(self.nodes))
         }
@@ -86,13 +65,12 @@ class FastPathBackend:
         self.max_message_bytes = constants.MIN_MAX_MESSAGE_BYTES
         self.active = False
         self._pulsers: set = set()
+        # The coming round's DATA falls (repro.core.tlm_engine).
+        self._falls: Dict[int, int] = {}
         self._start_event = None
         self._start_t0: Optional[int] = None
         self._tx_index = 0
         self._wire_activity = {node.name: 0 for node in self.nodes}
-        # The settle every node applies between observing a
-        # transaction boundary and acting (MBusNode._settle_ps).
-        self._settle_ps = NODE_SETTLE_FACTOR * self.timing.node_delay_ps
         for node in self.nodes:
             node.fast_backend = self
 
@@ -104,16 +82,13 @@ class FastPathBackend:
         self.queues[pos].append(message)
         if self.active:
             return  # picked up when the in-flight round finalises
-        if node.is_fully_awake:
-            self._request_start_from(pos, settle=True)
-        else:
-            self._raise_pulse(pos)
+        self._raise(pos, pulse=not node.is_fully_awake)
 
     def trigger_interrupt(self, node) -> None:
         node.pending_interrupt = True
         if self.active:
             return
-        self._raise_pulse(self._position(node))
+        self._raise(self._position(node), pulse=True)
 
     def node_busy(self, node) -> bool:
         return self.active
@@ -143,28 +118,18 @@ class FastPathBackend:
     def _position(self, node) -> int:
         return self._positions[node.name]
 
-    def _request_start_from(self, pos: int, settle: bool) -> None:
-        """An awake node (re)requests the bus from idle at ``sim.now``.
-
-        Mirrors MBusNode._kick: a settle delay, then either the
-        mediator's member starts the clock directly or the node pulls
-        DATA low and the falling edge travels to the mediator.
-        """
-        now = self.sim.now
-        delay = self._settle_ps if settle else 0
-        if pos == 0:
-            trigger = now + delay
-        else:
-            trigger = now + delay + self.topology.member_to_mediator(pos)
-        self._schedule_start(trigger + self.timing.mediator_wakeup_ps)
-
-    def _raise_pulse(self, pos: int) -> None:
-        """A sleeping (or layer-gated) node raises its interrupt pulse."""
-        node = self.nodes[pos]
-        node.pending_interrupt = True
-        self._pulsers.add(pos)
-        trigger = self.sim.now + self.topology.member_to_mediator(pos)
-        self._schedule_start(trigger + self.timing.mediator_wakeup_ps)
+    def _raise(self, pos: int, pulse: bool) -> None:
+        """A request, or a sleeping (or layer-gated) node's interrupt
+        pulse, raised while the bus is idle."""
+        t0 = raise_from_idle(
+            self.topology, self._falls, pos, self.sim.now, pulse
+        )
+        if t0 is None:
+            return
+        if pulse:
+            self.nodes[pos].pending_interrupt = True
+            self._pulsers.add(pos)
+        self._schedule_start(t0)
 
     def _schedule_start(self, t0: int) -> None:
         if self.active:
@@ -187,13 +152,17 @@ class FastPathBackend:
         # falling edge switches its line controller back to forwarding,
         # wiping any request it had driven (the edge engine therefore
         # runs a General Error round first and the message goes out in
-        # the following one).
+        # the following one).  A member requests only if its own fall
+        # is among the round's: one that posted after another's fall
+        # reached it sits this round out.
+        falls = self._falls
         requests = {
             pos: queue[0]
             for pos, queue in self.queues.items()
             if queue
             and self.nodes[pos].is_fully_awake
             and pos not in self._pulsers
+            and (pos == 0 or pos in falls)
         }
         states = {
             pos: NodeRoundState(
@@ -205,6 +174,7 @@ class FastPathBackend:
             for pos, node in enumerate(self.nodes)
         }
         self._pulsers.clear()
+        self._falls = {}
         ctx = RoundContext(
             topology=self.topology,
             t0=self.sim.now,
@@ -298,37 +268,26 @@ class FastPathBackend:
         if OBS.enabled:
             OBS.metrics.inc("fastpath.rounds")
 
-        request_falls = self._pump_after_round(plan)
-        self._schedule_auto_sleeps(plan, request_falls)
-
-    # ------------------------------------------------------------------
-    # Post-round housekeeping.
-    # ------------------------------------------------------------------
-    def _schedule_auto_sleeps(
-        self, plan: TransactionPlan, request_falls: Dict[int, int]
-    ) -> None:
-        settle = self._settle_ps
+        # Re-arm whatever traffic remains, then let idle gated nodes
+        # sleep (see repro.core.tlm_engine's post-round policy).
+        ready, waking = [], []
         for pos, node in enumerate(self.nodes):
-            if not (node.config.power_gated and node.config.auto_sleep):
-                continue
-            if self.queues[pos] or node.pending_interrupt:
-                continue
-            at_ps = max(self.sim.now, plan.node_end_at[pos] + settle)
-            # The edge engine aborts the sleep if another node's bus
-            # request (a DATA falling edge) reaches this node before
-            # its settle expires — the engine is "busy" again and the
-            # node rides straight into the next round without a fresh
-            # wakeup.
-            fall_emit = {
-                p: t for p, t in request_falls.items() if p != pos
-            }
-            if fall_emit:
-                earliest = min(
-                    t + self.topology.hop_delay(p, pos)
-                    for p, t in fall_emit.items()
-                )
-                if earliest <= at_ps:
-                    continue
+            if self.queues[pos] and node.is_fully_awake:
+                ready.append(pos)
+            elif self.queues[pos] or node.pending_interrupt:
+                waking.append(pos)
+        rearm = post_round(
+            self.topology, 0, plan.end_ps, plan.node_end_at, ready, waking,
+            self.sim.now,
+        )
+        for pos in waking:
+            self.nodes[pos].pending_interrupt = True
+        self._pulsers.update(rearm.pulsers)
+        # Raises from the interrupt handlers above keep their falls.
+        self._falls.update(rearm.falls)
+        if rearm.start_ps is not None:
+            self._schedule_start(rearm.start_ps)
+        for pos, at_ps in rearm.sleeps:
             self.sim.schedule_at(at_ps, _auto_sleep_fn(self, pos))
 
     def _auto_sleep(self, pos: int) -> None:
@@ -339,56 +298,6 @@ class FastPathBackend:
             node.layer_domain.power_off("auto-sleep")
         if node.bus_domain.is_on:
             node.bus_domain.power_off("auto-sleep")
-
-    def _pump_after_round(self, plan: TransactionPlan) -> Dict[int, int]:
-        """Arm the next round from whatever traffic remains queued.
-
-        Mirrors the edge engine's end-of-transaction choreography:
-        nodes re-request a settle delay after observing their final
-        control edge; the mediator catches a pending request either at
-        its return-to-idle scan (two ring delays after the report) or
-        on the request's falling edge, whichever is later.
-
-        Returns the DATA falling edges emitted by re-requesting nodes
-        (position -> drive time), which auto-sleep suppression needs.
-        """
-        n = self.topology.n
-        settle = self._settle_ps
-        return_to_idle = plan.end_ps + 2 * self.timing.ring_delay_ps(n)
-        candidates: List[int] = []
-        request_falls: Dict[int, int] = {}
-        for pos, node in enumerate(self.nodes):
-            wants_bus = bool(self.queues[pos]) or node.pending_interrupt
-            if not wants_bus:
-                continue
-            t_end = plan.node_end_at[pos]
-            if node.is_fully_awake and self.queues[pos]:
-                if pos == 0:
-                    # The mediator's member starts the clock directly;
-                    # it never pulls DATA low from idle.
-                    candidates.append(t_end + settle)
-                else:
-                    request_falls[pos] = t_end + settle
-                    arrival = (
-                        t_end + settle
-                        + self.topology.member_to_mediator(pos)
-                    )
-                    candidates.append(max(arrival, return_to_idle))
-            else:
-                # Not (fully) awake: the node pulses its interrupt line
-                # once it observes the end of the round.
-                node.pending_interrupt = True
-                self._pulsers.add(pos)
-                request_falls[pos] = t_end + settle
-                arrival = (
-                    t_end + settle + self.topology.member_to_mediator(pos)
-                )
-                candidates.append(max(arrival, return_to_idle))
-        if candidates:
-            self._schedule_start(
-                min(candidates) + self.timing.mediator_wakeup_ps
-            )
-        return request_falls
 
 
 def _power_on_fn(domain, reason):

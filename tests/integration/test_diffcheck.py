@@ -2,8 +2,10 @@
 
 A bounded, fixed-seed fuzz must come back clean (the CI smoke
 contract), error symmetry must not count as divergence, and the
-regression that the fuzzer actually caught — the mediator dropping
-its own member's back-to-back re-request — must stay fixed.
+regressions that the fuzzer actually caught — the mediator dropping
+its own member's back-to-back re-request, and pulse preemption after
+a round — must stay fixed, as must preemption of a post on an idle
+bus.
 """
 
 import json
@@ -86,6 +88,104 @@ class TestMediatorWinddownRegression:
         assert examine_scenario(
             burst_scenario(source="n1"), invariants=False
         ) == []
+
+
+class TestPulsePreemptionRegression:
+    """Three-way fuzz finding: after a round, a node that wants the
+    bus but is not fully awake raises a null pulse a settle delay
+    after the round ends — unless another node's re-request or
+    earlier pulse reached it first.  It is then already an
+    arbitration observer and not a pulser: with its bus domain on,
+    its layer does not arm in that round, and a separate General
+    Error round wakes it.  Fast and batch used to make every such
+    node a pulser and skipped that round."""
+
+    @pytest.mark.parametrize("seed", [
+        1000288, 5000382, 6000400, 7000359, 9000078, 9000292,
+    ])
+    def test_preempted_pulser_waits_for_a_wakeup_round(self, seed):
+        scenario = generate_scenario(seed, faults_fraction=0.0)
+        assert examine_scenario(
+            scenario, backends=("edge", "fast", "batch")
+        ) == []
+
+    @pytest.mark.parametrize("seed", [7000396, 10000383])
+    @pytest.mark.xfail(
+        strict=True,
+        reason="edge engine: in a 2-node ring, a gated member with a "
+               "queued burst records its next message as sent (NAK, "
+               "bytes_sent=0) in the round the mediator's member wins "
+               "by fiat, so edge shows one fewer member transmission; "
+               "fixing it would change the golden digests",
+    )
+    def test_known_edge_divergence(self, seed):
+        scenario = generate_scenario(seed, faults_fraction=0.0)
+        assert examine_scenario(
+            scenario, backends=("edge", "fast", "batch")
+        ) == []
+
+
+def two_raise_scenario(members, first, second, dt_s):
+    """``first`` posts at 500 us and ``second`` posts ``dt_s`` later,
+    both to the mediator; ``members`` is ``[(name, power_gated)]`` in
+    ring order after the mediator."""
+    def post(source, at_s):
+        return {
+            "kind": "burst", "source": source, "count": 1, "at_s": at_s,
+            "dest": {"short_prefix": 1, "full_prefix": None, "fu_id": 12},
+            "payload": "bc98",
+        }
+
+    return {
+        "seed": 0,
+        "system": {
+            "name": "idle-raise",
+            "clock_hz": 100000.0,
+            "nodes": [{"name": "m0", "short_prefix": 1, "is_mediator": True}]
+            + [
+                {"name": name, "short_prefix": 2 + i, "power_gated": gated}
+                for i, (name, gated) in enumerate(members)
+            ],
+        },
+        "workload": {"kind": "combined", "parts": [
+            post(first, 500e-6), post(second, 500e-6 + dt_s),
+        ]},
+        "faults": None,
+    }
+
+
+class TestIdleRaisePreemption:
+    """A post on an idle bus, after another member's request fall
+    already reached the poster (inside the mediator's ~2 us wakeup),
+    finds the poster's engine an arbitration observer: it neither
+    pulses nor joins that round (MBusNode._kick returns).  Fast and
+    batch used to make a gated poster a pulser, skipping the General
+    Error round that wakes it, and let an awake poster join and win
+    arbitration."""
+
+    @pytest.mark.parametrize("members", [
+        [("a", False), ("g", True)],    # a's fall reaches g directly
+        [("g", True), ("a", False)],    # ... and through the mediator
+    ])
+    def test_gated_poster_waits_for_a_wakeup_round(self, members):
+        scenario = two_raise_scenario(members, "a", "g", 1e-6)
+        assert examine_scenario(
+            scenario, backends=("edge", "fast", "batch")
+        ) == []
+        # a's message, the General Error round that wakes g, g's.
+        edge = _run_scenario(scenario, "edge")
+        assert len(edge.transaction_signatures()) == 3
+
+    def test_late_awake_poster_sits_the_round_out(self):
+        # b outranks a, but a's fall reached b before b posted.
+        scenario = two_raise_scenario(
+            [("b", False), ("a", False)], "a", "b", 1e-6
+        )
+        assert examine_scenario(
+            scenario, backends=("edge", "fast", "batch")
+        ) == []
+        batch = _run_scenario(scenario, "batch")
+        assert [t.tx_node for t in batch.transactions] == ["a", "b"]
 
 
 class TestErrorSymmetry:

@@ -26,7 +26,6 @@ from repro.scenario import (
     load_scenario,
     run,
     select_backend,
-    sweep,
 )
 
 THREE_CHIP = SystemSpec(
@@ -230,40 +229,6 @@ class TestCampaignGridRuns:
         spec, workload = SHAPES["burst"]
         with pytest.raises(ConfigurationError, match="factory"):
             Campaign(spec, workload, grid={"payload_bytes": [2, 4]}).trials()
-
-
-class TestSweepDeprecationShim:
-    def test_sweep_warns_and_matches_campaign(self):
-        """Satellite: sweep() still works — as a serial campaign in
-        disguise — but tells callers to move on."""
-        from repro.campaign import Campaign
-
-        spec, workload = SHAPES["burst"]
-        grid = {"clock_hz": [100e3, 400e3]}
-        with pytest.warns(DeprecationWarning, match="repro.campaign"):
-            points = sweep(spec, workload, grid, backend="fast")
-        results = Campaign(
-            spec, workload, grid=grid, backend="fast"
-        ).run(keep_reports=True)
-        assert [p.params for p in points] == [dict(r.params) for r in results]
-        for point, result in zip(points, results):
-            # Live reports on both sides, identical streams.
-            assert (
-                point.report.transaction_signatures()
-                == result.live.transaction_signatures()
-            )
-            assert point.report.delivery_set() == result.live.delivery_set()
-
-    def test_sweep_still_supports_setup_hooks(self):
-        seen = []
-        spec, workload = SHAPES["one_shot"]
-        with pytest.warns(DeprecationWarning):
-            points = sweep(
-                spec, workload, {"clock_hz": [100e3]}, backend="fast",
-                setup=lambda system: seen.append(system.mode),
-            )
-        assert seen == ["fast"]
-        assert points[0].report.n_ok == 1
 
 
 class TestScenarioDocuments:

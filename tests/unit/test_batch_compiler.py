@@ -1,11 +1,11 @@
-"""Unit tests for the tier-3 batch compiler, accel seam and caches.
+"""Unit tests for the tier-3 batch compiler and its caches.
 
 The compiler lowers specs and schedules to flat integer arrays; these
-tests pin the node-table layout (mediator-rooted rotation, ``-1``
-sentinels), message interning, scheduler-compatible time quantization,
-validation-error parity with the event-loop backends, the numpy/python
-accel equivalence, the content-addressed compiled-system cache, and
-the table-driven backend registry.
+tests pin the ring layout (mediator-rooted rotation, the auto-sleep
+default), message interning, scheduler-compatible time quantization,
+validation-error parity across all three backends, the
+content-addressed compiled-system cache, and the table-driven backend
+registry.
 """
 
 import dataclasses
@@ -16,7 +16,6 @@ from repro.batch import (
     KIND_INTERRUPT,
     KIND_POST,
     CompiledSystem,
-    accel,
     cache_stats,
     clear_cache,
     compile_system_cached,
@@ -58,7 +57,9 @@ class TestCompiledSystem:
         assert csys.names == ("cpu", "radio", "sensor")
         assert csys.spec_order_names == ("sensor", "cpu", "radio")
         assert csys.position_of == {"cpu": 0, "radio": 1, "sensor": 2}
-        assert csys.short_prefixes == (0x1, 0x3, 0x2)
+        nodes = csys.topology.nodes
+        assert [node.position for node in nodes] == [0, 1, 2]
+        assert [node.short_prefix for node in nodes] == [0x1, 0x3, 0x2]
         assert csys.power_gated == (0, 1, 1)
         assert csys.n == 3
 
@@ -70,11 +71,11 @@ class TestCompiledSystem:
                 NodeSpec("f", full_prefix=0xAB0CD, power_gated=True),
             ),
         )
-        csys = CompiledSystem(spec)
-        assert csys.short_prefixes == (0x1, -1)
-        assert csys.full_prefixes == (-1, 0xAB0CD)
+        nodes = CompiledSystem(spec).topology.nodes
+        assert [node.short_prefix for node in nodes] == [0x1, None]
+        assert [node.full_prefix for node in nodes] == [None, 0xAB0CD]
         # auto_sleep defaults to the node's power gating.
-        assert csys.auto_sleep == (0, 1)
+        assert [node.auto_sleep for node in nodes] == [False, True]
 
     def test_template_cache_starts_empty_and_is_mutable(self):
         csys = CompiledSystem(three_chip())
@@ -104,16 +105,17 @@ class TestCompiledSystem:
 
 
 class TestValidationParity:
-    """The compiler must refuse exactly what MBusSystem refuses —
-    same exception type, same message — so error symmetry holds in
-    the differential harness."""
+    """Every backend refuses a bad spec with the same exception type
+    and message — the compiler runs the core's own construction
+    checks — so error symmetry holds in the differential harness."""
 
     def _parity(self, spec, workload):
-        with pytest.raises(ConfigurationError) as edge_err:
-            run(spec, workload, backend="edge")
-        with pytest.raises(ConfigurationError) as batch_err:
-            run(spec, workload, backend="batch")
-        assert str(edge_err.value) == str(batch_err.value)
+        messages = set()
+        for backend in ("edge", "fast", "batch"):
+            with pytest.raises(ConfigurationError) as err:
+                run(spec, workload, backend=backend)
+            messages.add(str(err.value))
+        assert len(messages) == 1, messages
 
     def test_duplicate_short_prefix(self):
         spec = SystemSpec(
@@ -158,6 +160,19 @@ class TestValidationParity:
             ),
         )
         self._parity(spec, OneShot("m", Address.short(0x1, 5), b"\x01"))
+
+    def test_gated_mediator(self):
+        spec = SystemSpec(
+            name="gated-mediator",
+            nodes=(
+                NodeSpec(
+                    "m", short_prefix=0x1, is_mediator=True,
+                    power_gated=True,
+                ),
+                NodeSpec("a", short_prefix=0x2),
+            ),
+        )
+        self._parity(spec, OneShot("m", Address.short(0x2, 5), b"\x01"))
 
     def test_gated_anchor(self):
         spec = SystemSpec(
@@ -236,60 +251,18 @@ class TestCompiledWorkload:
     def test_quantization_matches_event_loop_runner(self):
         spec = three_chip()
         csys = CompiledSystem(spec)
+        # Includes the half-way cases, where rounding is half-to-even.
+        seconds = (0.0, 1e-12, 2.5e-12, 3.5e-12, 0.0123456789)
         workload = OneShot(
-            "cpu", Address.short(0x2, 5), b"\x01", at_s=0.0123456789
+            "cpu", Address.short(0x2, 5), b"\x01", at_s=seconds[0]
         )
+        for at_s in seconds[1:]:
+            workload = workload + OneShot(
+                "cpu", Address.short(0x2, 5), b"\x01", at_s=at_s
+            )
         cwl = compile_workload(workload.compile(spec), csys)
-        assert cwl.t_ps == (int(round(0.0123456789 * 1e12)),)
-
-
-class TestAccelSeam:
-    """Both implementations must agree integer-for-integer."""
-
-    @pytest.fixture
-    def both(self):
-        def call(fn, *args):
-            original = accel.backend_name()
-            try:
-                accel.configure(force="python")
-                python = fn(*args)
-                try:
-                    accel.configure(force="numpy")
-                except ImportError:
-                    pytest.skip("numpy not installed")
-                numpy = fn(*args)
-            finally:
-                accel.configure(force=original)
-            return python, numpy
-
-        return call
-
-    def test_quantize_times_equivalence(self, both):
-        # Includes a half-way case: round-half-even must agree.
-        seconds = [0.0, 1e-12, 0.0123456789, 2.5e-12, 3.5e-12] * 3
-        python, numpy = both(accel.quantize_times, seconds, 10**12)
-        assert python == numpy
-        assert python == [int(round(s * 10**12)) for s in seconds]
-
-    def test_prefix_sums_equivalence(self, both):
-        values = [3, 1, 4, 1, 5, 9, 2, 6, 5, 3]
-        python, numpy = both(accel.prefix_sums, values)
-        assert python == numpy == [3, 4, 8, 9, 14, 23, 25, 31, 36, 39]
-
-    def test_weighted_sum_rows_equivalence(self, both):
-        rows = [[i + j for j in range(9)] for i in range(8)]
-        weights = list(range(1, 9))
-        python, numpy = both(accel.weighted_sum_rows, rows, weights)
-        assert python == numpy
-        assert python[0] == sum(w * r[0] for w, r in zip(weights, rows))
-
-    def test_env_var_opt_out(self, monkeypatch):
-        original = accel.backend_name()
-        try:
-            monkeypatch.setenv("REPRO_BATCH_NUMPY", "0")
-            assert accel.configure() == "python"
-        finally:
-            accel.configure(force=original)
+        assert cwl.t_ps == tuple(int(round(s * 1e12)) for s in seconds)
+        assert cwl.t_ps[2:4] == (2, 4)
 
 
 class TestCompiledSystemCache:

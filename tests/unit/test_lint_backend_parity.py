@@ -1,10 +1,9 @@
-"""Backend-parity pass: replicated-validation drift and registry
-consistency.
+"""Backend-parity pass: backend registry consistency.
 
-The regression at the heart of this file (satellite: error-literal
-desync): the batch compiler replicates core construction-path
-ConfigurationError literals verbatim, and the pass must fail the
-build the moment someone rewords one side only.
+The registry (``BACKEND_TABLE``) must have unique names and exactly
+one selector advertising the union of the concrete tiers' flags,
+``select_backend`` may only return registered backends, and CLI
+``--backends`` defaults must name registered backends.
 """
 
 import textwrap
@@ -18,106 +17,6 @@ def lint(tmp_path, files):
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(textwrap.dedent(source))
     return run_lint(root=tmp_path, select=["backend-parity"])
-
-
-_CORE_BUS = '''
-class MBusSystem:
-    def _validate_prefixes(self):
-        if dup:
-            raise ConfigurationError(
-                f"short prefix {prefix:#x} assigned to both "
-                f"{a!r} and {b!r}; run enumeration to "
-                "disambiguate duplicate chips (4.7)"
-            )
-        if reserved:
-            raise ConfigurationError(
-                f"short prefix {prefix:#x} is reserved"
-            )
-
-    def set_arbitration_anchor(self, name):
-        if gated:
-            raise ConfigurationError(
-                "the arbitration anchor holds always-on "
-                "wire-controller state; it cannot be power-gated"
-            )
-'''
-
-_BATCH_IN_SYNC = '''
-class CompiledSystem:
-    def _resolve_anchor(self, name):
-        if gated:
-            raise ConfigurationError(
-                "the arbitration anchor holds always-on "
-                "wire-controller state; it cannot be power-gated"
-            )
-
-
-def _validate_prefixes(specs):
-    if dup:
-        raise ConfigurationError(
-            f"short prefix {prefix:#x} assigned to both "
-            f"{a!r} and {b!r}; run enumeration to "
-            "disambiguate duplicate chips (4.7)"
-        )
-    if reserved:
-        raise ConfigurationError(
-            f"short prefix {prefix:#x} is reserved"
-        )
-
-
-def _validate_node_specs(specs):
-    pass
-'''
-
-# Same file with ONE error string reworded: "is reserved" became
-# "is a reserved prefix".  The core literal is now missing from the
-# batch mirror, and the batch mirror raises a literal the core never
-# does.
-_BATCH_DESYNCED = _BATCH_IN_SYNC.replace(
-    'f"short prefix {prefix:#x} is reserved"',
-    'f"short prefix {prefix:#x} is a reserved prefix"',
-)
-
-
-def test_synchronized_literals_clean(tmp_path):
-    findings = lint(tmp_path, {
-        "core/bus.py": _CORE_BUS,
-        "core/node.py": (
-            "class NodeConfig:\n"
-            "    def __post_init__(self):\n"
-            "        pass\n"
-        ),
-        "batch/compiler.py": _BATCH_IN_SYNC,
-    })
-    assert findings == []
-
-
-def test_desynchronized_error_literal_flagged(tmp_path):
-    findings = lint(tmp_path, {
-        "core/bus.py": _CORE_BUS,
-        "core/node.py": (
-            "class NodeConfig:\n"
-            "    def __post_init__(self):\n"
-            "        pass\n"
-        ),
-        "batch/compiler.py": _BATCH_DESYNCED,
-    })
-    # One missing core literal + one extra batch literal.
-    assert len(findings) == 2
-    joined = " ".join(f.message for f in findings)
-    assert "missing a core construction-path error" in joined
-    assert "never does" in joined
-    assert all(f.path == "batch/compiler.py" for f in findings)
-
-
-def test_deleted_mirror_function_flagged(tmp_path):
-    findings = lint(tmp_path, {
-        "core/bus.py": _CORE_BUS,
-        "batch/compiler.py": "def unrelated():\n    pass\n",
-    })
-    assert any(
-        "no longer defines" in f.message for f in findings
-    )
 
 
 _GOOD_TABLE = '''
@@ -188,5 +87,5 @@ def test_cli_backend_defaults_must_be_registered(tmp_path):
 
 
 def test_real_tree_parity_holds():
-    """The shipped batch compiler mirrors the shipped core literals."""
+    """The shipped registry and CLI defaults are consistent."""
     assert run_lint(select=["backend-parity"]) == []

@@ -107,23 +107,17 @@ def test_datetime_now_flagged(tmp_path):
     assert len(findings) == 1
 
 
-def test_environ_allowed_in_env_module_only(tmp_path):
-    clean = lint(tmp_path, {
-        "batch/accel.py": (
-            "import os\n"
-            "gate = os.environ.get('REPRO_ACCEL', '')\n"
-        ),
-    })
-    assert clean == []
-    flagged = lint(tmp_path / "other", {
-        "core/node.py": (
-            "import os\n"
-            "gate = os.environ.get('REPRO_ACCEL', '')\n"
-        ),
-    })
-    assert len(flagged) == 1
-    assert "host" in flagged[0].message
-    getenv = lint(tmp_path / "third", {
+def test_environ_flagged_in_every_module(tmp_path):
+    for i, rel in enumerate(("batch/accel.py", "core/node.py")):
+        flagged = lint(tmp_path / str(i), {
+            rel: (
+                "import os\n"
+                "gate = os.environ.get('REPRO_ACCEL', '')\n"
+            ),
+        })
+        assert len(flagged) == 1, rel
+        assert "host" in flagged[0].message
+    getenv = lint(tmp_path / "getenv", {
         "core/node.py": (
             "import os\n"
             "gate = os.getenv('REPRO_ACCEL')\n"
