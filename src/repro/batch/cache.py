@@ -12,8 +12,6 @@ start with every round shape the earlier ones discovered.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import threading
 from collections import OrderedDict
 
@@ -33,11 +31,10 @@ _misses = 0
 
 def spec_digest(spec: SystemSpec) -> str:
     """SHA-256 of the spec's canonical JSON document (the same
-    serialisation Trial keys hash)."""
-    doc = json.dumps(
-        spec.to_dict(), sort_keys=True, separators=(",", ":")
-    )
-    return hashlib.sha256(doc.encode("utf-8")).hexdigest()
+    serialisation Trial keys hash), computed once per spec instance
+    (:attr:`SystemSpec.digest`): a campaign decodes each distinct
+    spec once, so its trials hash it once between them."""
+    return spec.digest
 
 
 def compile_system_cached(spec: SystemSpec) -> CompiledSystem:

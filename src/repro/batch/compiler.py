@@ -43,6 +43,13 @@ PS_PER_S = 1_000_000_000_000
 KIND_POST = 0
 KIND_INTERRUPT = 1
 
+#: Round templates, or interned messages, a compiled system carries
+#: into its next run.  Every distinct payload adds one of each, and a
+#: cached system lives as long as its compile-cache entry (a
+#: long-running ``repro serve`` never drops it), so once either table
+#: passes this size the next run starts both afresh.
+MAX_TEMPLATES = 4096
+
 
 class CompiledSystem:
     """A spec lowered to per-position arrays (mediator at 0).
@@ -98,6 +105,12 @@ class CompiledSystem:
             if spec.max_message_bytes is None
             else constants.clamp_max_message_bytes(spec.max_message_bytes)
         )
+        self.clear_tables()
+
+    def clear_tables(self) -> None:
+        """Drop every round template and interned message.  Template
+        ids and message refs only mean something inside the run that
+        made them, so this is safe between runs."""
         self.templates: Dict[tuple, object] = {}
         self.template_list: List[object] = []
         self.message_ids: Dict[Tuple[Address, bytes, bool], int] = {}
@@ -151,8 +164,15 @@ def compile_workload(
     :class:`~repro.scenario.workload.Burst`) repeats the previous row,
     and a post builds a
     :class:`~repro.core.messages.Message` only the first time its
-    ``(dest, payload, priority)`` is seen on ``csys``.
+    ``(dest, payload, priority)`` is seen on ``csys``.  This is where a
+    run starts, so it is also where ``csys`` sheds tables that grew
+    past :data:`MAX_TEMPLATES`, before anything is interned.
     """
+    if (
+        len(csys.template_list) > MAX_TEMPLATES
+        or len(csys.message_table) > MAX_TEMPLATES
+    ):
+        csys.clear_tables()
     position_of = csys.position_of
     t_ps: List[int] = []
     pos: List[int] = []

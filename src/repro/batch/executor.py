@@ -49,6 +49,7 @@ from repro.batch.compiler import (
 from repro.core.bus import TransactionResult
 from repro.core.errors import BusLockedError, WallClockTimeout
 from repro.core.messages import ControlCode, ReceivedMessage
+from repro.core.schema import canonical_json
 from repro.core.tlm_engine import (
     NodeRoundState,
     RoundContext,
@@ -57,10 +58,14 @@ from repro.core.tlm_engine import (
     raise_from_idle,
 )
 from repro.obs.state import OBS
+from repro.power.energy_model import MeasuredEnergyModel
 from repro.sim.scheduler import SimulationError
 
 #: Same runaway guard as ``Simulator.run(max_events=...)``.
 MAX_STEPS = 50_000_000
+
+#: The Section 6.2 model :meth:`RunReport.energy_pj` defaults to.
+_ENERGY_MODEL = MeasuredEnergyModel()
 
 
 class RoundTemplate:
@@ -68,7 +73,10 @@ class RoundTemplate:
 
     Besides what the executor replays, a template holds every report
     field that does not depend on ``t0`` (``tx_node`` and the ``rx``
-    rows), so :func:`materialize` fills only the times per round.
+    rows), so :func:`materialize` fills only the times per round.  A
+    campaign record's row needs even less: the round's index.  Its
+    record terms (:meth:`fill_record_terms`) are computed on first
+    use and kept for every later round of the same shape.
     """
 
     __slots__ = (
@@ -76,6 +84,10 @@ class RoundTemplate:
         "general_error", "error_reason", "clock_cycles", "control_cycles",
         "end_off", "fin_off", "node_end_off", "end_order", "bus_wake",
         "layer_wake", "rx", "wire_row",
+        # record terms, set by fill_record_terms (``row`` is None
+        # until then)
+        "row", "rx_nodes", "row_head", "row_tail", "energy_pj",
+        "payload_bits",
     )
 
     def __init__(self, tid: int, key: tuple, csys: CompiledSystem, plan) -> None:
@@ -116,6 +128,49 @@ class RoundTemplate:
         self.wire_row = tuple(
             plan.wire_activity.get(q, 0) for q in range(csys.n)
         )
+        self.row: Optional[Dict] = None
+
+    def fill_record_terms(self, n_nodes: int) -> None:
+        """Compute the parts of a campaign record's transaction row
+        that every round of this shape shares.
+
+        ``row`` is the ``RunReport.to_dict()`` row without ``index``
+        and ``rx_nodes`` (``rx_nodes`` keeps the receivers); the row's
+        canonical JSON is ``row_head + str(index) + row_tail``.
+        ``energy_pj`` is the round's Section 6.2 message energy on an
+        ``n_nodes`` ring (``None`` when :meth:`RunReport.energy_pj`
+        skips it) and ``payload_bits`` its delivered payload bits.
+        """
+        message = self.message
+        self.rx_nodes = tuple(rx[0] for rx in self.rx)
+        row = {
+            "ok": self.ok,
+            "control": None if self.control is None else self.control.name,
+            "tx_node": self.tx_node,
+            "payload_hex": None if message is None else message.payload.hex(),
+            "clock_cycles": self.clock_cycles,
+            "control_cycles": self.control_cycles,
+            "duration_ps": self.end_off,
+            "general_error": self.general_error,
+            "error_reason": self.error_reason,
+        }
+        # Encoded with index 0 and cut around it: '"index":' can only
+        # be that key (quotes inside string values are escaped).
+        text = canonical_json(dict(row, index=0, rx_nodes=self.rx_nodes))
+        cut = text.index('"index":0') + len('"index":')
+        self.row_head, self.row_tail = text[:cut], text[cut + 1:]
+        self.energy_pj = (
+            _ENERGY_MODEL.message_energy_pj(
+                len(message.payload),
+                n_nodes,
+                full_address=not message.dest.is_short,
+                n_receivers=max(1, len(self.rx)),
+            )
+            if self.ok and message is not None
+            else None
+        )
+        self.payload_bits = sum(8 * len(rx[2]) for rx in self.rx)
+        self.row = row
 
 
 class BatchResult:
@@ -611,7 +666,6 @@ def materialize(csys: CompiledSystem, result: BatchResult):
     round's template, so each round only builds its
     :class:`TransactionResult` and one ``ReceivedMessage`` per
     delivery, positionally in field order."""
-    names = csys.names
     transactions: List[TransactionResult] = []
     append = transactions.append
     for index, (t0, tpl) in enumerate(result.round_log):
@@ -627,6 +681,13 @@ def materialize(csys: CompiledSystem, result: BatchResult):
             tpl.clock_cycles, tpl.control_cycles, t0, t0 + tpl.end_off,
             tpl.general_error, tpl.error_reason,
         ))
+    power, wire = tallies(csys, result)
+    return transactions, power, wire
+
+
+def tallies(csys: CompiledSystem, result: BatchResult):
+    """A run's power report and wire activity, in the event-loop
+    backends' shapes, built fresh on every call."""
     power = {}
     for name in csys.spec_order_names:
         p = csys.position_of[name]
@@ -640,5 +701,5 @@ def materialize(csys: CompiledSystem, result: BatchResult):
     for tid, hits in result.hit_counts.items():
         for p, count in enumerate(csys.template_list[tid].wire_row):
             totals[p] += hits * count
-    wire = {names[p]: totals[p] for p in range(csys.n)}
-    return transactions, power, wire
+    wire = {name: totals[p] for p, name in enumerate(csys.names)}
+    return power, wire

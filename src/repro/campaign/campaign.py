@@ -61,6 +61,7 @@ from typing import (
     List,
     Optional,
     Sequence,
+    Tuple,
     Union,
 )
 
@@ -76,7 +77,10 @@ from repro.campaign.resultset import ResultSet, TrialResult
 from repro.campaign.store import ResultStore
 from repro.campaign.trial import (
     Trial,
+    canonical_json,
+    decode_spec,
     derive_trial_seed,
+    encode_spec,
     patch_document,
 )
 from repro.core.errors import ConfigurationError
@@ -156,6 +160,11 @@ class Campaign:
                 f"params -> Workload, got {self.workload!r}"
             )
         trials: List[Trial] = []
+        # One validated spec, document and encoding per distinct set
+        # of spec-field overrides (keyed by their canonical JSON), not
+        # per point: trials of one spec share them, and execution
+        # reuses the spec itself (see encode_spec).
+        point_specs: Dict[str, Tuple[SystemSpec, Dict, str]] = {}
         for index, point in enumerate(points):
             params = dict(point)
             if self.seed is not None:
@@ -163,11 +172,18 @@ class Campaign:
             overrides = {
                 k: v for k, v in params.items() if k in spec_fields
             }
-            point_spec = (
-                self.spec.replace(**overrides) if overrides else self.spec
-            )
-            point_spec.validate()
-            spec_doc = point_spec.to_dict()
+            overrides_key = canonical_json(overrides) if overrides else ""
+            entry = point_specs.get(overrides_key)
+            if entry is None:
+                point_spec = (
+                    self.spec.replace(**overrides) if overrides
+                    else self.spec
+                )
+                point_spec.validate()
+                entry = point_specs[overrides_key] = (
+                    point_spec, point_spec.to_dict(), encode_spec(point_spec)
+                )
+            point_spec, spec_doc, spec_json = entry
 
             workload = (
                 self.workload(params) if workload_factory else self.workload
@@ -192,7 +208,9 @@ class Campaign:
                 None if point_faults is None else point_faults.to_dict()
             )
 
-            patched_spec = False
+            patched_spec = any(key.startswith("system.") for key in params)
+            if patched_spec:
+                spec_doc = point_spec.to_dict()   # patched in place below
             consumed = set(overrides)
             for key, value in params.items():
                 root, dot, rest = key.partition(".")
@@ -209,7 +227,6 @@ class Campaign:
                     patch_document(faults_doc, rest, value, "faults")
                 elif root == "system":
                     patch_document(spec_doc, rest, value, "system")
-                    patched_spec = True
                 else:
                     raise ConfigurationError(
                         f"dotted grid axis {key!r} must start with "
@@ -217,7 +234,8 @@ class Campaign:
                     )
                 consumed.add(key)
             if patched_spec:
-                SystemSpec.from_dict(spec_doc).validate()
+                spec_json = canonical_json(spec_doc)
+                decode_spec(spec_json, spec_doc).validate()
 
             leftover = [
                 k
@@ -242,6 +260,7 @@ class Campaign:
                     backend=self.backend,
                     timeout_s=self.timeout_s,
                     wall_timeout_s=self.wall_timeout_s,
+                    spec_json=spec_json,
                 )
             )
         return trials
@@ -393,8 +412,8 @@ class Campaign:
 
             fresh: Dict[str, Dict] = {}
 
-            def on_outcome(trial, record, wall_s, live_report):
-                live_store.put(record)
+            def on_outcome(trial, record, wall_s, live_report, line):
+                live_store.put(record, line)
                 fresh[trial.key] = record
                 if OBS.enabled:
                     OBS.metrics.inc(
@@ -434,6 +453,7 @@ class Campaign:
                         stop_event,
                         setup=setup,
                         trace=trace,
+                        keep_reports=keep_reports,
                     )
                 elif to_execute:
                     pool = ProcessPool(

@@ -58,8 +58,12 @@ from repro.campaign.failures import (
 from repro.campaign.trial import Trial, execute_trial, run_trial_document
 from repro.obs.state import OBS
 
-#: outcome callback: (trial, record, wall_s, live_report_or_None)
-OutcomeCallback = Callable[[Trial, Dict, float, Optional[object]], None]
+#: outcome callback: (trial, record, wall_s, live_report_or_None,
+#: line_or_None) — ``line`` is the record's canonical JSON when the
+#: execution already built it (see ``execute_trial``)
+OutcomeCallback = Callable[
+    [Trial, Dict, float, Optional[object], Optional[str]], None
+]
 
 #: Grace multiplier/offset for the process executor's hard kill: the
 #: cooperative in-worker timeout should fire first; the SIGKILL is the
@@ -86,11 +90,15 @@ def run_serial(
     stop: threading.Event,
     setup: Optional[Callable] = None,
     trace: bool = False,
+    keep_reports: bool = False,
 ) -> bool:
     """Execute ``trials`` in order, in this process.
 
-    Returns True if execution was interrupted by ``stop`` (remaining
-    trials got no outcome and stay pending for a future resume).
+    ``keep_reports`` asks for each trial's live report (a batch trial
+    then materializes one instead of building its record from the
+    round log).  Returns True if execution was interrupted by
+    ``stop`` (remaining trials got no outcome and stay pending for a
+    future resume).
     """
     for trial in trials:
         if stop.is_set():
@@ -102,10 +110,13 @@ def run_serial(
                 "trial", cat="campaign", index=trial.index
             ):
                 _serial_attempts(
-                    trial, on_outcome, policy, stop, setup, trace
+                    trial, on_outcome, policy, stop, setup, trace,
+                    keep_reports,
                 )
         else:
-            _serial_attempts(trial, on_outcome, policy, stop, setup, trace)
+            _serial_attempts(
+                trial, on_outcome, policy, stop, setup, trace, keep_reports
+            )
     return False
 
 
@@ -116,6 +127,7 @@ def _serial_attempts(
     stop: threading.Event,
     setup: Optional[Callable],
     trace: bool,
+    keep_reports: bool,
 ) -> None:
     """One trial's attempt loop: execute, retry transients, record."""
     attempts = 0
@@ -123,8 +135,8 @@ def _serial_attempts(
         attempts += 1
         start = time.perf_counter()
         try:
-            record, wall_s, report = execute_trial(
-                trial, setup=setup, trace=trace
+            record, line, wall_s, report = execute_trial(
+                trial, setup=setup, trace=trace, keep_report=keep_reports
             )
         except Exception as exc:
             failure = classify_exception(exc, attempts=attempts)
@@ -140,9 +152,10 @@ def _serial_attempts(
                 failure_record(trial, failure),
                 time.perf_counter() - start,
                 None,
+                None,
             )
             return
-        on_outcome(trial, record, wall_s, report)
+        on_outcome(trial, record, wall_s, report, line)
         return
 
 
@@ -359,7 +372,7 @@ class ProcessPool:
                 _, _index, record, wall_s = payload
                 if OBS.enabled:
                     _emit_trial_span(attempt.trial, "ok", wall_s)
-                on_outcome(attempt.trial, record, wall_s, None)
+                on_outcome(attempt.trial, record, wall_s, None, None)
             else:
                 _, _index, failure_doc, wall_s = payload
                 failure = TrialFailure.from_dict(failure_doc, lenient=True)
@@ -440,5 +453,6 @@ class ProcessPool:
             attempt.trial,
             failure_record(attempt.trial, failure),
             wall_s,
+            None,
             None,
         )

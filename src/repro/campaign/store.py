@@ -35,6 +35,13 @@ Properties the campaign layer leans on:
   :func:`~repro.campaign.trial.canonical_json`, so the same trial
   always produces the same bytes, regardless of executor, process or
   execution order (asserted by ``tests/integration/test_campaign.py``).
+  A caller that already holds a record's canonical line (a batch
+  trial builds it from its round log, see
+  :func:`~repro.campaign.trial.execute_trial`) hands it to :meth:`put`,
+  which appends it as is: the same bytes, encoded once.  The index
+  keeps every line, so a reader that wants bytes (the campaign
+  server's result stream) takes them from :meth:`line` instead of
+  encoding the record again.
 * **schema-tolerant** — readers keep whole records as plain JSON and
   ignore keys they do not understand; records stamped with a newer
   ``schema_version`` still load (the ``lenient`` loaders reconstruct
@@ -156,6 +163,11 @@ class ResultStore:
     def get(self, key: str) -> Optional[Dict]:
         return self._records.get(key)
 
+    def line(self, key: str) -> Optional[str]:
+        """The stored canonical line of ``key``'s record (the exact
+        persisted bytes, minus the newline), or ``None``."""
+        return self._lines.get(key)
+
     @property
     def stale_lines(self) -> int:
         """Superseded or unparsable lines currently in the log — the
@@ -163,7 +175,7 @@ class ResultStore:
         return self._stale
 
     # -- mutation ----------------------------------------------------------
-    def put(self, record: Dict) -> bool:
+    def put(self, record: Dict, line: Optional[str] = None) -> bool:
         """Memoise ``record``; returns True if anything was written.
 
         Identical re-puts are no-ops.  A changed record under an
@@ -171,8 +183,10 @@ class ResultStore:
         takes the newest).  The store takes ownership of ``record``:
         it is indexed as given, so it must be JSON-native
         (``json.loads(canonical_json(record)) == record``) and must
-        not be mutated afterwards.  The line is flushed but not
-        fsynced; see :meth:`sync`.
+        not be mutated afterwards.  ``line``, when given, must be
+        ``canonical_json(record)``; it is appended as is rather than
+        encoded again.  The line is flushed but not fsynced; see
+        :meth:`sync`.
         """
         if self._readonly:
             raise ConfigurationError(
@@ -185,7 +199,8 @@ class ResultStore:
             raise ConfigurationError(
                 "a store record needs a non-empty string 'key'"
             )
-        line = canonical_json(record)
+        if line is None:
+            line = canonical_json(record)
         if self._lines.get(key) == line:
             return False
         if key not in self._records:

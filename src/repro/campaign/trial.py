@@ -25,28 +25,43 @@ noise must never enter a content-addressed record — two byte-identical
 runs would otherwise hash the weather of the host machine).  Wall time is reported
 separately, per execution, on the
 :class:`~repro.campaign.resultset.TrialResult`.
+
+Each record is encoded once.  A trial carries the canonical JSON of
+its spec (:attr:`Trial.spec_json`), which the campaign compiler makes
+once per distinct spec; :attr:`Trial.key` splices it in, and
+:func:`execute_trial` finds the spec in a memo keyed by that JSON
+(:func:`encode_spec` / :func:`decode_spec`), so the compiled-system
+cache's digest and the record's embedded spec come from one encoding
+per campaign.  A batch trial
+that needs no live report builds its record and the record's line
+straight from the batch tier's round log
+(:func:`repro.scenario.runner.run_batch_record`); the store appends
+that line as it is.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
-import json
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
 
 from repro.core.errors import ConfigurationError
-from repro.core.schema import REPORT_SCHEMA_VERSION
+from repro.core.schema import (
+    REPORT_SCHEMA_VERSION,
+    Encoded,
+    canonical_json,
+    splice_json,
+)
 
+if TYPE_CHECKING:
+    from repro.scenario.spec import SystemSpec
 
-def canonical_json(document: Any) -> str:
-    """Deterministic JSON: sorted keys, no whitespace.
+#: Decoded specs kept by :func:`decode_spec`; past this many distinct
+#: specs the memo starts afresh.
+MAX_DECODED_SPECS = 64
 
-    The single serialisation used for hashing, store lines and
-    byte-identity comparisons, so "equal documents" and "equal bytes"
-    are the same statement.
-    """
-    return json.dumps(document, sort_keys=True, separators=(",", ":"))
+_decoded_specs: Dict[str, "SystemSpec"] = {}
 
 
 def derive_trial_seed(campaign_seed: int, point: Dict[str, Any]) -> int:
@@ -74,6 +89,17 @@ class Trial:
     #: not content: two trials differing only in their wall budget are
     #: the same experiment, so this field never enters :attr:`key`.
     wall_timeout_s: Optional[float] = None
+    #: ``canonical_json(spec_doc)``.  The campaign compiler passes the
+    #: one encoding it makes of each distinct spec; left empty, it is
+    #: derived from ``spec_doc`` on construction.  Never compared:
+    #: it is the same content as ``spec_doc``.
+    spec_json: str = field(default="", compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if not self.spec_json:
+            object.__setattr__(
+                self, "spec_json", canonical_json(self.spec_doc)
+            )
 
     @functools.cached_property
     def key(self) -> str:
@@ -84,12 +110,12 @@ class Trial:
         compile to the same documents share one cache entry.
         ``wall_timeout_s`` is excluded for the same reason: a
         wall-clock budget is how the trial is *executed*, not what it
-        *is*.
+        *is*.  The spec's bytes are :attr:`spec_json`, spliced in.
         """
         return hashlib.sha256(
-            canonical_json(
+            splice_json(
                 {
-                    "spec": self.spec_doc,
+                    "spec": Encoded(self.spec_json),
                     "workload": self.workload_doc,
                     "faults": self.faults_doc,
                     "backend": self.backend,
@@ -124,6 +150,47 @@ class Trial:
         )
 
 
+def decode_spec(spec_json: str, spec_doc: Dict) -> "SystemSpec":
+    """``SystemSpec.from_dict(spec_doc)``, decoded once per distinct
+    spec: memoised by ``spec_json`` (the document's canonical JSON, so
+    by content, never by object identity).  The shared instance also
+    encodes and hashes itself once (:attr:`SystemSpec.encoded`,
+    :attr:`SystemSpec.digest`) for every trial that uses it."""
+    spec = _decoded_specs.get(spec_json)
+    if spec is None:
+        from repro.scenario.spec import SystemSpec
+
+        spec = SystemSpec.from_dict(spec_doc)
+        _remember(spec_json, spec)
+    return spec
+
+
+def encode_spec(spec: "SystemSpec") -> str:
+    """``spec``'s canonical JSON (:attr:`SystemSpec.encoded`), with
+    ``spec`` remembered as its decoding: a spec round-trips through
+    its document, so :func:`decode_spec` may hand back this instance,
+    and the campaign compiler's one encoding is the only one."""
+    _remember(spec.encoded, spec)
+    return spec.encoded
+
+
+def _remember(spec_json: str, spec: "SystemSpec") -> None:
+    if len(_decoded_specs) >= MAX_DECODED_SPECS:
+        _decoded_specs.clear()
+    _decoded_specs[spec_json] = spec
+
+
+def _envelope(trial: Trial, report_doc: Dict) -> Dict:
+    return {
+        "schema_version": REPORT_SCHEMA_VERSION,
+        "key": trial.key,
+        "params": dict(trial.params),
+        "backend": report_doc.get("backend"),
+        "outcome": "ok",
+        "report": report_doc,
+    }
+
+
 def trial_record(trial: Trial, report_doc: Dict) -> Dict:
     """The store record for one executed trial.
 
@@ -135,41 +202,58 @@ def trial_record(trial: Trial, report_doc: Dict) -> Dict:
     doc = dict(report_doc)
     doc.pop("wall_s", None)
     doc.pop("wall_throughput_tps", None)
-    return {
-        "schema_version": REPORT_SCHEMA_VERSION,
-        "key": trial.key,
-        "params": dict(trial.params),
-        "backend": doc.get("backend"),
-        "outcome": "ok",
-        "report": doc,
-    }
+    return _envelope(trial, doc)
 
 
 def execute_trial(
     trial: Trial,
     setup: Optional[Callable] = None,
     trace: bool = False,
-) -> Tuple[Dict, float, Any]:
+    keep_report: bool = False,
+) -> Tuple[Dict, Optional[str], float, Any]:
     """Run one trial in this process.
 
-    Returns ``(record, wall_s, report)`` — the JSON record for the
-    store, the wall-clock cost of this execution, and the live
-    :class:`~repro.scenario.runner.RunReport` (for
-    ``keep_reports=True`` serial runs; never sent across process
-    boundaries, it holds the unpicklable simulator).
+    Returns ``(record, line, wall_s, report)``: the JSON record for
+    the store, its canonical JSON line when this call already built
+    it (else ``None``; :meth:`ResultStore.put` encodes the record
+    then), the wall-clock cost of this execution, and the live
+    :class:`~repro.scenario.runner.RunReport` or ``None``.
+
+    A batch trial with no ``setup``, ``trace``, faults document or
+    ``keep_report`` never builds a live report: its record and line
+    come straight from the batch tier's round log, byte-identical to
+    ``trial_record(trial, run(...).to_dict())``.  Every other trial
+    runs through :func:`~repro.scenario.runner.run` and returns its
+    report (``keep_report=True`` serial runs keep it; it is never sent
+    across process boundaries, it holds the unpicklable simulator).
     """
     from repro.faults.primitives import FaultSpec
-    from repro.scenario.runner import run
-    from repro.scenario.spec import SystemSpec
+    from repro.scenario.runner import run, run_batch_record
     from repro.scenario.workload import workload_from_dict
 
-    spec = SystemSpec.from_dict(trial.spec_doc)
+    spec = decode_spec(trial.spec_json, trial.spec_doc)
     workload = workload_from_dict(trial.workload_doc)
     faults = (
         None
         if trial.faults_doc is None
         else FaultSpec.from_dict(trial.faults_doc)
     )
+    if (
+        trial.backend == "batch"
+        and faults is None
+        and setup is None
+        and not trace
+        and not keep_report
+    ):
+        report_doc, report_json, wall_s = run_batch_record(
+            spec,
+            workload,
+            timeout_s=trial.timeout_s,
+            wall_timeout_s=trial.wall_timeout_s,
+        )
+        record = _envelope(trial, report_doc)
+        line = splice_json({**record, "report": Encoded(report_json)})
+        return record, line, wall_s, None
     report = run(
         spec,
         workload,
@@ -180,7 +264,7 @@ def execute_trial(
         faults=faults,
         wall_timeout_s=trial.wall_timeout_s,
     )
-    return trial_record(trial, report.to_dict()), report.wall_s, report
+    return trial_record(trial, report.to_dict()), None, report.wall_s, report
 
 
 def run_trial_document(trial_doc: Dict) -> Tuple[int, Dict, float]:
@@ -191,7 +275,7 @@ def run_trial_document(trial_doc: Dict) -> Tuple[int, Dict, float]:
     are JSON-shaped.
     """
     trial = Trial.from_dict(trial_doc)
-    record, wall_s, _report = execute_trial(trial)
+    record, _line, wall_s, _report = execute_trial(trial)
     return trial.index, record, wall_s
 
 

@@ -30,6 +30,7 @@ from repro.lint.framework import FileContext, Finding, lint_pass
 #: Modules whose every ``json.dumps`` must be canonical: they produce
 #: the bytes that get hashed or byte-compared.
 CANONICAL_JSON_MODULES: Set[str] = {
+    "core/schema.py",
     "campaign/trial.py",
     "campaign/store.py",
     "batch/cache.py",

@@ -30,7 +30,13 @@ the single source of truth for names, capabilities and help text, and
 options all derive from it.
 
 Parameter studies live in :mod:`repro.campaign` (grids, pluggable
-executors, content-addressed caching, queryable results).
+executors, content-addressed caching, queryable results).  A campaign
+trial on the batch tier that needs no live report calls
+:func:`run_batch_record` instead of :func:`run`: the same compile and
+execute, then the record's report document and its canonical JSON
+built straight from the round log, with no ``TransactionResult`` and
+no :meth:`RunReport.to_dict`.  :func:`run` itself always materializes
+the full report.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.core.bus import MBusSystem, TransactionResult
 from repro.core.errors import ConfigurationError
-from repro.core.schema import REPORT_SCHEMA_VERSION
+from repro.core.schema import REPORT_SCHEMA_VERSION, Encoded, splice_json
 from repro.faults.injector import FaultInjector
 from repro.faults.primitives import FaultSpec, normalize_faults
 from repro.faults.report import ReliabilityReport, build_reliability_report
@@ -431,45 +437,100 @@ def run(
     checked every 256 events) once the budget is spent.  Campaign
     executors convert this into a recorded ``timeout`` failure.
     """
-    wall_deadline = (
-        None
-        if wall_timeout_s is None
-        else time.perf_counter() + wall_timeout_s
-    )
+    wall_deadline = _wall_deadline(wall_timeout_s)
     fault_spec = normalize_faults(faults)
     faults_active = bool(fault_spec)
     mode = select_backend(backend, trace, faults_active=faults_active)
-    tracer = None
-    if OBS.enabled:
-        OBS.metrics.inc("run.calls", labels={"backend": mode})
-        tracer = OBS.tracer
-    span = (
-        nullcontext() if tracer is None
-        else tracer.span("run", cat="phase", backend=mode)
-    )
+    span, tracer = _run_span(mode)
     with span:
         report = _run_on(
             mode, spec, workload, trace, timeout_s, setup,
             fault_spec, faults_active, wall_deadline,
         )
         if tracer is not None:
-            # Bus rounds and transactions re-expressed as deterministic
-            # sim-time spans (integer picoseconds, no wall noise).  The
-            # transaction list is equivalence-checked across backends,
-            # so the span tree below is structurally identical on edge,
-            # fast and batch — the cross-backend contract the obs
-            # tests pin.
-            for txn in report.transactions:
-                with tracer.sim_span(
-                    "bus-round", txn.start_ps, txn.duration_ps,
-                    index=txn.index,
-                ):
-                    with tracer.sim_span(
-                        "transaction", txn.start_ps, txn.duration_ps,
-                        ok=txn.ok,
-                    ):
-                        pass
+            _round_spans(tracer, (
+                (txn.start_ps, txn.duration_ps, txn.index, txn.ok)
+                for txn in report.transactions
+            ))
     return report
+
+
+def run_batch_record(
+    spec: SystemSpec,
+    workload: Workload,
+    timeout_s: Optional[float] = None,
+    wall_timeout_s: Optional[float] = None,
+) -> Tuple[Dict, str, float]:
+    """``run(spec, workload, backend="batch")`` for a campaign record.
+
+    Returns ``(report, line, wall_s)``: the report document exactly as
+    a trial record holds it — ``RunReport.to_dict()`` without its
+    ``wall_*`` fields — its canonical JSON, and the wall time.  Both
+    come straight from the executor's round log: no
+    :func:`~repro.batch.materialize`, no ``TransactionResult``, no
+    ``RunReport.to_dict``.  Each round template contributes its
+    ready-encoded transaction row (the round's index spliced in), its
+    energy term (summed per transaction, in order, as
+    :meth:`RunReport.energy_pj` sums) and its delivered bits; the spec
+    contributes its one encoding (:attr:`SystemSpec.encoded`).
+
+    Compile and execute are :func:`run`'s own, so a run that fails
+    here fails the same way, and with observability on this emits the
+    same ``run`` span, phases, ``run.calls`` count and per-transaction
+    sim spans.
+    """
+    wall_deadline = _wall_deadline(wall_timeout_s)
+    span, tracer = _run_span("batch")
+    with span:
+        csys, result, start = _batch_execute(
+            spec, workload, timeout_s, wall_deadline
+        )
+        with OBS.phase("serialize"):
+            doc, line = _batch_record_report(csys, result, spec, workload)
+            wall_s = time.perf_counter() - start
+        if tracer is not None:
+            _round_spans(tracer, (
+                (t0, tpl.end_off, index, tpl.ok)
+                for index, (t0, tpl) in enumerate(result.round_log)
+            ))
+    return doc, line, wall_s
+
+
+def _wall_deadline(wall_timeout_s: Optional[float]) -> Optional[float]:
+    if wall_timeout_s is None:
+        return None
+    return time.perf_counter() + wall_timeout_s
+
+
+def _run_span(mode: str) -> Tuple[Any, Any]:
+    """Count the run and open its ``run`` span: ``(span, tracer)``,
+    with a no-op span and no tracer when observability is off."""
+    if not OBS.enabled:
+        return nullcontext(), None
+    OBS.metrics.inc("run.calls", labels={"backend": mode})
+    tracer = OBS.tracer
+    if tracer is None:
+        return nullcontext(), None
+    return tracer.span("run", cat="phase", backend=mode), tracer
+
+
+def _round_spans(
+    tracer, rounds: Iterable[Tuple[int, int, int, bool]]
+) -> None:
+    """Bus rounds and transactions re-expressed as deterministic
+    sim-time spans (integer picoseconds, no wall noise), from
+    ``(start_ps, duration_ps, index, ok)`` per transaction.  The
+    transaction list is equivalence-checked across backends, so the
+    span tree is structurally identical on edge, fast and batch — the
+    cross-backend contract the obs tests pin."""
+    for start_ps, duration_ps, index, ok in rounds:
+        with tracer.sim_span(
+            "bus-round", start_ps, duration_ps, index=index
+        ):
+            with tracer.sim_span(
+                "transaction", start_ps, duration_ps, ok=ok
+            ):
+                pass
 
 
 def _run_on(
@@ -559,13 +620,14 @@ def _run_on(
     return report
 
 
-def _run_batch(
+def _batch_execute(
     spec: SystemSpec,
     workload,
     timeout_s: Optional[float],
     wall_deadline: Optional[float],
-) -> RunReport:
-    """The tier-3 path of :func:`run`: compile, execute, materialise.
+):
+    """Compile and execute on the batch tier: ``(csys, result,
+    start)``, where ``start`` is when the timed window opened.
 
     Compilation sits outside the timed window (it is the analogue of
     ``spec.build()`` + workload compilation, which the event-loop
@@ -576,7 +638,6 @@ def _run_batch(
         BatchExecutor,
         compile_system_cached,
         compile_workload,
-        materialize,
     )
 
     with OBS.phase("compile"):
@@ -590,6 +651,21 @@ def _run_batch(
         result = BatchExecutor(csys, cwl).run(
             until=until, wall_deadline=wall_deadline
         )
+    return csys, result, start
+
+
+def _run_batch(
+    spec: SystemSpec,
+    workload,
+    timeout_s: Optional[float],
+    wall_deadline: Optional[float],
+) -> RunReport:
+    """The tier-3 path of :func:`run`: compile, execute, materialise."""
+    from repro.batch import materialize
+
+    csys, result, start = _batch_execute(
+        spec, workload, timeout_s, wall_deadline
+    )
     with OBS.phase("serialize"):
         transactions, power, wire = materialize(csys, result)
         wall_s = time.perf_counter() - start
@@ -608,3 +684,60 @@ def _run_batch(
             system=None,
         )
     return report
+
+
+def _batch_record_report(csys, result, spec: SystemSpec, workload: Workload):
+    """The record view of a batch run, from its round log: the
+    ``RunReport.to_dict()`` document minus ``wall_*`` and its
+    canonical JSON (see :func:`run_batch_record`).  Every row and
+    container is built fresh, so records share nothing mutable with
+    the template cache or with each other."""
+    from repro.batch.executor import tallies
+
+    n_nodes = len(spec.nodes)
+    rows: List[Dict] = []
+    encoded_rows: List[str] = []
+    energy_pj = 0.0
+    for index, (_t0, tpl) in enumerate(result.round_log):
+        if tpl.row is None:
+            tpl.fill_record_terms(n_nodes)
+        row = tpl.row.copy()
+        row["index"] = index
+        row["rx_nodes"] = list(tpl.rx_nodes)
+        rows.append(row)
+        encoded_rows.append(f"{tpl.row_head}{index}{tpl.row_tail}")
+        if tpl.energy_pj is not None:
+            energy_pj += tpl.energy_pj
+    n_ok = bits = 0
+    for tid, hits in result.hit_counts.items():
+        tpl = csys.template_list[tid]
+        if tpl.ok:
+            n_ok += hits
+        bits += hits * tpl.payload_bits
+    power, wire = tallies(csys, result)
+    sim_time_s = result.end_ps / PS_PER_S
+    doc = {
+        "schema_version": REPORT_SCHEMA_VERSION,
+        "backend": "batch",
+        "spec": spec.to_dict(),
+        "workload": workload.to_dict(),
+        "faults": None,
+        "reliability": None,
+        "n_transactions": len(rows),
+        "n_ok": n_ok,
+        "sim_time_s": sim_time_s,
+        "events_processed": result.steps,
+        "throughput_tps": n_ok / sim_time_s if sim_time_s > 0 else 0.0,
+        "goodput_bps": bits / sim_time_s if sim_time_s > 0 else 0.0,
+        "energy_pj": energy_pj,
+        "energy_per_delivered_bit_pj": energy_pj / bits if bits else 0.0,
+        "wire_activity": wire,
+        "power": power,
+        "transactions": rows,
+    }
+    line = splice_json({
+        **doc,
+        "spec": Encoded(spec.encoded),
+        "transactions": Encoded("[" + ",".join(encoded_rows) + "]"),
+    })
+    return doc, line

@@ -25,12 +25,15 @@ representable here; nodes needing one must be configured imperatively.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import hashlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
 from repro.core import constants
 from repro.core.bus import MBusSystem
 from repro.core.errors import ConfigurationError
+from repro.core.schema import canonical_json
 
 
 def _take_keys(
@@ -243,6 +246,19 @@ class SystemSpec:
             "arbitration_anchor": self.arbitration_anchor,
             "nodes": [node.to_dict() for node in self.nodes],
         }
+
+    @functools.cached_property
+    def encoded(self) -> str:
+        """``canonical_json(self.to_dict())``, encoded once per
+        instance (the spec is immutable): the bytes a campaign record
+        embeds, and what :attr:`digest` hashes."""
+        return canonical_json(self.to_dict())
+
+    @functools.cached_property
+    def digest(self) -> str:
+        """SHA-256 of :attr:`encoded`: the content address of the
+        compiled-system cache (:func:`repro.batch.spec_digest`)."""
+        return hashlib.sha256(self.encoded.encode("utf-8")).hexdigest()
 
     _KEYS = frozenset({
         "name", "clock_hz", "node_delay_ps", "drive_delay_ps",

@@ -31,8 +31,9 @@ Execution itself happens on one dedicated worker thread
 serve status and streaming requests while a campaign runs; the
 process executor then parallelises trials across worker processes as
 usual.  Trial completions cross back into the loop via
-``call_soon_threadsafe``, append canonical record lines to the job,
-and wake every streaming subscriber.
+``call_soon_threadsafe``, append the record's stored line (the store
+already holds its canonical bytes; nothing is encoded twice) to the
+job, and wake every streaming subscriber.
 """
 
 from __future__ import annotations
@@ -423,9 +424,9 @@ class Scheduler:
             return job.lines
         lines: List[str] = []
         for trial in trials:
-            record = self.results_store.get(trial.key)
-            if record is not None:
-                lines.append(canonical_json(record))
+            line = self.results_store.line(trial.key)
+            if line is not None:
+                lines.append(line)
         job.lines = lines
         return job.lines
 
@@ -497,8 +498,15 @@ class Scheduler:
         loop = self._loop
         assert loop is not None
 
+        store = self.results_store
+
         def progress(done: int, total: int, result: TrialResult) -> None:
-            line = canonical_json(result.record)
+            # Every resolved trial's record is in the store by now
+            # (executed ones were put just before this call): stream
+            # its stored line rather than encoding the record again.
+            line = store.line(result.trial.key)
+            if line is None:
+                line = canonical_json(result.record)
             loop.call_soon_threadsafe(
                 self._on_trial, job, line, result.cached,
                 record_outcome(result.record), total,

@@ -1,0 +1,308 @@
+"""Batch campaign records built from the round log.
+
+A batch trial that needs no live report builds its store record and
+the record's canonical line straight from the executor's round log
+(``run_batch_record``).  The contract is that nothing observable
+moves:
+
+* the line is byte-identical to ``canonical_json(trial_record(trial,
+  run(...).to_dict()))`` and decodes to the record, on every
+  fault-free generated scenario, with and without a ``timeout_s``
+  that cuts it short, on the fig14 grid and on a fleet;
+* the store appends that line as is and gives back an equal record,
+  before and after reopening;
+* records share no mutable object with each other or with the
+  template cache;
+* a trial that fails records the same failure as the live-report
+  path;
+* with observability on, the trace, metrics and phase profile equal
+  the live-report path's.
+
+It also covers the bound on the template and message tables of a
+cached compiled system.
+"""
+
+import json
+
+import pytest
+
+import repro.batch.executor
+from repro.batch import cache_stats, clear_cache, compile_system_cached
+from repro.batch.compiler import MAX_TEMPLATES
+from repro.campaign import Campaign, Grid, ResultStore, canonical_json
+from repro.campaign.trial import Trial, execute_trial, trial_record
+from repro.core import Address
+from repro.diffcheck import generate_scenarios
+from repro.obs import observe, strip_wall_fields
+from repro.obs.tracer import canonical_line, trace_records
+from repro.scenario import Burst, NodeSpec, SystemSpec, run
+from repro.scenario.workload import workload_from_dict
+
+from tests.integration.test_batch_backend import staggered_fleet
+from tests.integration.test_batch_golden import fig14_grid, fig14_spec
+
+
+def batch_trial(spec_doc, workload_doc, timeout_s=None, index=0):
+    return Trial(
+        index=index,
+        params={"seed": index},
+        spec_doc=spec_doc,
+        workload_doc=workload_doc,
+        backend="batch",
+        timeout_s=timeout_s,
+    )
+
+
+def outcome(call):
+    """A call's result, or its exception as ``(type, message)``."""
+    try:
+        return call()
+    except Exception as exc:   # compared, not swallowed
+        return (type(exc).__name__, str(exc))
+
+
+def record_path(trial):
+    record, line, _wall_s, report = execute_trial(trial)
+    assert report is None
+    assert json.loads(line) == record
+    return line
+
+
+def report_path(trial):
+    report = run(
+        SystemSpec.from_dict(trial.spec_doc),
+        workload_from_dict(trial.workload_doc),
+        backend="batch",
+        timeout_s=trial.timeout_s,
+    )
+    return canonical_json(trial_record(trial, report.to_dict()))
+
+
+def containers(document):
+    """Every dict and list inside ``document``, itself included."""
+    stack, found = [document], []
+    while stack:
+        item = stack.pop()
+        if isinstance(item, dict):
+            found.append(item)
+            stack.extend(item.values())
+        elif isinstance(item, list):
+            found.append(item)
+            stack.extend(item)
+    return found
+
+
+class TestByteIdentity:
+    def test_generated_scenarios(self):
+        scenarios = generate_scenarios(300, seed=16, faults_fraction=0)
+        cut = failed = 0
+        for scenario in scenarios:
+            trial = batch_trial(
+                scenario["system"], scenario["workload"],
+                index=scenario["seed"],
+            )
+            line = outcome(lambda: record_path(trial))
+            assert line == outcome(lambda: report_path(trial))
+            if not isinstance(line, str):
+                failed += 1
+                continue
+            # The same scenario with its simulated time cut in half.
+            sim_time_s = json.loads(line)["report"]["sim_time_s"]
+            timed = batch_trial(
+                scenario["system"], scenario["workload"],
+                timeout_s=sim_time_s / 2, index=scenario["seed"],
+            )
+            cut_line = outcome(lambda: record_path(timed))
+            assert cut_line == outcome(lambda: report_path(timed))
+            cut += isinstance(cut_line, str)
+        # Both arms were exercised: most runs succeed, and some cut
+        # runs still end idle.
+        assert failed < len(scenarios) // 10
+        assert cut > 0
+
+    @pytest.mark.parametrize(
+        "shape", ["fig14_grid", "staggered_fleet"]
+    )
+    def test_campaign_lines_match_live_report_path(self, shape):
+        if shape == "fig14_grid":
+            campaign = fig14_grid()
+        else:
+            spec, workload = staggered_fleet(members=20, posts=30)
+            campaign = Campaign(spec=spec, workload=workload,
+                                backend="batch")
+        fresh, live = ResultStore.memory(), ResultStore.memory()
+        results = campaign.run(store=fresh)
+        campaign.run(store=live, keep_reports=True)
+        assert fresh.entries() == live.entries()
+        for result in results:
+            assert canonical_json(result.record) == fresh.line(
+                result.trial.key
+            )
+
+    def test_store_returns_the_record_after_put_and_reopen(self, tmp_path):
+        results = fig14_grid().run(store=str(tmp_path))
+        reopened = ResultStore(tmp_path)
+        for result in results:
+            assert reopened.get(result.trial.key) == result.record
+            assert reopened.line(result.trial.key) == canonical_json(
+                result.record
+            )
+
+    def test_records_share_no_mutable_objects(self):
+        clear_cache()
+        campaign = fig14_grid()
+        first = campaign.run()
+        again = campaign.run(resume=False)   # warm templates this time
+        ids = set()
+        records = [r.record for r in first] + [r.record for r in again]
+        for record in records:
+            for item in containers(record):
+                assert id(item) not in ids
+                ids.add(id(item))
+        csys = compile_system_cached(fig14_spec())
+        for tpl in csys.template_list:
+            if tpl.row is not None:
+                assert id(tpl.row) not in ids
+
+
+class TestFailures:
+    def failure_records(self, campaign, **kwargs):
+        """Failure records from the round-log path and from the
+        live-report path, without their traceback digests (which name
+        the source lines each path raised through)."""
+        by_path = []
+        for keep_reports in (False, True):
+            results = campaign.run(keep_reports=keep_reports, **kwargs)
+            records = [dict(r.record) for r in results]
+            for record in records:
+                assert record["outcome"] != "ok"
+                record["failure"] = dict(record["failure"])
+                assert len(record["failure"].pop("traceback_digest")) == 16
+            by_path.append(records)
+        assert by_path[0] == by_path[1]
+        return by_path[0]
+
+    def test_bad_spec(self):
+        campaign = Campaign(
+            spec=fig14_spec(),
+            workload=Burst("m", Address.short(0x2, 5), b"\x01", count=2),
+            grid=Grid.product(**{"system.nodes.1.short_prefix": [0x1]}),
+            backend="batch",
+        )
+        (record,) = self.failure_records(campaign)
+        assert record["failure"]["error_type"] == "ConfigurationError"
+
+    def test_unknown_source_node(self):
+        campaign = Campaign(
+            spec=fig14_spec(),
+            workload=Burst("nobody", Address.short(0x2, 5), b"\x01"),
+            backend="batch",
+        )
+        (record,) = self.failure_records(campaign)
+        assert record["failure"]["error_type"] == "ConfigurationError"
+
+    def test_wall_clock_timeout(self):
+        spec, workload = staggered_fleet(members=8, posts=400)
+        campaign = Campaign(spec=spec, workload=workload, backend="batch",
+                            wall_timeout_s=1e-9)
+        (record,) = self.failure_records(campaign)
+        assert record["outcome"] == "timeout"
+        assert record["failure"]["error_type"] == "WallClockTimeout"
+
+    def test_bus_locked(self):
+        campaign = Campaign(
+            spec=fig14_spec(),
+            workload=Burst("m", Address.short(0x2, 5), b"\x01", count=6),
+            backend="batch",
+            timeout_s=1e-9,
+        )
+        (record,) = self.failure_records(campaign)
+        assert record["failure"]["error_type"] == "BusLockedError"
+
+    def test_faults_document(self):
+        from repro.faults import FaultSpec
+
+        campaign = Campaign(
+            spec=fig14_spec(),
+            workload=Burst("m", Address.short(0x2, 5), b"\x01", count=2),
+            faults=FaultSpec(),
+            backend="batch",
+        )
+        (record,) = self.failure_records(campaign)
+        assert "live system" in record["failure"]["message"]
+
+    def test_over_long_run(self, monkeypatch):
+        real = repro.batch.executor.BatchExecutor.run
+
+        def short_budget(self, until=None, wall_deadline=None):
+            return real(self, until, wall_deadline, max_steps=20)
+
+        monkeypatch.setattr(
+            repro.batch.executor.BatchExecutor, "run", short_budget
+        )
+        campaign = Campaign(
+            spec=fig14_spec(),
+            workload=Burst("m", Address.short(0x2, 5), b"\x01", count=40,
+                           gap_s=1e-3),
+            backend="batch",
+        )
+        (record,) = self.failure_records(campaign)
+        assert record["failure"]["error_type"] == "SimulationError"
+
+
+class TestObservability:
+    def trace(self, keep_reports):
+        clear_cache()
+        campaign = fig14_grid()
+        campaign.grid = Grid.product(**{
+            "workload.payload": ["0102030405060708", "a1a2a3a4a5a6a7a8"],
+        })
+        with observe() as session:
+            campaign.run(keep_reports=keep_reports)
+        records = trace_records(
+            session.tracer,
+            meta={"label": "batch-records"},
+            metrics=session.metrics.snapshot(),
+            profile=session.profiler.to_dict(),
+        )
+        return [canonical_line(strip_wall_fields(r)) for r in records]
+
+    def test_round_log_path_emits_what_the_report_path_does(self):
+        lines = self.trace(keep_reports=False)
+        assert lines == self.trace(keep_reports=True)
+        text = "\n".join(lines)
+        for needle in ('"name":"run"', '"name":"bus-round"',
+                       '"name":"transaction"', "run.calls{backend=batch}",
+                       '"serialize"'):
+            assert needle in text
+
+
+class TestTemplateTables:
+    def test_distinct_trials_stay_under_the_cap(self):
+        clear_cache()
+        spec = fig14_spec()
+        doc = spec.to_dict()
+        workload = Burst("m", Address.short(0x2, 5), bytes(8),
+                         count=3).to_dict()
+        checked = []
+        peak = resets = 0
+        for i in range(20_000):
+            workload["payload"] = i.to_bytes(8, "big").hex()
+            trial = batch_trial(doc, dict(workload), index=i)
+            before = cache_stats()["templates"]
+            record, _line, _wall, _report = execute_trial(trial)
+            after = cache_stats()["templates"]
+            peak = max(peak, after)
+            # Check every trial that ran right after a reset, and a
+            # spread of the others.
+            if after < before:
+                resets += 1
+                checked.append((trial, record))
+            elif i % 997 == 0:
+                checked.append((trial, record))
+        assert peak <= MAX_TEMPLATES + 2
+        assert resets >= 4
+        assert cache_stats()["entries"] == 1
+        for trial, record in checked:
+            clear_cache()
+            assert execute_trial(trial)[0] == record

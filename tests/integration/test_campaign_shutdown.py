@@ -154,11 +154,11 @@ class TestStopEvent:
         store = ResultStore(tmp_path / "store")
         original_put = store.put
 
-        def counting_put(record):
+        def counting_put(record, line=None):
             seen.append(record["key"])
             if len(seen) == 2:
                 stop.set()
-            return original_put(record)
+            return original_put(record, line)
 
         store.put = counting_put
         results = campaign.run(executor="serial", store=store, stop=stop)

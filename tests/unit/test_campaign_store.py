@@ -204,6 +204,23 @@ class TestWritePath:
         assert len(synced) == 1
         assert store._handle is None               # no handle outlives it
 
+    def test_handed_line_is_appended_as_is(self, tmp_path):
+        """A caller that already encoded the record passes its line;
+        the store writes those bytes and serves them back."""
+        store = ResultStore(tmp_path / "store")
+        rec = record("k1", params={"x": [1, 2]})
+        line = canonical_json(rec)
+        assert store.put(rec, line)
+        assert not store.put(record("k1", params={"x": [1, 2]}))
+        assert store.line("k1") == line
+        assert store.line("nope") is None
+        store.sync()
+        path = tmp_path / "store" / RESULTS_FILENAME
+        assert path.read_text() == line + "\n"
+        reopened = ResultStore(tmp_path / "store")
+        assert reopened.get("k1") == rec
+        assert reopened.line("k1") == line
+
     def test_memory_store_sync_is_a_noop(self):
         store = ResultStore.memory()
         store.put(record("k1"))
