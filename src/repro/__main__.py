@@ -630,7 +630,8 @@ def _cmd_reliability(args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+def build_parser() -> argparse.ArgumentParser:
+    """The ``repro`` argument parser, every subcommand included."""
     parser = argparse.ArgumentParser(
         prog="repro", description="MBus (ISCA 2015) reproduction tools"
     )
@@ -1079,7 +1080,11 @@ def main(argv=None) -> int:
         "--list", dest="list_passes", action="store_true",
         help="list registered passes and exit",
     )
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
     return {
         "demo": _cmd_demo,
         "figures": _cmd_figures,

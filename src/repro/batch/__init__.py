@@ -6,9 +6,11 @@ transaction-level fast path): :mod:`repro.batch` compiles a
 flat integer arrays and executes whole bus-round sequences without a
 simulator, nets, or node objects — see :mod:`repro.batch.compiler`
 and :mod:`repro.batch.executor`.  Selected via ``backend="batch"`` in
-:func:`repro.scenario.run`; equivalence with the fast path (identical
-transaction signatures, delivery sets, wake counts) is enforced by the
-three-way differential harness in :mod:`repro.diffcheck`.
+:func:`repro.scenario.run`, and by ``backend="auto"`` for every run
+that needs no live system (no tracing, ``setup`` hook or faults);
+equivalence with the fast path (identical transaction signatures,
+delivery sets, wake counts) is enforced by the three-way
+differential harness in :mod:`repro.diffcheck`.
 """
 
 from repro.batch import accel

@@ -44,11 +44,15 @@ KIND_POST = 0
 KIND_INTERRUPT = 1
 
 #: Round templates, or interned messages, a compiled system carries
-#: into its next run.  Every distinct payload adds one of each, and a
-#: cached system lives as long as its compile-cache entry (a
-#: long-running ``repro serve`` never drops it), so once either table
-#: passes this size the next run starts both afresh.
-MAX_TEMPLATES = 4096
+#: into its next run *beyond the templates its last run used*.  Every
+#: distinct payload adds one of each, and a cached system lives as
+#: long as its compile-cache entry (a long-running ``repro serve``
+#: never drops it), so once either table passes
+#: ``MAX_TEMPLATES + CompiledSystem.last_run_templates`` the next run
+#: starts both afresh.  A workload that repeats its own messages stays
+#: warm however many templates it needs; a stream of one-off payloads
+#: keeps about ``MAX_TEMPLATES`` plus one run's worth.
+MAX_TEMPLATES = 256
 
 
 class CompiledSystem:
@@ -72,6 +76,9 @@ class CompiledSystem:
         # template keys are pure-integer and stable across trials),
         # keyed by ``(dest, payload, priority)``
         "templates", "template_list", "message_ids", "message_table",
+        # how many distinct templates the last run executed (set by
+        # the executor; part of compile_workload's table bound)
+        "last_run_templates",
     )
 
     def __init__(self, spec: SystemSpec) -> None:
@@ -105,6 +112,7 @@ class CompiledSystem:
             if spec.max_message_bytes is None
             else constants.clamp_max_message_bytes(spec.max_message_bytes)
         )
+        self.last_run_templates = 0
         self.clear_tables()
 
     def clear_tables(self) -> None:
@@ -166,12 +174,11 @@ def compile_workload(
     :class:`~repro.core.messages.Message` only the first time its
     ``(dest, payload, priority)`` is seen on ``csys``.  This is where a
     run starts, so it is also where ``csys`` sheds tables that grew
-    past :data:`MAX_TEMPLATES`, before anything is interned.
+    past :data:`MAX_TEMPLATES` plus the templates its last run used,
+    before anything is interned.
     """
-    if (
-        len(csys.template_list) > MAX_TEMPLATES
-        or len(csys.message_table) > MAX_TEMPLATES
-    ):
+    limit = MAX_TEMPLATES + csys.last_run_templates
+    if len(csys.template_list) > limit or len(csys.message_table) > limit:
         csys.clear_tables()
     position_of = csys.position_of
     t_ps: List[int] = []

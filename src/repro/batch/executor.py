@@ -318,6 +318,7 @@ class BatchExecutor:
                 bus_on_ps[p] += end_ps - self.bus_since[p]
             if self.layer_on[p]:
                 layer_on_ps[p] += end_ps - self.layer_since[p]
+        self.csys.last_run_templates = len(self.hit_counts)
         if OBS.enabled:
             OBS.metrics.inc("batch.run_calls")
             OBS.metrics.set("batch.steps", self.steps)
@@ -452,8 +453,15 @@ class BatchExecutor:
     def _run_round(self, t0: int) -> None:
         csys = self.csys
         tpl = self._template()
-        self.pulsers.clear()
         fin_t = t0 + tpl.fin_off
+        if self.until is not None and fin_t > self.until:
+            # The event-loop tiers stop at the horizon with this round
+            # still in flight, which leaves their bus busy.
+            raise BusLockedError(
+                "bus did not return to idle: a round was still in flight "
+                "at the horizon on the batch backend"
+            )
+        self.pulsers.clear()
         # Hierarchical wakeups, applied eagerly: nothing reads power
         # state again until the round has finished.
         for p, off in tpl.bus_wake:

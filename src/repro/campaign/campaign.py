@@ -86,7 +86,7 @@ from repro.campaign.trial import (
 from repro.core.errors import ConfigurationError
 from repro.faults.primitives import FaultSpec, normalize_faults
 from repro.obs.state import OBS
-from repro.scenario.runner import BACKENDS
+from repro.scenario.runner import BACKENDS, check_timeouts
 from repro.scenario.spec import SystemSpec
 from repro.scenario.workload import Workload, workload_from_dict
 
@@ -149,6 +149,9 @@ class Campaign:
             raise ConfigurationError(
                 f"backend must be one of {BACKENDS}, not {self.backend!r}"
             )
+        check_timeouts(
+            timeout_s=self.timeout_s, wall_timeout_s=self.wall_timeout_s
+        )
         grid = None if self.grid is None else as_grid(self.grid)
         points = [{}] if grid is None else grid.points()
         spec_fields = set(SystemSpec._KEYS) - {"nodes"}
@@ -338,6 +341,7 @@ class Campaign:
                 "keep_reports needs the serial executor: live reports "
                 "hold the simulator, which cannot cross processes"
             )
+        check_timeouts(wall_timeout_s=wall_timeout_s)
         start = time.perf_counter()
         policy = (
             normalize_retry(retry)

@@ -32,11 +32,20 @@ once per distinct spec; :attr:`Trial.key` splices it in, and
 :func:`execute_trial` finds the spec in a memo keyed by that JSON
 (:func:`encode_spec` / :func:`decode_spec`), so the compiled-system
 cache's digest and the record's embedded spec come from one encoding
-per campaign.  A batch trial
-that needs no live report builds its record and the record's line
+per campaign.  A trial that runs on the batch tier — ``"batch"``, or
+``"auto"`` with no ``setup``, ``trace`` or faults document — and
+needs no live report builds its record and the record's line
 straight from the batch tier's round log
 (:func:`repro.scenario.runner.run_batch_record`); the store appends
 that line as it is.
+
+A record's ``backend`` field names the tier that ran the trial (an
+ok record) or the requested backend (a failure record, which may
+have failed before any tier was chosen).  :attr:`Trial.key` hashes
+the requested backend, so ``auto`` keys are independent of the tier
+it resolves to; a store that holds ``auto`` records written while
+``auto`` resolved to ``"fast"`` keeps serving them under the same
+keys, and they differ from batch-written ones only in ``backend``.
 """
 
 from __future__ import annotations
@@ -219,7 +228,10 @@ def execute_trial(
     then), the wall-clock cost of this execution, and the live
     :class:`~repro.scenario.runner.RunReport` or ``None``.
 
-    A batch trial with no ``setup``, ``trace``, faults document or
+    The trial's tier is :func:`~repro.scenario.runner.select_backend`'s
+    choice, exactly as :func:`~repro.scenario.runner.run` makes it, so
+    an ``"auto"`` trial with no ``setup``, ``trace`` or faults
+    document runs on the batch tier.  A batch trial without
     ``keep_report`` never builds a live report: its record and line
     come straight from the batch tier's round log, byte-identical to
     ``trial_record(trial, run(...).to_dict())``.  Every other trial
@@ -228,7 +240,7 @@ def execute_trial(
     across process boundaries, it holds the unpicklable simulator).
     """
     from repro.faults.primitives import FaultSpec
-    from repro.scenario.runner import run, run_batch_record
+    from repro.scenario.runner import run, run_batch_record, select_backend
     from repro.scenario.workload import workload_from_dict
 
     spec = decode_spec(trial.spec_json, trial.spec_doc)
@@ -238,13 +250,13 @@ def execute_trial(
         if trial.faults_doc is None
         else FaultSpec.from_dict(trial.faults_doc)
     )
-    if (
-        trial.backend == "batch"
-        and faults is None
-        and setup is None
-        and not trace
-        and not keep_report
-    ):
+    mode = select_backend(
+        trial.backend,
+        trace,
+        faults_active=bool(faults),
+        live_system=setup is not None or faults is not None,
+    )
+    if mode == "batch" and not keep_report:
         report_doc, report_json, wall_s = run_batch_record(
             spec,
             workload,
@@ -257,7 +269,7 @@ def execute_trial(
     report = run(
         spec,
         workload,
-        backend=trial.backend,
+        backend=mode,
         trace=trace,
         timeout_s=trial.timeout_s,
         setup=setup,

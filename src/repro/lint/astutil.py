@@ -33,35 +33,6 @@ def terminal_name(node: ast.AST) -> Optional[str]:
     return None
 
 
-def string_template(node: ast.AST) -> Optional[str]:
-    """A comparable template for a string expression.
-
-    Plain strings map to themselves; f-strings map to the literal
-    text with every interpolation replaced by ``{}``.  String
-    concatenation with ``+`` concatenates templates.
-    """
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        return node.value
-    if isinstance(node, ast.JoinedStr):
-        parts: List[str] = []
-        for value in node.values:
-            if isinstance(value, ast.Constant) and isinstance(
-                value.value, str
-            ):
-                parts.append(value.value)
-            elif isinstance(value, ast.FormattedValue):
-                parts.append("{}")
-            else:
-                return None
-        return "".join(parts)
-    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
-        left = string_template(node.left)
-        right = string_template(node.right)
-        if left is not None and right is not None:
-            return left + right
-    return None
-
-
 def dict_literal_keys(node: ast.Dict) -> List[str]:
     """String keys of a dict literal (non-string keys skipped)."""
     keys: List[str] = []
@@ -70,9 +41,3 @@ def dict_literal_keys(node: ast.Dict) -> List[str]:
             keys.append(key.value)
     return keys
 
-
-def assigned_name(node: ast.Assign) -> Optional[str]:
-    """The single Name target of an assignment, else ``None``."""
-    if len(node.targets) == 1 and isinstance(node.targets[0], ast.Name):
-        return node.targets[0].id
-    return None

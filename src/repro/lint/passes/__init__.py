@@ -2,7 +2,6 @@
 
 from repro.lint.passes import (  # noqa: F401
     api_hygiene,
-    backend_parity,
     determinism,
     schema,
     time_hygiene,

@@ -15,14 +15,19 @@ Backend selection (``backend=``)
   bus-round sequences execute without simulator or node objects.
   Fastest by a wide margin for large campaigns; no ``setup`` hooks,
   tracing or fault injection.
-* ``"auto"`` (default) — tracing implies ``"edge"`` (the fast path
-  never toggles nets, so there is nothing to trace); otherwise the
-  throughput-oriented ``"fast"`` backend is chosen.  ``auto`` never
-  resolves to ``"batch"`` — opting into the compiled tier is always
-  explicit, keeping campaign trial keys stable.  All tiers are
+* ``"auto"`` (default) — the fastest tier the run allows
+  (:func:`select_backend`): tracing or an active fault set implies
+  ``"edge"`` (the other tiers never toggle nets, so there is nothing
+  to trace or disturb); a ``setup`` hook or any ``faults`` argument
+  (an empty :class:`FaultSpec` too, which still attaches a
+  :class:`ReliabilityReport`) needs a live system, so ``"fast"``;
+  every other run goes to ``"batch"``.  All tiers are
   result-equivalent for message-granularity workloads (enforced by
   ``tests/integration/`` and the :mod:`repro.diffcheck` fuzzer), so
-  ``auto`` only ever changes speed, not answers.
+  ``auto`` only ever changes speed, not answers.  Campaign trial keys
+  hash the *requested* backend, so they do not depend on this rule;
+  the ``backend`` field of a report (and of an ok trial record)
+  names the resolved tier.
 
 The backend registry below is table-driven: :data:`BACKEND_TABLE` is
 the single source of truth for names, capabilities and help text, and
@@ -42,6 +47,7 @@ the full report.
 from __future__ import annotations
 
 import functools
+import math
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -71,8 +77,11 @@ class BackendInfo:
     """One row of the backend registry.
 
     ``selector`` marks pseudo-backends that resolve to a concrete tier
-    (only ``"auto"``).  Capability flags gate :func:`select_backend`
-    and :func:`run` validation; ``description`` feeds CLI help.
+    (only ``"auto"``).  Capability flags gate :func:`select_backend`;
+    ``supports_setup`` means the tier builds a live
+    :class:`MBusSystem`, which ``setup`` hooks and the reliability
+    analytics of any ``faults`` argument need.  ``description`` feeds
+    CLI help.
     """
 
     name: str
@@ -89,7 +98,8 @@ class BackendInfo:
 BACKEND_TABLE: Tuple[BackendInfo, ...] = (
     BackendInfo(
         "auto",
-        "pick for me: edge when tracing or injecting faults, else fast",
+        "pick for me: edge when tracing or injecting faults, fast for "
+        "setup hooks or a faults argument, else batch",
         selector=True,
         supports_trace=True,
         supports_faults=True,
@@ -131,16 +141,27 @@ def backend_help() -> str:
 
 
 def select_backend(
-    backend: str = "auto", trace: bool = False, faults_active: bool = False
+    backend: str = "auto",
+    trace: bool = False,
+    faults_active: bool = False,
+    live_system: bool = False,
 ) -> str:
     """Resolve ``backend`` to a concrete execution tier.
 
-    An *active* (non-empty) fault set forces the edge engine: faults
-    disturb wires and power domains, which neither the transaction-
-    level fast path nor the compiled batch tier models.  Requesting a
-    backend without fault support while faults are active is a hard
-    error rather than a silent downgrade; an empty
-    :class:`FaultSpec` never constrains the choice.
+    ``live_system`` says the run needs a built :class:`MBusSystem`: a
+    ``setup`` hook, or any ``faults`` argument (even an empty
+    :class:`FaultSpec`, which still attaches a
+    :class:`ReliabilityReport`).  ``"auto"`` picks:
+
+    * ``"edge"`` when tracing or when the fault set is *active*
+      (non-empty): faults disturb wires and power domains, which
+      neither the transaction-level fast path nor the compiled batch
+      tier models, and only edge toggles nets to trace;
+    * ``"fast"`` when the run needs a live system;
+    * ``"batch"`` otherwise.
+
+    Requesting a concrete backend that cannot serve the run is a hard
+    error rather than a silent downgrade.
     """
     info = BACKEND_REGISTRY.get(backend)
     if info is None:
@@ -154,12 +175,41 @@ def select_backend(
             "state to disturb; use backend='edge' or 'auto'"
         )
     if info.selector:
-        return "edge" if (trace or faults_active) else "fast"
+        if trace or faults_active:
+            return "edge"
+        return "fast" if live_system else "batch"
     if trace and not info.supports_trace:
         raise ConfigurationError(
             "tracing requires the edge backend; use backend='edge' or 'auto'"
         )
+    if live_system and not info.supports_setup:
+        raise ConfigurationError(
+            "setup hooks and reliability analytics (any faults= "
+            "argument) need a live system; the "
+            f"{info.name!r} backend never builds one — use "
+            "backend='edge', 'fast' or 'auto'"
+        )
     return backend
+
+
+def check_timeouts(**budgets: Optional[float]) -> None:
+    """Reject a time budget that is negative or not a finite number,
+    naming its field (``check_timeouts(timeout_s=...)``).  ``None``
+    means no limit.  A negative simulated horizon would end a run
+    before its first event and report it ok with no traffic."""
+    for name, value in budgets.items():
+        if value is None:
+            continue
+        if (
+            isinstance(value, bool)
+            or not isinstance(value, (int, float))
+            or not math.isfinite(value)
+            or value < 0
+        ):
+            raise ConfigurationError(
+                f"{name} must be a finite number of seconds >= 0 "
+                f"(or null for no limit), not {value!r}"
+            )
 
 
 @dataclass
@@ -192,7 +242,9 @@ class RunReport:
     #: :func:`run`, even as an empty spec.
     reliability: Optional[ReliabilityReport] = None
     #: The live system (tracer access, node inboxes); excluded from
-    #: comparisons and repr.
+    #: comparisons and repr.  ``None`` on the batch tier, so under
+    #: ``backend="auto"`` only a run with ``trace``, ``setup`` or
+    #: ``faults`` has one.
     system: Optional[MBusSystem] = field(
         default=None, repr=False, compare=False
     )
@@ -428,19 +480,28 @@ def run(
     ``faults`` — a :class:`~repro.faults.FaultSpec` (or a fault /
     iterable of faults) injected deterministically during the run.  A
     non-empty set forces the edge backend under ``backend="auto"``
-    and rejects an explicit ``"fast"``; any ``faults`` argument,
-    including an empty spec, attaches a
-    :class:`~repro.faults.ReliabilityReport` to the result.
+    and rejects an explicit ``"fast"`` or ``"batch"``; any ``faults``
+    argument, including an empty spec, attaches a
+    :class:`~repro.faults.ReliabilityReport` to the result (and so
+    keeps ``auto`` off the batch tier; see :func:`select_backend`).
 
     ``wall_timeout_s`` bounds *host* time: the event loop raises
     :class:`~repro.core.errors.WallClockTimeout` (cooperatively,
     checked every 256 events) once the budget is spent.  Campaign
     executors convert this into a recorded ``timeout`` failure.
+    Either budget must be ``None`` or a finite number ``>= 0``
+    (:func:`check_timeouts`).
     """
+    check_timeouts(timeout_s=timeout_s, wall_timeout_s=wall_timeout_s)
     wall_deadline = _wall_deadline(wall_timeout_s)
     fault_spec = normalize_faults(faults)
     faults_active = bool(fault_spec)
-    mode = select_backend(backend, trace, faults_active=faults_active)
+    mode = select_backend(
+        backend,
+        trace,
+        faults_active=faults_active,
+        live_system=setup is not None or fault_spec is not None,
+    )
     span, tracer = _run_span(mode)
     with span:
         report = _run_on(
@@ -479,6 +540,7 @@ def run_batch_record(
     same ``run`` span, phases, ``run.calls`` count and per-transaction
     sim spans.
     """
+    check_timeouts(timeout_s=timeout_s, wall_timeout_s=wall_timeout_s)
     wall_deadline = _wall_deadline(wall_timeout_s)
     span, tracer = _run_span("batch")
     with span:
@@ -547,17 +609,6 @@ def _run_on(
     """The backend dispatch body of :func:`run`, which encloses it in
     a ``run`` span when tracing."""
     if mode == "batch":
-        if setup is not None:
-            raise ConfigurationError(
-                "setup hooks attach code to a live MBusSystem; the batch "
-                "backend never builds one — use backend='edge' or 'fast'"
-            )
-        if fault_spec is not None:
-            raise ConfigurationError(
-                "reliability analytics require a live system; the batch "
-                "backend never builds one — drop faults= or use "
-                "backend='edge' or 'fast'"
-            )
         return _run_batch(
             spec, workload, timeout_s=timeout_s, wall_deadline=wall_deadline
         )

@@ -40,6 +40,7 @@ from repro.campaign.campaign import EXECUTORS
 from repro.campaign.trial import canonical_json
 from repro.core.errors import ConfigurationError
 from repro.core.schema import REPORT_SCHEMA_VERSION
+from repro.scenario.runner import check_timeouts
 
 #: URL prefix every route lives under; bump on breaking route changes.
 API_PREFIX = "/v1"
@@ -71,6 +72,7 @@ class SubmitOptions:
                 f"options.executor must be one of {EXECUTORS}, "
                 f"not {self.executor!r}"
             )
+        check_timeouts(**{"options.wall_timeout_s": self.wall_timeout_s})
 
     def to_dict(self) -> Dict:
         return {

@@ -119,6 +119,16 @@ class TestThreeWayEquivalence:
         with pytest.raises(BusLockedError):
             run(spec, workload, backend="batch", timeout_s=1e-9)
 
+    @pytest.mark.parametrize("backend", ["edge", "fast", "batch"])
+    def test_horizon_inside_a_round_locks_the_bus(self, backend):
+        spec, workload = SHAPES["one_shot"]
+        (txn,) = run(spec, workload, backend="fast").transactions
+        # The round starts before the horizon and ends after it: every
+        # tier stops with it in flight.
+        mid_s = (txn.start_ps + txn.duration_ps // 2) / 1e12
+        with pytest.raises(BusLockedError):
+            run(spec, workload, backend=backend, timeout_s=mid_s)
+
 
 class TestBatchReport:
     def test_report_shape(self):

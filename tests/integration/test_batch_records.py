@@ -36,7 +36,7 @@ from repro.diffcheck import generate_scenarios
 from repro.obs import observe, strip_wall_fields
 from repro.obs.tracer import canonical_line, trace_records
 from repro.scenario import Burst, NodeSpec, SystemSpec, run
-from repro.scenario.workload import workload_from_dict
+from repro.scenario.workload import PostEvent, workload_from_dict
 
 from tests.integration.test_batch_backend import staggered_fleet
 from tests.integration.test_batch_golden import fig14_grid, fig14_spec
@@ -306,3 +306,32 @@ class TestTemplateTables:
         for trial, record in checked:
             clear_cache()
             assert execute_trial(trial)[0] == record
+
+    def test_a_run_keeps_its_own_working_set_warm(self):
+        clear_cache()
+        spec = fig14_spec()
+
+        def messages(first):
+            # One round per message, far enough apart to drain.
+            return [
+                PostEvent(i * 1e-3, "m", Address.short(0x2, 5),
+                          (first + i).to_bytes(2, "big"))
+                for i in range(300)
+            ]
+
+        def planned(events):
+            with observe(trace=False, profile=False) as session:
+                assert run(spec, events, backend="batch").n_ok == 300
+            counters = session.metrics.to_dict()["counters"]
+            return counters.get("tlm.plan_round_calls", 0)
+
+        csys = compile_system_cached(spec)
+        assert 300 > MAX_TEMPLATES
+        assert planned(messages(0)) == 300
+        assert planned(messages(0)) == 0      # the whole set stayed
+        assert len(csys.template_list) == 300
+        assert planned(messages(1000)) == 300
+        assert len(csys.template_list) == 600
+        # 600 > MAX_TEMPLATES + 300: the next run starts afresh.
+        assert planned(messages(0)) == 300
+        assert len(csys.template_list) == len(csys.message_table) == 300

@@ -13,7 +13,7 @@ import json
 import pytest
 
 from repro.core import Address
-from repro.core.errors import ConfigurationError
+from repro.core.errors import BusLockedError, ConfigurationError
 from repro.scenario import (
     Broadcast,
     Burst,
@@ -130,8 +130,9 @@ class TestBackendEquivalence:
 
 
 class TestBackendSelection:
-    def test_auto_prefers_fast_for_throughput(self):
-        assert select_backend("auto") == "fast"
+    def test_auto_prefers_batch_for_throughput(self):
+        assert select_backend("auto") == "batch"
+        assert select_backend("auto", live_system=True) == "fast"
 
     def test_auto_with_trace_needs_edge(self):
         assert select_backend("auto", trace=True) == "edge"
@@ -146,7 +147,7 @@ class TestBackendSelection:
 
     def test_run_reports_resolved_backend(self):
         spec, workload = SHAPES["one_shot"]
-        assert run(spec, workload).backend == "fast"
+        assert run(spec, workload).backend == "batch"
         assert run(spec, workload, trace=True).backend == "edge"
 
     def test_traced_run_exposes_tracer(self):
@@ -154,6 +155,51 @@ class TestBackendSelection:
         report = run(spec, workload, backend="auto", trace=True)
         assert report.system.tracer is not None
         assert len(report.system.tracer.transitions) > 0
+
+
+BAD_BUDGETS = [-1.0, float("nan"), float("inf"), "1.0"]
+
+
+class TestTimeoutValidation:
+    """A negative or non-finite budget is refused by name, before any
+    tier runs (a negative ``timeout_s`` used to report an ok run with
+    no traffic; ``nan`` and ``inf`` failed inside ``int()``)."""
+
+    @pytest.mark.parametrize("backend", ["edge", "fast", "batch"])
+    @pytest.mark.parametrize("field", ["timeout_s", "wall_timeout_s"])
+    @pytest.mark.parametrize("value", BAD_BUDGETS)
+    def test_run_refuses(self, backend, field, value):
+        spec, workload = SHAPES["burst"]
+        with pytest.raises(ConfigurationError, match=field):
+            run(spec, workload, backend=backend, **{field: value})
+
+    @pytest.mark.parametrize("field", ["timeout_s", "wall_timeout_s"])
+    def test_batch_record_refuses(self, field):
+        from repro.scenario.runner import run_batch_record
+
+        spec, workload = SHAPES["burst"]
+        with pytest.raises(ConfigurationError, match=field):
+            run_batch_record(spec, workload, **{field: -1.0})
+
+    @pytest.mark.parametrize("field", ["timeout_s", "wall_timeout_s"])
+    @pytest.mark.parametrize("value", BAD_BUDGETS)
+    def test_campaign_refuses(self, field, value):
+        from repro.campaign import Campaign, load_campaign
+
+        spec, workload = SHAPES["burst"]
+        campaign = Campaign(spec, workload, **{field: value})
+        with pytest.raises(ConfigurationError, match=field):
+            campaign.trials()
+        with pytest.raises(ConfigurationError, match=field):
+            load_campaign(campaign.to_dict()).run()
+        with pytest.raises(ConfigurationError, match="wall_timeout_s"):
+            Campaign(spec, workload).run(wall_timeout_s=value)
+
+    def test_none_and_zero_are_accepted(self):
+        spec, workload = SHAPES["one_shot"]
+        assert run(spec, workload, timeout_s=None).n_ok == 1
+        with pytest.raises(BusLockedError):
+            run(spec, workload, timeout_s=0.0)
 
 
 class TestRunReport:

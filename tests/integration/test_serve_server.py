@@ -169,6 +169,21 @@ class TestHTTPSurface:
             with pytest.raises(ServeError) as exc:
                 client._request("POST", "/v1/campaigns", body={"x": 1})
             assert exc.value.status == 400
+            # Negative or non-finite time budgets, in the campaign
+            # document and in the options.
+            for field in ("timeout_s", "wall_timeout_s"):
+                with pytest.raises(ServeError) as exc:
+                    client.submit({**campaign_doc(), field: -1.0})
+                assert exc.value.status == 400
+                assert field in str(exc.value)
+            with pytest.raises(ServeError) as exc:
+                client._request("POST", "/v1/campaigns", body={
+                    "campaign": campaign_doc(),
+                    "options": {"wall_timeout_s": float("inf")},
+                })
+            assert exc.value.status == 400
+            assert "options.wall_timeout_s" in str(exc.value)
+            assert live.scheduler.jobs() == []
 
     def test_unknown_job_is_404(self):
         with ServerThread() as live:

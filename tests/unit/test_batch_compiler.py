@@ -313,9 +313,10 @@ class TestBackendRegistry:
         for name in BACKENDS:
             assert f"{name}:" in text
 
-    def test_batch_is_explicit_never_auto(self):
+    def test_batch_is_auto_without_a_live_system(self):
         assert select_backend("batch") == "batch"
-        assert select_backend("auto") == "fast"
+        assert select_backend("auto") == "batch"
+        assert select_backend("auto", live_system=True) == "fast"
         assert select_backend("auto", trace=True) == "edge"
 
     def test_unknown_backend_lists_the_registry(self):

@@ -35,13 +35,11 @@ def test_registry_has_the_contracted_passes():
         "determinism",
         "time-hygiene",
         "schema",
-        "backend-parity",
         "api-hygiene",
         "typing",
     ):
         assert name in passes
     assert passes["schema"].scope == "project"
-    assert passes["backend-parity"].scope == "project"
     assert passes["determinism"].scope == "file"
 
 
@@ -199,7 +197,6 @@ def test_cli_list_and_json(tmp_path):
     )
     assert listed.returncode == 0
     assert "determinism" in listed.stdout
-    assert "backend-parity" in listed.stdout
     write_tree(tmp_path, {"m.py": "import random\nx = random.random()\n"})
     as_json = subprocess.run(
         [sys.executable, "-m", "repro", "lint", str(tmp_path),

@@ -36,6 +36,13 @@ class TestSubmitOptions:
         with pytest.raises(ConfigurationError, match="executor"):
             SubmitOptions(executor="gpu")
 
+    @pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf")])
+    def test_bad_wall_budget_rejected(self, value):
+        with pytest.raises(ConfigurationError, match="wall_timeout_s"):
+            SubmitOptions(wall_timeout_s=value)
+        with pytest.raises(ConfigurationError, match="wall_timeout_s"):
+            SubmitOptions.from_dict({"wall_timeout_s": value})
+
     def test_strict_rejects_unknown_keys(self):
         with pytest.raises(ConfigurationError, match="shards"):
             SubmitOptions.from_dict({"shards": 4})
