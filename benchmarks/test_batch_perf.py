@@ -1,7 +1,6 @@
 """Tier-3 batch backend performance: compiled replay vs fast path.
 
-Two guards, both against the transaction-level fast path (itself
-already ~20x over the edge engine, see ``test_perf_engine.py``):
+Two workloads, each run on both transaction-level tiers:
 
 * the Figure 14 burst grid — the saturating two-node burst at three
   queue depths; and
@@ -9,22 +8,23 @@ already ~20x over the edge engine, see ``test_perf_engine.py``):
   batch tier exists for (one compiled system, a handful of round
   templates, tens of thousands of replayed rounds).
 
-The guard is on the mechanism the batch tier's speed comes from, not
-on the wall clock, which races on a shared host: the fast path plans
-every round (``tlm.plan_round_calls`` counts ``plan_round``), the
-batch tier plans each round shape once and replays it.  From a cold
-compile cache (``repro.batch.clear_cache()``) the batch tier must
-plan at most a tenth as many rounds as the fast path on every grid
-point and on the fleet, with the same answer.  The wall-clock rows
-(interleaved best-of-N on the grid) are printed for information.
-These are assert-only guards that write no files: ``perfbench/`` is
-the benchmark record.
+The guard is on the mechanism both tiers' speed comes from, not on
+the wall clock, which races on a shared host: each tier resolves a
+round from its template table and plans (``tlm.plan_round_calls``
+counts ``plan_round``) only a round shape it has not seen.  From a
+cold compile cache (``repro.batch.clear_cache()``) each tier must plan
+at most one of every ten rounds it ran, on every grid point and on the
+fleet, fast must plan exactly as many rounds as batch, and the two
+must give the same answer.  The wall-clock rows (interleaved
+best-of-N on the grid) are printed for information.  These are
+assert-only guards that write no files: ``perfbench/`` is the
+benchmark record.
 """
 
 GRID = (60, 240, 960)
 GRID_REPEATS = 7
-#: fast-path plan_round calls per batch-tier call, at least.
-REQUIRED_PLAN_RATIO = 10
+#: Rounds each tier runs per plan_round call, at least.
+ROUNDS_PER_PLAN = 10
 
 FLEET_NODES = 100
 FLEET_BURST = 102      # 99 members x 102 posts = 10098 transactions
@@ -78,12 +78,16 @@ def planned_run(spec, workload, backend):
     return report, counters.get("tlm.plan_round_calls", 0)
 
 
-def check_plan_ratio(where, fast_plans, batch_plans):
-    assert batch_plans >= 1
-    assert batch_plans * REQUIRED_PLAN_RATIO <= fast_plans, (
-        f"batch planned {batch_plans} rounds against the fast path's "
-        f"{fast_plans} {where}; it must plan at most 1/"
-        f"{REQUIRED_PLAN_RATIO} as many"
+def check_plans(where, fast, fast_plans, batch, batch_plans):
+    for tier, report, plans in (
+        ("fast", fast, fast_plans), ("batch", batch, batch_plans)
+    ):
+        assert 1 <= plans * ROUNDS_PER_PLAN <= report.n_transactions, (
+            f"{tier} planned {plans} of its {report.n_transactions} rounds "
+            f"{where}; it must plan at most 1/{ROUNDS_PER_PLAN} of them"
+        )
+    assert fast_plans == batch_plans, (
+        f"fast planned {fast_plans} rounds and batch {batch_plans} {where}"
     )
 
 
@@ -98,7 +102,7 @@ def test_batch_fig14_grid(report, burst_runner):
         batch, batch_plans = planned_run(spec, workload, "batch")
         assert fast.n_ok == batch.n_ok == n
         assert batch.events_processed == fast.events_processed
-        check_plan_ratio(f"at {n} messages", fast_plans, batch_plans)
+        check_plans(f"at {n} messages", fast, fast_plans, batch, batch_plans)
         best = {"fast": None, "batch": None}
         for _ in range(GRID_REPEATS):
             for mode in ("fast", "batch"):
@@ -132,7 +136,7 @@ def test_batch_fleet_campaign(report):
     # The count only counts if the answer is the same answer.
     assert batch.transaction_signatures() == fast.transaction_signatures()
     assert batch.power == fast.power
-    check_plan_ratio("on the fleet", fast_plans, batch_plans)
+    check_plans("on the fleet", fast, fast_plans, batch, batch_plans)
 
     batch_best = None
     for _ in range(FLEET_REPEATS):

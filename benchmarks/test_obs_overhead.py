@@ -10,12 +10,12 @@ deterministically, on all three backends, with a Figure 14 burst:
   ``OBS.tracer`` are swapped for tripwires that fail on any use for
   the length of the run;
 * **the per-round wrapper is a tail call** — the only per-round site
-  is the :func:`repro.core.tlm_engine.plan_round` wrapper (the fast
-  path calls it once per bus round, the batch tier once per round
-  template).  Disabled, it must call ``_plan_round_impl`` exactly
+  is the :func:`repro.core.tlm_engine.plan_round` wrapper (both
+  transaction-level tiers call it once per round template, the edge
+  engine never).  Disabled, it must call ``_plan_round_impl`` exactly
   once per call, and be called exactly as often as an observed run of
-  the same burst counts in ``tlm.plan_round_calls`` — on the fast
-  path, once per transaction.
+  the same burst counts in ``tlm.plan_round_calls`` — from a cold
+  cache, at most once per ten transactions.
 
 Wall-clock rows are printed for information only: the shipped
 guarded path against ``plan_round`` re-linked to its unwrapped
@@ -83,13 +83,13 @@ def counted_plan_round():
     wrapper = tlm_engine.plan_round
     impl = tlm_engine._plan_round_impl
 
-    def counted_wrapper(ctx):
+    def counted_wrapper(ctx, key):
         counts["wrapper"] += 1
-        return wrapper(ctx)
+        return wrapper(ctx, key)
 
-    def counted_impl(ctx):
+    def counted_impl(ctx, key):
         counts["impl"] += 1
-        return impl(ctx)
+        return impl(ctx, key)
 
     saved = (fastpath.plan_round, batch_executor.plan_round)
     fastpath.plan_round = batch_executor.plan_round = counted_wrapper
@@ -166,8 +166,9 @@ def test_disabled_obs_does_no_obs_work(report):
             f"times and its implementation {counts['impl']} times; an "
             f"observed run planned {planned} rounds"
         )
-        if mode == "fast":
-            assert planned == txns
+        assert planned * 10 <= txns, (
+            f"{mode}: planned {planned} of {txns} rounds from a cold cache"
+        )
         guarded, bypassed = measure_pair(mode, n_messages, INFO_REPEATS)
         lines.append(
             f"  [info] {mode:<6} {n_messages:>4} msg  "

@@ -7,17 +7,18 @@ wall-clock time, simulator events and achieved transaction
 throughput.  It writes no files: ``perfbench/`` is the benchmark
 record; this module only keeps the coarse speedup guard.
 
-Acceptance: the fast path must clear a 10x wall-clock speedup on this
-workload.  It measures ≈20x on a 2-vCPU VM (19–21x over three runs);
-that headroom shrinks whenever the edge engine alone gets faster (it
-read ≈28x before the edge event core was rebuilt).  The cheaper 5x
-smoke guard in ``conftest.py`` runs for every benchmark session.
+Acceptance is on work, not wall clock, which races a loaded host:
+the fast path fires fewer than one simulator event per 20 of the edge
+engine's, and from a cold cache it plans at most one round in ten (a
+60-message burst plans one).  The wall-clock speedup is printed for
+information; it measures ≈20x on a 2-vCPU VM (19–21x over three
+runs) and shrinks whenever the edge engine alone gets faster.  The
+session smoke guard in ``conftest.py`` checks the same counts.
 """
 
 import time
 
 REPEATS = 5
-REQUIRED_SPEEDUP = 10.0
 
 
 def test_perf_engine_speedup(report, burst_runner):
@@ -34,13 +35,13 @@ def test_perf_engine_speedup(report, burst_runner):
         f"{txns / edge_wall:10.0f} txn/s (wall)\n"
         f"  fast: {fast_wall * 1e3:8.2f} ms  {fast_events:>6} events  "
         f"{txns / fast_wall:10.0f} txn/s (wall)\n"
-        f"  speedup: {speedup:.0f}x wall-clock, "
+        f"  speedup: {speedup:.0f}x wall-clock (information), "
         f"{edge_events / fast_events:.0f}x fewer events"
     )
     assert fast_events * 20 < edge_events
-    assert speedup >= REQUIRED_SPEEDUP, (
-        f"fast path speedup {speedup:.1f}x below required "
-        f"{REQUIRED_SPEEDUP:.0f}x"
+    _, rounds, plans = burst_runner["counts"]("fast")
+    assert plans * 10 <= rounds, (
+        f"the fast path planned {plans} of its {rounds} rounds"
     )
 
 

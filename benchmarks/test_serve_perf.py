@@ -21,14 +21,12 @@ a regression tripwire for accidental per-trial rescans or busy-wait
 loops, not a latency SLO.  Both wall times are reported.
 """
 
-import asyncio
-import threading
 import time
 
 from repro.campaign import Campaign, Grid, canonical_json
 from repro.core import Address
 from repro.scenario import Burst, NodeSpec, SystemSpec
-from repro.serve import CampaignServer, Scheduler, ServeClient
+from repro.serve import BackgroundServer
 
 N_TRIALS = 8
 
@@ -60,35 +58,6 @@ def campaign_doc():
     ).to_dict()
 
 
-class ServerThread:
-    def __init__(self, root):
-        self.server = CampaignServer(Scheduler(root=root), port=0)
-        self._loop = None
-        self._stop = None
-        self._started = threading.Event()
-        self._thread = threading.Thread(target=self._run, daemon=True)
-
-    def _run(self):
-        asyncio.run(self._main())
-
-    async def _main(self):
-        self._loop = asyncio.get_running_loop()
-        self._stop = asyncio.Event()
-        await self.server.start()
-        self._started.set()
-        await self._stop.wait()
-        await self.server.stop()
-
-    def __enter__(self):
-        self._thread.start()
-        assert self._started.wait(10)
-        return self
-
-    def __exit__(self, *_exc):
-        self._loop.call_soon_threadsafe(self._stop.set)
-        self._thread.join(timeout=30)
-
-
 def serve_cycle(client, doc):
     """One submit/watch/stream round trip; returns (wall_s, status,
     streamed lines)."""
@@ -110,8 +79,8 @@ def test_serve_overhead_bounded(tmp_path, report):
     direct_s = time.perf_counter() - start
     expected = [canonical_json(r.record) for r in direct]
 
-    with ServerThread(tmp_path / "serve") as live:
-        client = ServeClient(port=live.server.port)
+    with BackgroundServer(tmp_path / "serve") as live:
+        client = live.client()
         cold_s, cold, cold_lines = serve_cycle(client, doc)
         cached_s, cached, cached_lines = serve_cycle(client, doc)
 

@@ -6,9 +6,10 @@ service: clients POST campaign documents, the server executes them
 through the shared content-addressed ResultStore (so identical work
 — across requests, clients and restarts — is deduped to near-free
 cache hits), and results stream back as JSONL while trials are still
-running.  This example hosts a server in-process (a background
-thread holding its own asyncio loop — the same topology the tests
-use) and walks the client lifecycle:
+running.  This example hosts a server in-process with
+``repro.serve.BackgroundServer`` (a background thread holding its own
+asyncio loop — the same topology the tests use) and walks the client
+lifecycle:
 
 1. submit — a campaign JSON document becomes a job with a stable,
    content-hashed id;
@@ -28,49 +29,16 @@ Against a real server the client half is just:
 Run:  python examples/serve_client.py
 """
 
-import asyncio
 import json
 import os
 import tempfile
-import threading
 
 from repro import obs
-from repro.serve import CampaignServer, Scheduler, ServeClient
+from repro.serve import BackgroundServer
 
 SCENARIO = os.path.join(
     os.path.dirname(__file__), "scenarios", "recovery_campaign.json"
 )
-
-
-class BackgroundServer:
-    """A live campaign server on an ephemeral port."""
-
-    def __init__(self, root: str) -> None:
-        self.server = CampaignServer(Scheduler(root=root), port=0)
-        self._loop = None
-        self._stop = None
-        self._ready = threading.Event()
-        self._thread = threading.Thread(target=self._run, daemon=True)
-
-    def _run(self) -> None:
-        asyncio.run(self._main())
-
-    async def _main(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._stop = asyncio.Event()
-        await self.server.start()
-        self._ready.set()
-        await self._stop.wait()
-        await self.server.stop()
-
-    def __enter__(self) -> "BackgroundServer":
-        self._thread.start()
-        self._ready.wait(10)
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self._loop.call_soon_threadsafe(self._stop.set)
-        self._thread.join(timeout=30)
 
 
 def main() -> None:
@@ -80,7 +48,7 @@ def main() -> None:
     with obs.observe(trace=False, profile=False) as session, \
             tempfile.TemporaryDirectory() as root, \
             BackgroundServer(root) as live:
-        client = ServeClient(port=live.server.port)
+        client = live.client()
         print(f"=== server up at {live.server.address} ===")
         print(f"  healthz: {client.healthz()}")
 

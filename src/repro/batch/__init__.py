@@ -30,7 +30,6 @@ from repro.batch.compiler import (
 from repro.batch.executor import (
     BatchExecutor,
     BatchResult,
-    RoundTemplate,
     materialize,
 )
 
@@ -42,7 +41,6 @@ __all__ = [
     "CompiledWorkload",
     "KIND_INTERRUPT",
     "KIND_POST",
-    "RoundTemplate",
     "cache_stats",
     "clear_cache",
     "compile_system_cached",

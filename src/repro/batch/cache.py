@@ -68,7 +68,7 @@ def cache_stats() -> dict:
             "hits": _hits,
             "misses": _misses,
             "templates": sum(
-                len(csys.template_list) for csys in _cache.values()
+                len(csys.templates) for csys in _cache.values()
             ),
         }
 

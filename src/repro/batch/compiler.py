@@ -8,9 +8,10 @@ either engine.  Instead this module lowers
   :class:`CompiledSystem` — the mediator-rooted
   :class:`~repro.core.tlm_engine.RingTopology` the analytic round
   planner needs (built by the same
-  :func:`~repro.core.tlm_engine.lower_ring` the fast path calls), plus
-  the names and gating flags the executor indexes by ring position;
-  and
+  :func:`~repro.core.tlm_engine.lower_ring` the fast path calls), the
+  names and gating flags the executor indexes by ring position, and
+  the system's :class:`~repro.core.tlm_engine.RoundTable`, shared by
+  every trial that compiles the same spec; and
 * a compiled workload schedule into a :class:`CompiledWorkload` —
   sorted parallel ``(t_ps, position, kind, payload-ref)`` arrays with
   every distinct :class:`~repro.core.messages.Message` interned once.
@@ -33,7 +34,13 @@ from repro.core.bus import check_prefixes, effective_anchor
 from repro.core.errors import ConfigurationError
 from repro.core.messages import Message
 from repro.core.node import NodeConfig
-from repro.core.tlm_engine import lower_ring
+from repro.core.tlm_engine import (
+    MAX_TEMPLATES,
+    RoundContext,
+    RoundTable,
+    RoundTemplate,
+    lower_ring,
+)
 from repro.scenario.spec import SystemSpec
 from repro.scenario.workload import InterruptEvent, PostEvent, ScheduleEvent
 
@@ -43,18 +50,6 @@ PS_PER_S = 1_000_000_000_000
 KIND_POST = 0
 KIND_INTERRUPT = 1
 
-#: Round templates, or interned messages, a compiled system carries
-#: into its next run *beyond the templates its last run used*.  Every
-#: distinct payload adds one of each, and a cached system lives as
-#: long as its compile-cache entry (a long-running ``repro serve``
-#: never drops it), so once either table passes
-#: ``MAX_TEMPLATES + CompiledSystem.last_run_templates`` the next run
-#: starts both afresh.  A workload that repeats its own messages stays
-#: warm however many templates it needs; a stream of one-off payloads
-#: keeps about ``MAX_TEMPLATES`` plus one run's worth.
-MAX_TEMPLATES = 256
-
-
 class CompiledSystem:
     """A spec lowered to per-position arrays (mediator at 0).
 
@@ -62,20 +57,30 @@ class CompiledSystem:
     position: the interned node names (for report assembly), the
     gating flags, and the planner-facing :class:`RingTopology`, whose
     ``nodes`` hold every per-node fact.  Instances also carry the
-    mutable round ``templates`` cache, so a spec compiled once per
+    mutable round ``templates`` table, so a spec compiled once per
     campaign shares warm templates across every trial that uses it.
+
+    That table, and the message intern table, are bounded at the
+    start of each run (:func:`compile_workload`): every distinct
+    payload adds one entry to each, and a cached system lives as long
+    as its compile-cache entry (a long-running ``repro serve`` never
+    drops it), so once either passes
+    :data:`~repro.core.tlm_engine.MAX_TEMPLATES` plus the templates
+    the last run used, the next run starts both afresh.  A workload
+    that repeats its own messages stays warm however many templates
+    it needs; a stream of one-off payloads keeps about
+    ``MAX_TEMPLATES`` plus one run's worth.
     """
 
     __slots__ = (
         "spec", "n", "power_gated",
         "names", "spec_order_names", "position_of", "topology",
-        "anchor_pos", "max_message_bytes",
-        # mutable caches shared by every workload compiled against
-        # this system: round templates (see executor) and the global
-        # message intern table (workload ``ref`` values index it, so
-        # template keys are pure-integer and stable across trials),
-        # keyed by ``(dest, payload, priority)``
-        "templates", "template_list", "message_ids", "message_table",
+        "anchor_pos",
+        # mutable tables shared by every workload compiled against
+        # this system: round templates and the global message intern
+        # table (workload ``ref`` values index it), keyed by
+        # ``(dest, payload, priority)``
+        "templates", "message_ids", "message_table",
         # how many distinct templates the last run executed (set by
         # the executor; part of compile_workload's table bound)
         "last_run_templates",
@@ -107,22 +112,29 @@ class CompiledSystem:
                 configs[self.spec_order_names.index(anchor)]
             )
         self.anchor_pos = None if anchor is None else self.position_of[anchor]
-        self.max_message_bytes = (
+        self.templates = RoundTable(RoundContext(
+            self.topology,
+            self.anchor_pos,
             constants.MIN_MAX_MESSAGE_BYTES
             if spec.max_message_bytes is None
-            else constants.clamp_max_message_bytes(spec.max_message_bytes)
-        )
-        self.last_run_templates = 0
-        self.clear_tables()
-
-    def clear_tables(self) -> None:
-        """Drop every round template and interned message.  Template
-        ids and message refs only mean something inside the run that
-        made them, so this is safe between runs."""
-        self.templates: Dict[tuple, object] = {}
-        self.template_list: List[object] = []
+            else constants.clamp_max_message_bytes(spec.max_message_bytes),
+        ))
         self.message_ids: Dict[Tuple[Address, bytes, bool], int] = {}
         self.message_table: List[Message] = []
+        self.last_run_templates = 0
+
+    @property
+    def template_list(self) -> List[RoundTemplate]:
+        """The round templates, in planning order."""
+        return list(self.templates.values())
+
+    def clear_tables(self) -> None:
+        """Drop every round template and interned message.  Message
+        refs only mean something inside the run that made them, so
+        this is safe between runs."""
+        self.templates.clear()
+        self.message_ids.clear()
+        self.message_table.clear()
 
 
 class CompiledWorkload:
@@ -136,8 +148,8 @@ class CompiledWorkload:
     index into the compiled system's ``message_table`` (``-1`` for
     interrupts).  Messages are interned on the *compiled system*, so
     equal messages share one integer id across every workload
-    compiled against the same system — which keeps the executor's
-    template keys integer-only and valid across campaign trials.
+    compiled against the same system, and the executor's queues
+    hold and compare integers.
     Index order *is* scheduler order: the runner schedules all
     workload events before the simulation starts, so their insertion
     sequence — and therefore their priority at equal timestamps — is
@@ -174,11 +186,11 @@ def compile_workload(
     :class:`~repro.core.messages.Message` only the first time its
     ``(dest, payload, priority)`` is seen on ``csys``.  This is where a
     run starts, so it is also where ``csys`` sheds tables that grew
-    past :data:`MAX_TEMPLATES` plus the templates its last run used,
-    before anything is interned.
+    past :data:`~repro.core.tlm_engine.MAX_TEMPLATES` plus the
+    templates its last run used, before anything is interned.
     """
     limit = MAX_TEMPLATES + csys.last_run_templates
-    if len(csys.template_list) > limit or len(csys.message_table) > limit:
+    if len(csys.templates) > limit or len(csys.message_table) > limit:
         csys.clear_tables()
     position_of = csys.position_of
     t_ps: List[int] = []

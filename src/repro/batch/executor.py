@@ -5,32 +5,26 @@ few power-ons, a finalize).  This executor removes the event queue and
 the object graph entirely: it merges three integer streams — the
 compiled workload arrays, a single pending round-start slot, and a
 heap of pending auto-sleeps — in exactly the ``(time, seq)`` order the
-:class:`~repro.sim.scheduler.Simulator` would have used, and resolves
-each round from a **template**.
+:class:`~repro.sim.scheduler.Simulator` would have used, and realises
+each round's :class:`~repro.core.tlm_engine.RoundTemplate` at its
+start ``t0`` by integer addition.
 
-A template is one round shape planned *once* at ``t0 = 0`` by the same
-analytic :func:`~repro.core.tlm_engine.plan_round` the fast path uses.
-Every timestamp the planner produces is ``t0``-linear (a constant
-offset from the round start for a fixed topology, request set, power
-state and pulser set), so a template keyed by
-
-    (sorted (position, message) requests,
-     sorted non-default power/interrupt states,
-     sorted pulser positions)
-
-replays at any ``t0`` by pure integer addition.  Campaign bursts
-resolve to a handful of templates executed thousands of times, which
-is where the tier-3 throughput comes from; the template cache lives on
-the :class:`~repro.batch.compiler.CompiledSystem`, so trials sharing a
-compiled spec share warm templates.
+Rounds resolve exactly as on the fast path: the executor builds the
+round's :class:`~repro.core.tlm_engine.RoundKey` and looks it up in
+the compiled system's :class:`~repro.core.tlm_engine.RoundTable`,
+planning it with :func:`~repro.core.tlm_engine.plan_round` (once, at
+``t0 = 0``) on a miss.  The table lives on the
+:class:`~repro.batch.compiler.CompiledSystem`, so trials sharing a
+compiled spec share warm templates, and campaign bursts resolve to a
+handful of templates executed thousands of times.
 
 Equivalence contract (enforced by ``tests/integration`` and the
 three-way diffcheck fuzz): byte-identical transaction signatures,
 delivery sets and wake counts versus the fast path.  Both tiers run
-one post-round policy — round starts from idle, re-requests, null
-pulses, auto-sleep suppression by in-flight request falls — written
-once in :mod:`repro.core.tlm_engine`; the template cache and the
-steady-state replay below are optimisations on top of it.
+one round resolver and one post-round policy — round starts from
+idle, re-requests, null pulses, auto-sleep suppression by in-flight
+request falls — written once in :mod:`repro.core.tlm_engine`; the
+steady-state replay below is an optimisation on top of them.
 """
 
 from __future__ import annotations
@@ -48,130 +42,19 @@ from repro.batch.compiler import (
 )
 from repro.core.bus import TransactionResult
 from repro.core.errors import BusLockedError, WallClockTimeout
-from repro.core.messages import ControlCode, ReceivedMessage
-from repro.core.schema import canonical_json
+from repro.core.messages import ReceivedMessage
 from repro.core.tlm_engine import (
-    NodeRoundState,
-    RoundContext,
+    RoundKey,
+    RoundTemplate,
     plan_round,
     post_round,
     raise_from_idle,
 )
 from repro.obs.state import OBS
-from repro.power.energy_model import MeasuredEnergyModel
 from repro.sim.scheduler import SimulationError
 
 #: Same runaway guard as ``Simulator.run(max_events=...)``.
 MAX_STEPS = 50_000_000
-
-#: The Section 6.2 model :meth:`RunReport.energy_pj` defaults to.
-_ENERGY_MODEL = MeasuredEnergyModel()
-
-
-class RoundTemplate:
-    """One planned round shape; every time field is a ``t0`` offset.
-
-    Besides what the executor replays, a template holds every report
-    field that does not depend on ``t0`` (``tx_node`` and the ``rx``
-    rows), so :func:`materialize` fills only the times per round.  A
-    campaign record's row needs even less: the round's index.  Its
-    record terms (:meth:`fill_record_terms`) are computed on first
-    use and kept for every later round of the same shape.
-    """
-
-    __slots__ = (
-        "tid", "key", "winner", "tx_node", "message", "ok", "control",
-        "general_error", "error_reason", "clock_cycles", "control_cycles",
-        "end_off", "fin_off", "node_end_off", "end_order", "bus_wake",
-        "layer_wake", "rx", "wire_row",
-        # record terms, set by fill_record_terms (``row`` is None
-        # until then)
-        "row", "rx_nodes", "row_head", "row_tail", "energy_pj",
-        "payload_bits",
-    )
-
-    def __init__(self, tid: int, key: tuple, csys: CompiledSystem, plan) -> None:
-        self.tid = tid
-        self.key = key
-        self.winner = plan.winner
-        self.tx_node = None if plan.winner is None else csys.names[plan.winner]
-        self.message = plan.message
-        self.control = plan.control
-        self.ok = (
-            plan.control is ControlCode.EOM_ACK and not plan.general_error
-        )
-        self.general_error = plan.general_error
-        self.error_reason = plan.error_reason
-        self.clock_cycles = plan.clock_cycles
-        self.control_cycles = plan.control_cycles
-        self.end_off = plan.end_ps
-        self.fin_off = max(plan.node_end_at.values())
-        self.node_end_off = tuple(
-            plan.node_end_at[q] for q in range(csys.n)
-        )
-        self.end_order = tuple(
-            sorted(plan.node_end_at, key=plan.node_end_at.get)
-        )
-        self.bus_wake = tuple(plan.bus_wake_at.items())
-        self.layer_wake = tuple(
-            (pos, at) for pos, (at, _reason) in plan.layer_wake_at.items()
-        )
-        # (receiver, dest, payload, broadcast, control, arrival offset):
-        # the receiver, then ReceivedMessage's fields in positional
-        # order with the arrival time as a t0 offset.
-        self.rx = () if plan.message is None else tuple(
-            (csys.names[d.position], plan.message.dest, d.payload,
-             plan.message.dest.is_broadcast, d.control, d.arrived_at_ps)
-            for d in plan.rx
-            if d.delivered
-        )
-        self.wire_row = tuple(
-            plan.wire_activity.get(q, 0) for q in range(csys.n)
-        )
-        self.row: Optional[Dict] = None
-
-    def fill_record_terms(self, n_nodes: int) -> None:
-        """Compute the parts of a campaign record's transaction row
-        that every round of this shape shares.
-
-        ``row`` is the ``RunReport.to_dict()`` row without ``index``
-        and ``rx_nodes`` (``rx_nodes`` keeps the receivers); the row's
-        canonical JSON is ``row_head + str(index) + row_tail``.
-        ``energy_pj`` is the round's Section 6.2 message energy on an
-        ``n_nodes`` ring (``None`` when :meth:`RunReport.energy_pj`
-        skips it) and ``payload_bits`` its delivered payload bits.
-        """
-        message = self.message
-        self.rx_nodes = tuple(rx[0] for rx in self.rx)
-        row = {
-            "ok": self.ok,
-            "control": None if self.control is None else self.control.name,
-            "tx_node": self.tx_node,
-            "payload_hex": None if message is None else message.payload.hex(),
-            "clock_cycles": self.clock_cycles,
-            "control_cycles": self.control_cycles,
-            "duration_ps": self.end_off,
-            "general_error": self.general_error,
-            "error_reason": self.error_reason,
-        }
-        # Encoded with index 0 and cut around it: '"index":' can only
-        # be that key (quotes inside string values are escaped).
-        text = canonical_json(dict(row, index=0, rx_nodes=self.rx_nodes))
-        cut = text.index('"index":0') + len('"index":')
-        self.row_head, self.row_tail = text[:cut], text[cut + 1:]
-        self.energy_pj = (
-            _ENERGY_MODEL.message_energy_pj(
-                len(message.payload),
-                n_nodes,
-                full_address=not message.dest.is_short,
-                n_receivers=max(1, len(self.rx)),
-            )
-            if self.ok and message is not None
-            else None
-        )
-        self.payload_bits = sum(8 * len(rx[2]) for rx in self.rx)
-        self.row = row
-
 
 class BatchResult:
     """Raw executor output, before report materialisation."""
@@ -184,7 +67,7 @@ class BatchResult:
     def __init__(self, round_log, hit_counts, end_ps, steps,
                  bus_on_ps, layer_on_ps, bus_wakeups, layer_wakeups):
         self.round_log = round_log            # [(t0, RoundTemplate), ...]
-        self.hit_counts = hit_counts          # {tid: executions this run}
+        self.hit_counts = hit_counts          # {RoundTemplate: executions}
         self.end_ps = end_ps
         self.steps = steps
         self.bus_on_ps = bus_on_ps            # per-position totals
@@ -235,7 +118,7 @@ class BatchExecutor:
         self.until: Optional[int] = None
         self.max_steps = MAX_STEPS
         self.round_log: List[Tuple[int, RoundTemplate]] = []
-        self.hit_counts: Dict[int, int] = {}
+        self.hit_counts: Dict[RoundTemplate, int] = {}
 
     # ------------------------------------------------------------------
     # Main merge loop.
@@ -401,53 +284,31 @@ class BatchExecutor:
         pulsers = self.pulsers
         falls = self.falls
         queues = self.queues
-        # Requests keyed by the system-interned message id: integer-
-        # only keys, stable across every trial sharing this csys.  A
-        # member requests only if its own fall is among the round's.
-        req_items = tuple(
-            (p, queues[p][0])
-            for p in sorted(self.backlog)
-            if bus_on[p] and layer_on[p] and p not in pulsers
-            and (p == 0 or p in falls)
-        )
+        messages = csys.message_table
         dirty = self.dirty
-        state_key = tuple(sorted(
-            (p, bus_on[p], layer_on[p], self.pending[p])
-            for p in dirty
-        )) if dirty else ()
-        key = (
-            req_items,
-            state_key,
+        # A member requests only if its own fall is among the round's.
+        key = RoundKey(
+            tuple(
+                (p, messages[queues[p][0]])
+                for p in sorted(self.backlog)
+                if bus_on[p] and layer_on[p] and p not in pulsers
+                and (p == 0 or p in falls)
+            ),
+            tuple(sorted(
+                (p, bus_on[p], layer_on[p], self.pending[p])
+                for p in dirty
+            )) if dirty else (),
             tuple(sorted(pulsers)) if pulsers else (),
         )
-        tpl = csys.templates.get(key)
+        templates = csys.templates
+        tpl = templates.get(key)
         if OBS.enabled:
             OBS.metrics.inc(
                 "batch.template_hits" if tpl is not None
                 else "batch.template_misses"
             )
         if tpl is None:
-            messages = csys.message_table
-            states = {
-                q: NodeRoundState(
-                    bus_on=bus_on[q],
-                    layer_on=layer_on[q],
-                    pending_interrupt=self.pending[q],
-                    is_pulser=q in pulsers,
-                )
-                for q in range(csys.n)
-            }
-            plan = plan_round(RoundContext(
-                topology=csys.topology,
-                t0=0,
-                requests={p: messages[r] for p, r in req_items},
-                states=states,
-                anchor_pos=csys.anchor_pos,
-                max_message_bytes=csys.max_message_bytes,
-            ))
-            tpl = RoundTemplate(len(csys.template_list), key, csys, plan)
-            csys.templates[key] = tpl
-            csys.template_list.append(tpl)
+            tpl = templates[key] = plan_round(templates.ctx, key)
         return tpl
 
     def _run_round(self, t0: int) -> None:
@@ -464,13 +325,13 @@ class BatchExecutor:
         self.pulsers.clear()
         # Hierarchical wakeups, applied eagerly: nothing reads power
         # state again until the round has finished.
-        for p, off in tpl.bus_wake:
+        for p, off, _reason in tpl.bus_wake:
             self.bus_on[p] = True
             self.bus_wakes[p] += 1
             self.bus_since[p] = t0 + off
             self.steps += 1
             self._refresh(p)
-        for p, off in tpl.layer_wake:
+        for p, off, _reason in tpl.layer_wake:
             self.layer_on[p] = True
             self.layer_wakes[p] += 1
             self.layer_since[p] = t0 + off
@@ -509,7 +370,7 @@ class BatchExecutor:
             if not queue:
                 backlog.discard(tpl.winner)
         self.round_log.append((t0, tpl))
-        self.hit_counts[tpl.tid] = self.hit_counts.get(tpl.tid, 0) + 1
+        self.hit_counts[tpl] = self.hit_counts.get(tpl, 0) + 1
         bus_on, layer_on = self.bus_on, self.layer_on
         pending, pending_set = self.pending, self.pending_set
         # Interrupt servicing at each node's observed transaction end.
@@ -569,6 +430,7 @@ class BatchExecutor:
         sleeps = self.sleeps
         queue = queues[w]
         head = queue[0]
+        head_request = ((w, self.csys.message_table[head]),)
         if sleeps:
             # Limit-cycle shape: exactly one gated node sleeps between
             # rounds and is rewoken by each delivery.  The sleep must
@@ -585,7 +447,7 @@ class BatchExecutor:
                 or tpl.bus_wake[0][0] != p_s
                 or tpl.layer_wake[0][0] != p_s
                 or tpl.key != (
-                    ((w, head),), ((p_s, False, False, False),), ()
+                    head_request, ((p_s, False, False, False),), ()
                 )
             ):
                 return
@@ -594,7 +456,7 @@ class BatchExecutor:
         else:
             if tpl.bus_wake or tpl.layer_wake:
                 return
-            if tpl.key != (((w, head),), (), ()):
+            if tpl.key != (head_request, (), ()):
                 return
             p_s = None
             steps_per = 2     # start dispatch + finalize per round
@@ -637,7 +499,7 @@ class BatchExecutor:
             s += delta
             log_append((s, tpl))
             queue.popleft()
-        self.hit_counts[tpl.tid] += k
+        self.hit_counts[tpl] += k
         self.seq += 1
         self.start_t0 = s + delta
         self.start_seq = self.seq
@@ -706,8 +568,8 @@ def tallies(csys: CompiledSystem, result: BatchResult):
             "layer_wakeups": result.layer_wakeups[p],
         }
     totals = [0] * csys.n
-    for tid, hits in result.hit_counts.items():
-        for p, count in enumerate(csys.template_list[tid].wire_row):
+    for tpl, hits in result.hit_counts.items():
+        for p, count in enumerate(tpl.wire_row):
             totals[p] += hits * count
     wire = {name: totals[p] for p, name in enumerate(csys.names)}
     return power, wire

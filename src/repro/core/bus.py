@@ -351,7 +351,7 @@ class MBusSystem:
         """Configure the runaway watchdog via the config channel."""
         self.build()
         if self._fast_backend is not None:
-            self._fast_backend.max_message_bytes = (
+            self._fast_backend.set_max_message_bytes(
                 constants.clamp_max_message_bytes(n_bytes)
             )
             return

@@ -103,6 +103,9 @@ class Message:
     def __post_init__(self) -> None:
         if not isinstance(self.payload, (bytes, bytearray)):
             raise ProtocolError("payload must be bytes")
+        # Immutable bytes: round keys hash the message, and a caller
+        # may reuse its bytearray once the message is posted.
+        object.__setattr__(self, "payload", bytes(self.payload))
 
     @property
     def n_bytes(self) -> int:
@@ -113,7 +116,7 @@ class Message:
         return 8 * len(self.payload)
 
     def data_bits(self) -> Tuple[int, ...]:
-        return bytes_to_bits(bytes(self.payload))
+        return bytes_to_bits(self.payload)
 
     def address_bits(self) -> Tuple[int, ...]:
         return self.dest.bits()

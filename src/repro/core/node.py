@@ -51,6 +51,12 @@ class NodeConfig:
     power_gated: bool = False
     auto_sleep: Optional[bool] = None     # default: same as power_gated
     rx_buffer_bytes: int = constants.MIN_MAX_MESSAGE_BYTES
+    #: Whether this node ACKs a complete message addressed to it, as a
+    #: pure function of the received payload (None: always ACK).  The
+    #: transaction-level tiers call it once per round shape when they
+    #: plan it and reuse the answer for every later round with the same
+    #: requests and payload, so it must not depend on call count, time
+    #: or other state.
     ack_policy: Optional[Callable[[bytes], bool]] = None
     memory_words: int = 1024
     is_mediator: bool = False

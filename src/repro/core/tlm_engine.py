@@ -1,7 +1,8 @@
-"""Transaction-level model (TLM) of MBus: closed-form transaction planning.
+"""Transaction-level model (TLM) of MBus: closed-form round planning.
 
-This module is the analytic core of the fast-path backend
-(:mod:`repro.sim.fastpath`).  Instead of firing a Python event for
+This module is the analytic core of the two transaction-level tiers,
+the fast path (:mod:`repro.sim.fastpath`) and the batch executor
+(:mod:`repro.batch.executor`).  Instead of firing a Python event for
 every CLK/DATA edge of every ring segment (the edge-accurate engine's
 O(bits x nodes) behaviour), it computes each bus round *in closed
 form* from the protocol rules of Sections 4.3-4.9:
@@ -20,13 +21,23 @@ form* from the protocol rules of Sections 4.3-4.9:
   times (bus domain at the 4th edge, layer domain 4 edges after its
   arming event) fall out.
 
-It also owns everything else the fast path and the batch executor
-must agree on, so neither keeps a copy: the mediator-rooted ring both
-lower a system to (:func:`lower_ring`) and the post-round policy of
-Sections 4.3-4.5 — whether a request or null pulse raised on an idle
-bus acts, and when it starts the next round
-(:func:`raise_from_idle`), and who re-requests, pulses or auto-sleeps
-after a round (:func:`post_round`).
+A round's outcome is a pure function of the ring settings
+(:class:`RoundContext`) and a :class:`RoundKey`: which nodes request
+with which message, each node's power and interrupt state, and who
+raised a null pulse.  :func:`plan_round` plans a key once, at
+``t0 = 0``, into a :class:`RoundTemplate` whose every time is an
+offset from the round's start, and a :class:`RoundTable` keeps the
+templates by key.  Both tiers resolve rounds from such a table and
+realise a template at its start time ``t0`` by adding ``t0``: the
+fast path as simulator events on live nodes, the batch executor as
+integer updates on flat arrays.
+
+It also owns everything else the two tiers must agree on, so neither
+keeps a copy: the mediator-rooted ring both lower a system to
+(:func:`lower_ring`) and the post-round policy of Sections 4.3-4.5 —
+whether a request or null pulse raised on an idle bus acts, and when
+it starts the next round (:func:`raise_from_idle`), and who
+re-requests, pulses or auto-sleeps after a round (:func:`post_round`).
 
 Everything here is pure computation over integers — no simulator, no
 events.  The formulas were validated edge-for-edge against the
@@ -43,11 +54,10 @@ from typing import (
     Callable,
     Dict,
     List,
-    Mapping,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
-    Union,
 )
 
 from repro.core import constants
@@ -58,13 +68,14 @@ from repro.core.node import NodeConfig
 from repro.obs.state import OBS
 
 __all__ = [
-    "NodeRoundState",
+    "MAX_TEMPLATES",
     "Rearm",
     "RingTopology",
     "RoundContext",
-    "RxDelivery",
+    "RoundKey",
+    "RoundTable",
+    "RoundTemplate",
     "TLMNode",
-    "TransactionPlan",
     "lower_ring",
     "plan_round",
     "post_round",
@@ -72,9 +83,10 @@ __all__ = [
     "resolve_arbitration",
 ]
 
-#: Per-position times: a tuple of offsets, or a plan's position-keyed
-#: dict.
-Times = Union[Sequence[int], Mapping[int, int]]
+#: The bound on a :class:`RoundTable`.  Every distinct payload adds a
+#: template, so a long run of one-off payloads would otherwise grow
+#: the table with every round.
+MAX_TEMPLATES = 256
 
 
 @dataclass(frozen=True)
@@ -92,61 +104,6 @@ class TLMNode:
     power_gated: bool
     auto_sleep: bool
     forward_delay_ps: int
-
-
-@dataclass
-class NodeRoundState:
-    """Mutable per-node inputs to one round of planning."""
-
-    bus_on: bool
-    layer_on: bool
-    pending_interrupt: bool
-    #: True when this node raised the null pulse that triggered a
-    #: wakeup round (its layer sequencer arms at the pulse).
-    is_pulser: bool = False
-
-
-@dataclass
-class RxDelivery:
-    """One receiver's view of the transaction."""
-
-    position: int
-    name: str
-    control: ControlCode
-    payload: bytes
-    delivered: bool
-    arrived_at_ps: int
-
-
-@dataclass
-class TransactionPlan:
-    """Everything the fast backend needs to realise one bus round."""
-
-    kind: str                       # "message" or "wakeup"
-    t0: int                         # mediator self-start time
-    end_ps: int                     # final control rising edge
-    clock_cycles: int               # mediator risings before control
-    control_cycles: int
-    control: ControlCode            # as latched by the mediator
-    general_error: bool
-    error_reason: str
-    winner: Optional[int]           # ring position of the transmitter
-    message: Optional[Message]
-    tx_control: Optional[ControlCode]
-    tx_success: bool
-    tx_bytes_sent: int
-    rx: List[RxDelivery] = field(default_factory=list)
-    #: position -> time the bus domain powers on (gated nodes only).
-    bus_wake_at: Dict[int, int] = field(default_factory=dict)
-    #: position -> (time, reason) the layer domain powers on.
-    layer_wake_at: Dict[int, Tuple[int, str]] = field(default_factory=dict)
-    #: position -> time the node observes the transaction end (its
-    #: final control rising arrival); interrupt servicing, auto-sleep
-    #: scheduling and re-requests all key off this.
-    node_end_at: Dict[int, int] = field(default_factory=dict)
-    #: position -> estimated output transitions (CLK + DATA) for the
-    #: activity model; see plan docstring for accuracy notes.
-    wire_activity: Dict[int, int] = field(default_factory=dict)
 
 
 class RingTopology:
@@ -238,6 +195,109 @@ def lower_ring(
         for position, config in enumerate(configs[i] for i in order)
     ]
     return order, RingTopology(nodes, timing)
+
+
+# ----------------------------------------------------------------------
+# Round keys, templates and tables.
+# ----------------------------------------------------------------------
+class RoundKey(NamedTuple):
+    """Everything about the nodes that decides one bus round.
+
+    Each part is sorted by ring position.  A node missing from
+    ``states`` is fully awake with no interrupt pending, which keeps
+    the key short on a ring of always-on nodes.
+    """
+
+    #: ``(position, head-of-queue message)`` of every arbitration
+    #: entrant.
+    requests: Tuple[Tuple[int, Message], ...]
+    #: ``(position, bus_on, layer_on, pending_interrupt)`` of every
+    #: node in any other state.
+    states: Tuple[Tuple[int, bool, bool, bool], ...]
+    #: Positions that raised the null pulse starting the round (their
+    #: layer sequencers arm at the pulse).
+    pulsers: Tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class RoundContext:
+    """The ring settings every round of a :class:`RoundTable` shares."""
+
+    topology: RingTopology
+    anchor_pos: Optional[int]
+    max_message_bytes: int
+
+
+#: One delivery: the receiver's name, then the ReceivedMessage fields
+#: in positional order, with the arrival time as an offset.
+Delivery = Tuple[str, Address, bytes, bool, ControlCode, int]
+
+
+@dataclass(eq=False, slots=True)
+class RoundTemplate:
+    """One planned bus round; every time is an offset from its start.
+
+    The start ``t0`` is the mediator's self-start.  Templates compare
+    and hash by identity, so a run can count its rounds per template.
+    """
+
+    key: RoundKey
+    winner: Optional[int]           # ring position of the transmitter
+    tx_node: Optional[str]
+    message: Optional[Message]
+    tx_control: Optional[ControlCode]   # as latched by the transmitter
+    tx_bytes_sent: int
+    control: ControlCode            # as latched by the mediator
+    general_error: bool
+    error_reason: str
+    clock_cycles: int               # mediator risings before control
+    end_off: int                    # final control rising edge
+    #: Per position: when the node observes the round end (its final
+    #: control rising arrival); interrupt servicing, auto-sleep
+    #: scheduling and re-requests all key off this.
+    node_end_off: Tuple[int, ...]
+    #: ``(position, offset, reason)`` of each bus-domain power-on
+    #: (gated nodes only), then of each layer-domain power-on.
+    bus_wake: Tuple[Tuple[int, int, str], ...]
+    layer_wake: Tuple[Tuple[int, int, str], ...]
+    #: Completed deliveries in ring-arrival order (members, then the
+    #: mediator).
+    rx: Tuple[Delivery, ...]
+    #: Per position: estimated output transitions (CLK + DATA) for the
+    #: activity model.
+    wire_row: Tuple[int, ...]
+    control_cycles: int = constants.CONTROL_CYCLES
+    ok: bool = field(init=False)
+    fin_off: int = field(init=False)   # the round's last observed end
+    end_order: Tuple[int, ...] = field(init=False)
+    #: A campaign record builder's per-shape row (filled outside the
+    #: core, by repro.scenario.runner; None until then).
+    row: Optional[dict] = field(default=None, init=False)
+
+    def __post_init__(self) -> None:
+        self.ok = (
+            self.control is ControlCode.EOM_ACK and not self.general_error
+        )
+        ends = self.node_end_off
+        self.fin_off = max(ends)
+        self.end_order = tuple(sorted(range(len(ends)), key=ends.__getitem__))
+
+
+class RoundTable(Dict[RoundKey, RoundTemplate]):
+    """Round templates by key, all planned in one :class:`RoundContext`.
+
+    A tier looks a round up here and plans it on a miss; a change of
+    ring settings needs a new table.  Each tier bounds its table by
+    :data:`MAX_TEMPLATES`, emptying it where it holds no template it
+    still needs by key: the fast path before it plans a round, the
+    batch tier at the start of a run.
+    """
+
+    __slots__ = ("ctx",)
+
+    def __init__(self, ctx: RoundContext) -> None:
+        super().__init__()
+        self.ctx = ctx
 
 
 def matches(node: TLMNode, address: Address) -> bool:
@@ -358,45 +418,39 @@ def interjection_fire_delay(
     return toggles * settle + full_prop
 
 
-@dataclass
-class RoundContext:
-    """Inputs to :func:`plan_round`."""
-
-    topology: RingTopology
-    t0: int
-    #: position -> head-of-queue message for every arbitration entrant.
-    requests: Dict[int, Message]
-    states: Dict[int, NodeRoundState]
-    anchor_pos: Optional[int]
-    max_message_bytes: int
+#: The state of a node a :class:`RoundKey` leaves out:
+#: ``(bus_on, layer_on, pending_interrupt)``.
+_AWAKE = (True, True, False)
 
 
-def plan_round(ctx: RoundContext) -> TransactionPlan:
-    """Compute one complete bus round analytically.
+def plan_round(ctx: RoundContext, key: RoundKey) -> RoundTemplate:
+    """Compute one complete bus round analytically, at ``t0 = 0``.
 
     The observability wrapper around :func:`_plan_round_impl`: when
     ``repro.obs`` is off this is one boolean check plus a tail call,
-    so the fast-path planner's per-round cost is unchanged.
+    so the planner's per-round cost is unchanged.
     """
     if not OBS.enabled:
-        return _plan_round_impl(ctx)
+        return _plan_round_impl(ctx, key)
     with OBS.profiled("plan_round", "tlm.plan_round_calls"):
-        return _plan_round_impl(ctx)
+        return _plan_round_impl(ctx, key)
 
 
-def _plan_round_impl(ctx: RoundContext) -> TransactionPlan:
+def _plan_round_impl(ctx: RoundContext, key: RoundKey) -> RoundTemplate:
     topo = ctx.topology
     timing = topo.timing
     n = topo.n
     half = timing.half_period_ps
     settle = 2 * timing.ring_delay_ps(n)
     full_prop = topo.full_prop
+    states = {state[0]: state[1:] for state in key.states}
 
-    winner = resolve_arbitration(n, ctx.requests, ctx.anchor_pos)
+    requests = dict(key.requests)
+    winner = resolve_arbitration(n, requests, ctx.anchor_pos)
     if winner is None:
-        return _plan_wakeup_round(ctx, half, settle, full_prop)
+        return _plan_wakeup_round(ctx, key, states, half, settle, full_prop)
 
-    message = ctx.requests[winner]
+    message = requests[winner]
     stream = _stream_bits(message)
     addr_bits = message.dest.n_bits
     n_bytes = message.n_bytes
@@ -439,16 +493,16 @@ def _plan_round_impl(ctx: RoundContext) -> TransactionPlan:
     broken_at_mediator = winner == 0
     if runaway:
         # The mediator interjects the moment it drives rising R.
-        t_interject = ctx.t0 + 2 * r_end * half
+        t_interject = 2 * r_end * half
     elif broken_at_mediator:
         # The mediator's member cannot hold CLK; it calls straight into
         # the mediator when it latches its final bit (one ring delay
         # after the mediator drove that rising edge).
-        t_interject = ctx.t0 + 2 * r_end * half + full_prop
+        t_interject = 2 * r_end * half + full_prop
     else:
         # A member held CLK high; the mediator notices when its next
         # rising edge fails to propagate — one full cycle later.
-        t_interject = ctx.t0 + 2 * (r_end + 1) * half
+        t_interject = 2 * (r_end + 1) * half
 
     overruns = {
         pos for pos in rx_positions
@@ -508,54 +562,38 @@ def _plan_round_impl(ctx: RoundContext) -> TransactionPlan:
     bit1 = sample_ring(n, slot2)
 
     codes = {q: ControlCode.from_bits(bit0[q], bit1[q]) for q in range(n)}
+    node_end_off = tuple(end_ps + topo.clk_prop(q) for q in range(n))
 
-    # --- per-node timings -------------------------------------------------
-    plan = TransactionPlan(
-        kind="message",
-        t0=ctx.t0,
-        end_ps=end_ps,
-        clock_cycles=r_end,
-        control_cycles=constants.CONTROL_CYCLES,
-        control=codes[0],
-        general_error=runaway,
-        error_reason="runaway-message" if runaway else "",
-        winner=winner,
-        message=message,
-        tx_control=codes[winner],
-        tx_success=codes[winner] is ControlCode.EOM_ACK,
-        tx_bytes_sent=(
-            n_bytes
-            if codes[winner] is ControlCode.EOM_ACK
-            else max(0, (r_end - 3 - addr_bits) // 8 - 1)
-        ),
-    )
+    # --- per-node wakeups -------------------------------------------------
+    bus_wake: List[Tuple[int, int, str]] = []
+    layer_wake: List[Tuple[int, int, str]] = []
     for q in range(n):
-        plan.node_end_at[q] = end_ps + topo.clk_prop(q)
-
-    for q in range(n):
-        state = ctx.states[q]
-        if state.bus_on and state.layer_on:
+        bus_on, layer_on, pending = states.get(q, _AWAKE)
+        if bus_on and layer_on:
             continue  # nothing to wake; skip the edge arithmetic
+        is_pulser = q in key.pulsers
         sees_extra = holder_pos is not None and 0 < q <= holder_pos
         n_edges = 2 * r_end + (2 if sees_extra else 0) + 6
         prop = topo.clk_prop(q)
         edge_at = lambda i: _edge_time_at(  # noqa: E731 - tiny local helper
-            i, ctx.t0, half, r_end, tc0, prop, sees_extra, t_interject
+            i, half, r_end, tc0, prop, sees_extra, t_interject
         )
         bus_on_edge_index = None
-        if not state.bus_on:
+        if not bus_on:
             bus_on_edge_index = 3                       # fourth edge
-            plan.bus_wake_at[q] = edge_at(3)
-        if not state.layer_on:
+            bus_wake.append((
+                q, edge_at(3), "interrupt" if is_pulser else "transaction"
+            ))
+        if not layer_on:
             arm_candidates = []
-            if state.pending_interrupt:
+            if pending:
                 if bus_on_edge_index is not None:
                     # Armed inside the bus domain's power-on callback;
                     # the layer sequencer steps on that same edge.
                     arm_candidates.append(
                         ("interrupt", bus_on_edge_index, True)
                     )
-                elif state.is_pulser:
+                elif is_pulser:
                     # Bus already on: the null pulse armed the layer
                     # directly, before the first clock edge.
                     arm_candidates.append(("interrupt", -1, False))
@@ -568,43 +606,63 @@ def _plan_round_impl(ctx: RoundContext) -> TransactionPlan:
                 )
                 on_index = arm_index + (3 if same_edge_step else 4)
                 if on_index < n_edges:
-                    plan.layer_wake_at[q] = (edge_at(on_index), reason)
+                    layer_wake.append((q, edge_at(on_index), reason))
 
     # --- deliveries --------------------------------------------------------
-    for pos in sorted(rx_positions, key=lambda p: (p == 0, p)):
-        code = codes[pos]
-        state = ctx.states[pos]
-        layer_ready = state.layer_on or pos in plan.layer_wake_at
-        plan.rx.append(
-            RxDelivery(
-                position=pos,
-                name=nodes[pos].name,
-                control=code,
-                payload=delivered_payload,
-                delivered=(
-                    code in (ControlCode.EOM_ACK, ControlCode.RX_ABORT)
-                    and layer_ready
-                ),
-                arrived_at_ps=plan.node_end_at[pos],
-            )
-        )
+    layer_woken = {q for q, _off, _reason in layer_wake}
+    rx = tuple(
+        (nodes[pos].name, message.dest, delivered_payload,
+         message.dest.is_broadcast, codes[pos], node_end_off[pos])
+        for pos in sorted(rx_positions, key=lambda p: (p == 0, p))
+        if codes[pos] in (ControlCode.EOM_ACK, ControlCode.RX_ABORT)
+        and (states.get(pos, _AWAKE)[1] or pos in layer_woken)
+    )
 
     # --- wire-activity estimate -------------------------------------------
     stream_edges = _stream_transitions(stream[: r_end - 3])
     toggles = interjection_fire_delay(
         broken_at_mediator, last_bit, 1, 0
     )
+    wire_row = []
     for q in range(n):
         clk_edges = 2 * r_end + 6
         if holder_pos is not None and q <= holder_pos:
             clk_edges += 2
-        plan.wire_activity[q] = clk_edges + stream_edges + toggles + 3
-    return plan
+        wire_row.append(clk_edges + stream_edges + toggles + 3)
+
+    tx_control = codes[winner]
+    return RoundTemplate(
+        key=key,
+        winner=winner,
+        tx_node=nodes[winner].name,
+        message=message,
+        tx_control=tx_control,
+        tx_bytes_sent=(
+            n_bytes
+            if tx_control is ControlCode.EOM_ACK
+            else max(0, (r_end - 3 - addr_bits) // 8 - 1)
+        ),
+        control=codes[0],
+        general_error=runaway,
+        error_reason="runaway-message" if runaway else "",
+        clock_cycles=r_end,
+        end_off=end_ps,
+        node_end_off=node_end_off,
+        bus_wake=tuple(bus_wake),
+        layer_wake=tuple(layer_wake),
+        rx=rx,
+        wire_row=tuple(wire_row),
+    )
 
 
 def _plan_wakeup_round(
-    ctx: RoundContext, half: int, settle: int, full_prop: int
-) -> TransactionPlan:
+    ctx: RoundContext,
+    key: RoundKey,
+    states: Dict[int, Tuple[bool, bool, bool]],
+    half: int,
+    settle: int,
+    full_prop: int,
+) -> RoundTemplate:
     """A null transaction: no arbitration winner, general error raised.
 
     This is how sleeping nodes are woken (Section 4.5): the interrupt
@@ -622,58 +680,63 @@ def _plan_wakeup_round(
         # not the mediator, drives the (0, 0) error code, so the
         # mediator's report does NOT flag a general error even though
         # the latched control bits decode to one.
-        t_interject = ctx.t0 + 4 * half
+        t_interject = 4 * half
         fire = t_interject + interjection_fire_delay(False, 1, settle, full_prop)
     else:
-        t_interject = ctx.t0 + 2 * half
+        t_interject = 2 * half
         fire = t_interject + interjection_fire_delay(True, 1, settle, full_prop)
     tc0 = fire + settle
     end_ps = tc0 + 6 * half
 
-    plan = TransactionPlan(
-        kind="wakeup",
-        t0=ctx.t0,
-        end_ps=end_ps,
-        clock_cycles=1,
-        control_cycles=constants.CONTROL_CYCLES,
-        control=ControlCode.GENERAL_ERROR,
-        general_error=not anchored,
-        error_reason="" if anchored else "no-arbitration-winner",
-        winner=None,
-        message=None,
-        tx_control=None,
-        tx_success=False,
-        tx_bytes_sent=0,
-    )
+    node_end_off = []
+    bus_wake: List[Tuple[int, int, str]] = []
+    layer_wake: List[Tuple[int, int, str]] = []
     for q in range(n):
         prop = topo.clk_prop(q)
-        plan.node_end_at[q] = end_ps + prop
+        node_end_off.append(end_ps + prop)
         # Edges each node sees: f1, r1, then the six control edges.
-        edges = [
-            ctx.t0 + half + prop,
-            ctx.t0 + 2 * half + prop,
-        ] + [tc0 + k * half + prop for k in range(1, 7)]
-        state = ctx.states[q]
+        edges = [half + prop, 2 * half + prop] + [
+            tc0 + k * half + prop for k in range(1, 7)
+        ]
+        bus_on, layer_on, pending = states.get(q, _AWAKE)
+        is_pulser = q in key.pulsers
         bus_on_index = None
-        if not state.bus_on:
+        if not bus_on:
             bus_on_index = 3
-            plan.bus_wake_at[q] = edges[3]
-        if not state.layer_on and state.pending_interrupt:
+            bus_wake.append((
+                q, edges[3], "interrupt" if is_pulser else "transaction"
+            ))
+        if not layer_on and pending:
             if bus_on_index is not None:
                 on_index = bus_on_index + 3      # same-edge first step
-            elif state.is_pulser:
+            elif is_pulser:
                 on_index = 3                     # armed before f1
             else:
                 on_index = None
             if on_index is not None and on_index < len(edges):
-                plan.layer_wake_at[q] = (edges[on_index], "interrupt")
-        plan.wire_activity[q] = 8 + 6
-    return plan
+                layer_wake.append((q, edges[on_index], "interrupt"))
+    return RoundTemplate(
+        key=key,
+        winner=None,
+        tx_node=None,
+        message=None,
+        tx_control=None,
+        tx_bytes_sent=0,
+        control=ControlCode.GENERAL_ERROR,
+        general_error=not anchored,
+        error_reason="" if anchored else "no-arbitration-winner",
+        clock_cycles=1,
+        end_off=end_ps,
+        node_end_off=tuple(node_end_off),
+        bus_wake=tuple(bus_wake),
+        layer_wake=tuple(layer_wake),
+        rx=(),
+        wire_row=(8 + 6,) * n,
+    )
 
 
 def _edge_time_at(
     index: int,
-    t0: int,
     half: int,
     r_end: int,
     tc0: int,
@@ -681,7 +744,7 @@ def _edge_time_at(
     sees_extra: bool,
     t_interject: int,
 ) -> int:
-    """Arrival time of the ``index``-th CLK edge (0-based) at one node.
+    """Arrival offset of the ``index``-th CLK edge (0-based) at one node.
 
     Transfer edges f1..rR arrive at every node.  When a member holds
     CLK (end of message or receiver abort), nodes between the mediator
@@ -694,12 +757,12 @@ def _edge_time_at(
         # Edge pairs: f_k at index 2k-2, r_k at index 2k-1.
         k = index // 2 + 1
         if index % 2 == 0:
-            return t0 + (2 * k - 1) * half + prop
-        return t0 + 2 * k * half + prop
+            return (2 * k - 1) * half + prop
+        return 2 * k * half + prop
     index -= 2 * r_end
     if sees_extra:
         if index == 0:
-            return t0 + (2 * r_end + 1) * half + prop  # absorbed falling
+            return (2 * r_end + 1) * half + prop        # absorbed falling
         if index == 1:
             return t_interject + prop                   # rise-back
         index -= 2
@@ -780,7 +843,7 @@ def post_round(
     topo: RingTopology,
     t0: int,
     end_off: int,
-    node_end_off: Times,
+    node_end_off: Sequence[int],
     ready: Sequence[int],
     waking: Sequence[int],
     not_before: int,

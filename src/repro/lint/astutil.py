@@ -32,12 +32,3 @@ def terminal_name(node: ast.AST) -> Optional[str]:
         return node.id
     return None
 
-
-def dict_literal_keys(node: ast.Dict) -> List[str]:
-    """String keys of a dict literal (non-string keys skipped)."""
-    keys: List[str] = []
-    for key in node.keys:
-        if isinstance(key, ast.Constant) and isinstance(key.value, str):
-            keys.append(key.value)
-    return keys
-

@@ -60,8 +60,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     passes = available_passes()
     if args.list:
         for name in sorted(passes):
-            print(f"{name} [{passes[name].scope}]: "
-                  f"{passes[name].description}")
+            print(f"{name}: {passes[name].description}")
         return 0
     select = None
     if args.select is not None:

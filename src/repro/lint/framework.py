@@ -11,13 +11,11 @@ divergent record.
 
 Architecture
 ------------
-* A **pass** is a named analysis registered with :func:`lint_pass`.
-  File-scope passes receive one :class:`FileContext` per source file;
-  project-scope passes receive the whole list at once (for
-  cross-file checks such as schema pairing).
+* A **pass** is a named analysis registered with :func:`lint_pass`;
+  it receives one :class:`FileContext` per source file.
 * A :class:`FileContext` wraps one parsed file: source lines, the
-  AST annotated with parent links, qualified-scope lookup, and the
-  file's inline suppressions.
+  AST annotated with parent links, and the file's inline
+  suppressions.
 * A **finding** is a structured :class:`Finding` with ``file:line``
   anchoring, the offending pass name, a message, and a fix hint.
 * **Suppressions** are inline comments of the form::
@@ -115,19 +113,6 @@ class FileContext:
     def parent(self, node: ast.AST) -> Optional[ast.AST]:
         return self._parents.get(node)
 
-    def scope(self, node: ast.AST) -> Tuple[str, ...]:
-        """Enclosing function/class names, outermost first."""
-        names: List[str] = []
-        current = self._parents.get(node)
-        while current is not None:
-            if isinstance(
-                current,
-                (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef),
-            ):
-                names.append(current.name)
-            current = self._parents.get(current)
-        return tuple(reversed(names))
-
     def enclosing_function(
         self, node: ast.AST
     ) -> Optional[ast.FunctionDef]:
@@ -136,25 +121,6 @@ class FileContext:
             if isinstance(current, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 return current
             current = self._parents.get(current)
-        return None
-
-    def find_function(
-        self, name: str, classname: Optional[str] = None
-    ) -> Optional[ast.FunctionDef]:
-        """Locate ``def name`` (optionally inside ``class classname``)."""
-        for node in ast.walk(self.tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            if node.name != name:
-                continue
-            if classname is not None:
-                parent = self._parents.get(node)
-                if not (
-                    isinstance(parent, ast.ClassDef)
-                    and parent.name == classname
-                ):
-                    continue
-            return node
         return None
 
     # -- findings ----------------------------------------------------------
@@ -210,46 +176,31 @@ def _parse_suppressions(lines: List[str]) -> List[Suppression]:
 # Pass registry.
 # ----------------------------------------------------------------------
 
-FilePassFn = Callable[[FileContext], Iterator[Finding]]
-ProjectPassFn = Callable[[List[FileContext]], Iterator[Finding]]
-
-
 @dataclass(frozen=True)
 class LintPass:
     """One registered analysis."""
 
     name: str
     description: str
-    scope: str                   # "file" | "project"
     fn: Callable = field(compare=False, repr=False, default=None)
 
     def run(self, contexts: List[FileContext]) -> Iterator[Finding]:
-        if self.scope == "project":
-            yield from self.fn(contexts)
-        else:
-            for ctx in contexts:
-                yield from self.fn(ctx)
+        for ctx in contexts:
+            yield from self.fn(ctx)
 
 
 PASS_REGISTRY: Dict[str, LintPass] = {}
 
 
-def lint_pass(
-    name: str, description: str, scope: str = "file"
-) -> Callable[[Callable], Callable]:
-    """Register a pass function under ``name``.
-
-    ``scope="file"`` functions take a :class:`FileContext`;
-    ``scope="project"`` functions take the full context list.
-    """
-    if scope not in ("file", "project"):
-        raise ValueError(f"scope must be 'file' or 'project', not {scope!r}")
+def lint_pass(name: str, description: str) -> Callable[[Callable], Callable]:
+    """Register a pass function (taking a :class:`FileContext`) under
+    ``name``."""
 
     def decorate(fn: Callable) -> Callable:
         if name in PASS_REGISTRY:
             raise ValueError(f"duplicate lint pass {name!r}")
         PASS_REGISTRY[name] = LintPass(
-            name=name, description=description, scope=scope, fn=fn
+            name=name, description=description, fn=fn
         )
         return fn
 

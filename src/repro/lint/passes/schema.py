@@ -13,18 +13,15 @@ source-level conventions that keep them loadable and content-stable:
   can drift per document type;
 * ``json.dumps`` that feeds ``hashlib`` (content addressing) must
   pass ``sort_keys=True``, and the designated canonical-JSON modules
-  must do so for *every* dump;
-* wall-clock report fields (``wall_*``) never enter trial records:
-  every ``wall_*`` key RunReport.to_dict emits must be popped by
-  ``trial_record`` before the record is hashed/stored.
+  must do so for *every* dump.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Optional, Set
+from typing import Iterator, Optional, Set
 
-from repro.lint.astutil import call_name, dict_literal_keys
+from repro.lint.astutil import call_name
 from repro.lint.framework import FileContext, Finding, lint_pass
 
 #: Modules whose every ``json.dumps`` must be canonical: they produce
@@ -35,18 +32,6 @@ CANONICAL_JSON_MODULES: Set[str] = {
     "campaign/store.py",
     "batch/cache.py",
 }
-
-#: The report producer and the record builder of the wall-exclusion
-#: contract.
-_REPORT_FILE = "scenario/runner.py"
-_RECORD_FILE = "campaign/trial.py"
-
-
-def _class_of(ctx: FileContext, node: ast.AST) -> Optional[ast.ClassDef]:
-    parent = ctx.parent(node)
-    if isinstance(parent, ast.ClassDef):
-        return parent
-    return None
 
 
 def _pairing_findings(ctx: FileContext) -> Iterator[Finding]:
@@ -153,64 +138,12 @@ def _feeds_hashlib(ctx: FileContext, node: ast.AST) -> bool:
     return False
 
 
-def _report_wall_keys(ctx: FileContext) -> List[str]:
-    to_dict = ctx.find_function("to_dict", classname="RunReport")
-    if to_dict is None:
-        return []
-    keys: List[str] = []
-    for node in ast.walk(to_dict):
-        if isinstance(node, ast.Dict):
-            keys.extend(
-                key for key in dict_literal_keys(node)
-                if key.startswith("wall")
-            )
-    return keys
-
-
-def _record_popped_keys(ctx: FileContext) -> Set[str]:
-    record_fn = ctx.find_function("trial_record")
-    if record_fn is None:
-        return set()
-    popped: Set[str] = set()
-    for node in ast.walk(record_fn):
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "pop"
-            and node.args
-            and isinstance(node.args[0], ast.Constant)
-        ):
-            popped.add(node.args[0].value)
-    return popped
-
-
 @lint_pass(
     "schema",
     "to_dict/from_dict pairing, shared schema_version constant, "
-    "canonical JSON for hashes, wall-clock fields out of records",
-    scope="project",
+    "canonical JSON for hashes",
 )
-def schema(contexts: List[FileContext]) -> Iterator[Finding]:
-    by_path = {ctx.relpath: ctx for ctx in contexts}
-    for ctx in contexts:
-        yield from _pairing_findings(ctx)
-        yield from _version_findings(ctx)
-        yield from _canonical_json_findings(ctx)
-    report_ctx = by_path.get(_REPORT_FILE)
-    record_ctx = by_path.get(_RECORD_FILE)
-    if report_ctx is not None and record_ctx is not None:
-        wall_keys = _report_wall_keys(report_ctx)
-        popped = _record_popped_keys(record_ctx)
-        record_fn = record_ctx.find_function("trial_record")
-        for key in wall_keys:
-            if key not in popped:
-                yield record_ctx.finding(
-                    "schema",
-                    record_fn if record_fn is not None
-                    else record_ctx.tree,
-                    f"RunReport.to_dict emits wall-clock field "
-                    f"{key!r} but trial_record never pops it; "
-                    "wall noise would enter content-addressed records "
-                    "and break byte-identity of cached reruns",
-                    hint=f'add doc.pop("{key}", None) in trial_record',
-                )
+def schema(ctx: FileContext) -> Iterator[Finding]:
+    yield from _pairing_findings(ctx)
+    yield from _version_findings(ctx)
+    yield from _canonical_json_findings(ctx)

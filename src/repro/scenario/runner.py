@@ -51,11 +51,26 @@ import math
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Tuple,
+    Union,
+)
 
 from repro.core.bus import MBusSystem, TransactionResult
 from repro.core.errors import ConfigurationError
-from repro.core.schema import REPORT_SCHEMA_VERSION, Encoded, splice_json
+from repro.core.schema import (
+    REPORT_SCHEMA_VERSION,
+    Encoded,
+    canonical_json,
+    splice_json,
+)
 from repro.faults.injector import FaultInjector
 from repro.faults.primitives import FaultSpec, normalize_faults
 from repro.faults.report import ReliabilityReport, build_reliability_report
@@ -68,6 +83,9 @@ from repro.scenario.workload import (
     ScheduleEvent,
     Workload,
 )
+
+if TYPE_CHECKING:
+    from repro.core.tlm_engine import RoundTemplate
 
 PS_PER_S = 1_000_000_000_000
 
@@ -737,6 +755,65 @@ def _run_batch(
     return report
 
 
+#: The Section 6.2 model :meth:`RunReport.energy_pj` defaults to.
+_ENERGY_MODEL = MeasuredEnergyModel()
+
+
+class _TemplateRow(dict):
+    """A round template's transaction row in a batch record, without
+    ``index`` and ``rx_nodes``, plus the record terms every round of
+    that template shares; kept in the template's ``row``.
+
+    ``rx_nodes`` keeps the receivers, and the row's canonical JSON is
+    ``head + str(index) + tail``.  ``energy_pj`` is the round's
+    Section 6.2 message energy (``None`` when
+    :meth:`RunReport.energy_pj` skips it) and ``payload_bits`` its
+    delivered payload bits.
+    """
+
+    __slots__ = ("rx_nodes", "head", "tail", "energy_pj", "payload_bits")
+    rx_nodes: Tuple[str, ...]
+    head: str
+    tail: str
+    energy_pj: Optional[float]
+    payload_bits: int
+
+
+def _template_row(tpl: RoundTemplate, n_nodes: int) -> _TemplateRow:
+    """Compute and keep ``tpl``'s record terms on an ``n_nodes`` ring."""
+    message = tpl.message
+    row = _TemplateRow(
+        ok=tpl.ok,
+        control=None if tpl.control is None else tpl.control.name,
+        tx_node=tpl.tx_node,
+        payload_hex=None if message is None else message.payload.hex(),
+        clock_cycles=tpl.clock_cycles,
+        control_cycles=tpl.control_cycles,
+        duration_ps=tpl.end_off,
+        general_error=tpl.general_error,
+        error_reason=tpl.error_reason,
+    )
+    row.rx_nodes = tuple(rx[0] for rx in tpl.rx)
+    # Encoded with index 0 and cut around it: '"index":' can only be
+    # that key (quotes inside string values are escaped).
+    text = canonical_json(dict(row, index=0, rx_nodes=row.rx_nodes))
+    cut = text.index('"index":0') + len('"index":')
+    row.head, row.tail = text[:cut], text[cut + 1:]
+    row.energy_pj = (
+        _ENERGY_MODEL.message_energy_pj(
+            len(message.payload),
+            n_nodes,
+            full_address=not message.dest.is_short,
+            n_receivers=max(1, len(tpl.rx)),
+        )
+        if tpl.ok and message is not None
+        else None
+    )
+    row.payload_bits = sum(8 * len(rx[2]) for rx in tpl.rx)
+    tpl.row = row
+    return row
+
+
 def _batch_record_report(csys, result, spec: SystemSpec, workload: Workload):
     """The record view of a batch run, from its round log: the
     ``RunReport.to_dict()`` document minus ``wall_*`` and its
@@ -750,21 +827,21 @@ def _batch_record_report(csys, result, spec: SystemSpec, workload: Workload):
     encoded_rows: List[str] = []
     energy_pj = 0.0
     for index, (_t0, tpl) in enumerate(result.round_log):
-        if tpl.row is None:
-            tpl.fill_record_terms(n_nodes)
-        row = tpl.row.copy()
+        terms = tpl.row
+        if terms is None:
+            terms = _template_row(tpl, n_nodes)
+        row = terms.copy()
         row["index"] = index
-        row["rx_nodes"] = list(tpl.rx_nodes)
+        row["rx_nodes"] = list(terms.rx_nodes)
         rows.append(row)
-        encoded_rows.append(f"{tpl.row_head}{index}{tpl.row_tail}")
-        if tpl.energy_pj is not None:
-            energy_pj += tpl.energy_pj
+        encoded_rows.append(f"{terms.head}{index}{terms.tail}")
+        if terms.energy_pj is not None:
+            energy_pj += terms.energy_pj
     n_ok = bits = 0
-    for tid, hits in result.hit_counts.items():
-        tpl = csys.template_list[tid]
+    for tpl, hits in result.hit_counts.items():
         if tpl.ok:
             n_ok += hits
-        bits += hits * tpl.payload_bits
+        bits += hits * tpl.row.payload_bits
     power, wire = tallies(csys, result)
     sim_time_s = result.end_ps / PS_PER_S
     doc = {

@@ -27,13 +27,14 @@ from repro.serve.scheduler import (
     TokenBucket,
     UnknownJob,
 )
-from repro.serve.server import CampaignServer, run_server
+from repro.serve.server import BackgroundServer, CampaignServer, run_server
 
 __all__ = [
     "API_PREFIX",
     "DEFAULT_CLIENT",
     "JOB_STATES",
     "TERMINAL_STATES",
+    "BackgroundServer",
     "CampaignServer",
     "Job",
     "JobStatus",

@@ -36,7 +36,8 @@ worker thread, so a long-running campaign never blocks status or
 streaming requests.  :func:`run_server` is the CLI entrypoint: serve
 until SIGINT/SIGTERM, then checkpoint (the scheduler journals any
 in-flight job back to ``queued``) and exit — a restarted server
-resumes it at the trial boundary.
+resumes it at the trial boundary.  :class:`BackgroundServer` hosts a
+server in-process instead, on a background thread with its own loop.
 """
 
 from __future__ import annotations
@@ -44,10 +45,13 @@ from __future__ import annotations
 import asyncio
 import json
 import signal
-from typing import Dict, List, Optional, Tuple, Union
+import threading
+from pathlib import Path
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.core.errors import ConfigurationError
 from repro.obs.state import OBS
+from repro.serve.client import ServeClient
 from repro.serve.protocol import API_PREFIX, SubmitRequest, error_doc
 from repro.serve.scheduler import (
     Job,
@@ -483,3 +487,59 @@ def run_server(
         burst=burst,
     )
     return asyncio.run(_serve(scheduler, host, port, banner))
+
+
+class BackgroundServer:
+    """A live server on an ephemeral port, in a background thread that
+    holds its own asyncio loop: the production topology minus the
+    process boundary.
+
+    ``root`` and ``scheduler_kwargs`` (``queue_depth``, ``rate_per_s``,
+    ``burst``) build the :class:`Scheduler`.  Use it as a context
+    manager; :meth:`stop` may also be called earlier.
+    """
+
+    def __init__(
+        self, root: Union[str, Path, None] = None, **scheduler_kwargs: Any
+    ) -> None:
+        self.scheduler = Scheduler(root=root, **scheduler_kwargs)
+        self.server = CampaignServer(self.scheduler, port=0)
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._stop: Optional[asyncio.Event] = None
+        self._started = threading.Event()
+        self._thread = threading.Thread(target=self._run, daemon=True)
+
+    def _run(self) -> None:
+        asyncio.run(self._main())
+
+    async def _main(self) -> None:
+        self._loop = asyncio.get_running_loop()
+        self._stop = asyncio.Event()
+        await self.server.start()
+        self._started.set()
+        await self._stop.wait()
+        await self.server.stop()
+
+    def __enter__(self) -> "BackgroundServer":
+        self._thread.start()
+        if not self._started.wait(10):
+            raise RuntimeError("the background server did not start")
+        return self
+
+    def __exit__(self, *_exc: Any) -> None:
+        self.stop()
+
+    def stop(self) -> None:
+        """Graceful shutdown, as on SIGTERM: the scheduler checkpoints
+        an in-flight campaign at its next trial boundary and journals
+        it back to ``queued``."""
+        loop, stop = self._loop, self._stop
+        if loop is not None and stop is not None and self._thread.is_alive():
+            loop.call_soon_threadsafe(stop.set)
+        self._thread.join(timeout=30)
+        if self._thread.is_alive():
+            raise RuntimeError("the background server did not stop")
+
+    def client(self) -> ServeClient:
+        """A blocking client for this server."""
+        return ServeClient(port=self.server.port)

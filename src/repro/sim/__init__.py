@@ -11,15 +11,16 @@ edge-accurate MBus model (:mod:`repro.core`) runs:
 * :class:`~repro.sim.tracer.Tracer` — a VCD-style transition recorder
   used by tests and examples to inspect waveforms.
 * :mod:`~repro.sim.fastpath` — the transaction-level backend behind
-  ``MBusSystem(mode="fast")``: bus rounds planned in closed form by
-  :mod:`repro.core.tlm_engine` and realised as a handful of events
-  instead of per-edge simulation (see EXPERIMENTS.md).
+  ``MBusSystem(mode="fast")``: bus rounds resolved from round
+  templates planned in closed form by :mod:`repro.core.tlm_engine`
+  and realised as a handful of events instead of per-edge simulation
+  (see EXPERIMENTS.md).
 
 The substrate (scheduler, signals, tracer) is deliberately tiny and
 dependency-free; everything is pure Python so that the protocol logic
 stays easy to audit against the paper's waveform figures (Figs. 5-7).
 ``fastpath`` is the one exception to the layering: it reaches up into
-:mod:`repro.core` for message/plan types, so it is imported lazily by
+:mod:`repro.core` for message/round types, so it is imported lazily by
 ``MBusSystem.build()`` and must never be imported from this package's
 top level (that would close an import cycle).
 """

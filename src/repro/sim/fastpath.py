@@ -3,11 +3,16 @@
 The edge-accurate engine (:mod:`repro.core.bus` with ``mode="edge"``)
 schedules a Python event for every transition of every ring segment —
 hundreds of events per transaction.  This backend replaces that with a
-handful of events per transaction: each bus round is computed in
-closed form by :mod:`repro.core.tlm_engine` and realised as
+handful of events per transaction.  Each bus round resolves from the
+system's :class:`~repro.core.tlm_engine.RoundTable`, keyed by the
+live nodes' requests, power and interrupt state (a miss plans the
+round once at ``t0 = 0`` with :func:`~repro.core.tlm_engine.plan_round`,
+as the batch executor does), and the template is realised at the
+round's start ``t0`` as
 
 * one *start* event (the mediator's self-start),
-* one power on/off event per hierarchical wakeup or auto-sleep, and
+* one power on/off event per hierarchical wakeup or auto-sleep, at
+  ``t0`` plus the template's offset, and
 * one *finalize* event that performs deliveries, transaction-result
   assembly and re-arming of queued traffic.
 
@@ -29,16 +34,19 @@ interjection and other intra-transaction behaviours require
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import replace
 from typing import Deque, Dict, Optional
 
 from repro.core import constants
 from repro.core.bus_controller import TxOutcome
 from repro.core.mediator import MediatorReport
-from repro.core.messages import Message, ReceivedMessage
+from repro.core.messages import ControlCode, Message, ReceivedMessage
 from repro.core.tlm_engine import (
-    NodeRoundState,
+    MAX_TEMPLATES,
     RoundContext,
-    TransactionPlan,
+    RoundKey,
+    RoundTable,
+    RoundTemplate,
     lower_ring,
     plan_round,
     post_round,
@@ -61,8 +69,9 @@ class FastPathBackend:
         self.queues: Dict[int, Deque[Message]] = {
             pos: deque() for pos in range(len(self.nodes))
         }
-        self.anchor_pos: Optional[int] = None
-        self.max_message_bytes = constants.MIN_MAX_MESSAGE_BYTES
+        self.templates = RoundTable(RoundContext(
+            self.topology, None, constants.MIN_MAX_MESSAGE_BYTES
+        ))
         self.active = False
         self._pulsers: set = set()
         # The coming round's DATA falls (repro.core.tlm_engine).
@@ -110,7 +119,16 @@ class FastPathBackend:
 
     def set_anchor(self, name: Optional[str]) -> None:
         """Anchor by node name (positions here are mediator-rooted)."""
-        self.anchor_pos = None if name is None else self._positions[name]
+        pos = None if name is None else self._positions[name]
+        self._new_ring_settings(anchor_pos=pos)
+
+    def set_max_message_bytes(self, n_bytes: int) -> None:
+        """The runaway watchdog's limit (already clamped)."""
+        self._new_ring_settings(max_message_bytes=n_bytes)
+
+    def _new_ring_settings(self, **changes) -> None:
+        # Every template was planned under the old settings.
+        self.templates = RoundTable(replace(self.templates.ctx, **changes))
 
     # ------------------------------------------------------------------
     # Round triggering.
@@ -144,98 +162,88 @@ class FastPathBackend:
     # ------------------------------------------------------------------
     # Round execution.
     # ------------------------------------------------------------------
+    def _round_key(self) -> RoundKey:
+        """The coming round's key, read off the live nodes.
+
+        A node that raised the null pulse cannot arbitrate in its own
+        pulse round: releasing the pulse at the first clock falling
+        edge switches its line controller back to forwarding, wiping
+        any request it had driven (the edge engine therefore runs a
+        General Error round first and the message goes out in the
+        following one).  A member requests only if its own fall is
+        among the round's: one that posted after another's fall
+        reached it sits this round out.
+        """
+        pulsers, falls = self._pulsers, self._falls
+        requests = []
+        states = []
+        for pos, node in enumerate(self.nodes):
+            bus_on = node.bus_domain.is_on
+            layer_on = node.layer_domain.is_on
+            queue = self.queues[pos]
+            if (
+                queue and bus_on and layer_on and pos not in pulsers
+                and (pos == 0 or pos in falls)
+            ):
+                requests.append((pos, queue[0]))
+            if not (bus_on and layer_on) or node.pending_interrupt:
+                states.append((pos, bus_on, layer_on, node.pending_interrupt))
+        return RoundKey(tuple(requests), tuple(states), tuple(sorted(pulsers)))
+
     def _begin_round(self) -> None:
         self._start_event = None
         self._start_t0 = None
-        # A node that raised the null pulse cannot arbitrate in its
-        # own pulse round: releasing the pulse at the first clock
-        # falling edge switches its line controller back to forwarding,
-        # wiping any request it had driven (the edge engine therefore
-        # runs a General Error round first and the message goes out in
-        # the following one).  A member requests only if its own fall
-        # is among the round's: one that posted after another's fall
-        # reached it sits this round out.
-        falls = self._falls
-        requests = {
-            pos: queue[0]
-            for pos, queue in self.queues.items()
-            if queue
-            and self.nodes[pos].is_fully_awake
-            and pos not in self._pulsers
-            and (pos == 0 or pos in falls)
-        }
-        states = {
-            pos: NodeRoundState(
-                bus_on=node.bus_domain.is_on,
-                layer_on=node.layer_domain.is_on,
-                pending_interrupt=node.pending_interrupt,
-                is_pulser=pos in self._pulsers,
-            )
-            for pos, node in enumerate(self.nodes)
-        }
+        key = self._round_key()
         self._pulsers.clear()
         self._falls = {}
-        ctx = RoundContext(
-            topology=self.topology,
-            t0=self.sim.now,
-            requests=requests,
-            states=states,
-            anchor_pos=self.anchor_pos,
-            max_message_bytes=self.max_message_bytes,
-        )
-        plan = plan_round(ctx)
+        templates = self.templates
+        tpl = templates.get(key)
+        if tpl is None:
+            if len(templates) >= MAX_TEMPLATES:
+                templates.clear()
+            tpl = templates[key] = plan_round(templates.ctx, key)
+        t0 = self.sim.now
         self.active = True
-        for pos, at_ps in plan.bus_wake_at.items():
-            node = self.nodes[pos]
-            reason = "interrupt" if states[pos].is_pulser else "transaction"
+        for pos, off, reason in tpl.bus_wake:
             self.sim.schedule_at(
-                at_ps, _power_on_fn(node.bus_domain, reason)
+                t0 + off, _power_on_fn(self.nodes[pos].bus_domain, reason)
             )
-        for pos, (at_ps, reason) in plan.layer_wake_at.items():
-            node = self.nodes[pos]
+        for pos, off, reason in tpl.layer_wake:
             self.sim.schedule_at(
-                at_ps, _power_on_fn(node.layer_domain, reason)
+                t0 + off, _power_on_fn(self.nodes[pos].layer_domain, reason)
             )
-        self.sim.schedule_at(
-            max(plan.node_end_at.values()), lambda: self._finalize(plan)
-        )
+        self.sim.schedule_at(t0 + tpl.fin_off, lambda: self._finalize(t0, tpl))
 
-    def _finalize(self, plan: TransactionPlan) -> None:
+    def _finalize(self, t0: int, tpl: RoundTemplate) -> None:
         # Stay "busy" through result/delivery callbacks: the edge
         # engine fires on_tx_done/on_rx_done before its FSM returns to
         # IDLE, so e.g. node.sleep() from an on_receive handler raises
         # on both backends.  Interrupt servicing below happens after
         # the engines idle, so the flag drops first there.
-        order = sorted(plan.node_end_at, key=plan.node_end_at.get)
 
         # Transmit outcome first at the transmitter's end-of-round.
-        if plan.winner is not None:
-            tx_node = self.nodes[plan.winner]
-            queue = self.queues[plan.winner]
-            if queue and queue[0] is plan.message:
-                queue.popleft()
+        if tpl.winner is not None:
+            tx_node = self.nodes[tpl.winner]
             outcome = TxOutcome(
-                message=plan.message,
-                control=plan.tx_control,
-                success=plan.tx_success,
-                bytes_sent=plan.tx_bytes_sent,
+                message=self.queues[tpl.winner].popleft(),
+                control=tpl.tx_control,
+                success=tpl.tx_control is ControlCode.EOM_ACK,
+                bytes_sent=tpl.tx_bytes_sent,
             )
             tx_node.results.append(outcome)
             if tx_node.on_result is not None:
                 tx_node.on_result(tx_node, outcome)
 
         # Deliveries, in ring-arrival order (members, then mediator).
-        for delivery in plan.rx:
-            if not delivery.delivered:
-                continue
-            node = self.nodes[delivery.position]
+        for name, dest, payload, broadcast, control, arr_off in tpl.rx:
+            node = self.nodes[self._positions[name]]
             received = ReceivedMessage(
                 source_hint="",
-                dest=plan.message.dest,
-                payload=delivery.payload,
-                broadcast=plan.message.dest.is_broadcast,
-                control=delivery.control,
-                arrived_at_ps=delivery.arrived_at_ps,
+                dest=dest,
+                payload=payload,
+                broadcast=broadcast,
+                control=control,
+                arrived_at_ps=t0 + arr_off,
             )
             node.inbox.append(received)
             node.layer.deliver(received)
@@ -244,7 +252,7 @@ class FastPathBackend:
 
         # Interrupt servicing at each node's observed transaction end.
         self.active = False
-        for pos in order:
+        for pos in tpl.end_order:
             node = self.nodes[pos]
             if node.pending_interrupt and node.is_fully_awake:
                 node.pending_interrupt = False
@@ -253,17 +261,17 @@ class FastPathBackend:
 
         report = MediatorReport(
             index=self._tx_index,
-            start_ps=plan.t0,
-            end_ps=plan.end_ps,
-            clock_cycles=plan.clock_cycles,
-            control_cycles=plan.control_cycles,
-            control_bits=tuple(plan.control.value),
-            general_error=plan.general_error,
-            error_reason=plan.error_reason,
+            start_ps=t0,
+            end_ps=t0 + tpl.end_off,
+            clock_cycles=tpl.clock_cycles,
+            control_cycles=tpl.control_cycles,
+            control_bits=tpl.control.value,
+            general_error=tpl.general_error,
+            error_reason=tpl.error_reason,
         )
         self._tx_index += 1
-        for pos, count in plan.wire_activity.items():
-            self._wire_activity[self.nodes[pos].name] += count
+        for node, count in zip(self.nodes, tpl.wire_row):
+            self._wire_activity[node.name] += count
         self.system._assemble_result(report)
         if OBS.enabled:
             OBS.metrics.inc("fastpath.rounds")
@@ -277,7 +285,7 @@ class FastPathBackend:
             elif self.queues[pos] or node.pending_interrupt:
                 waking.append(pos)
         rearm = post_round(
-            self.topology, 0, plan.end_ps, plan.node_end_at, ready, waking,
+            self.topology, t0, tpl.end_off, tpl.node_end_off, ready, waking,
             self.sim.now,
         )
         for pos in waking:

@@ -1,16 +1,15 @@
 """Campaign server integration: the HTTP surface end to end.
 
 Each test runs a real :class:`CampaignServer` on an ephemeral port
-(in a background thread holding its own asyncio loop) and drives it
-with the blocking :class:`ServeClient` — exactly the production
-topology, minus the process boundary.  The restart test covers the
-PR's acceptance bar: a server stopped mid-campaign checkpoints,
-a restarted server resumes the journaled job at the trial boundary,
-and the final streamed results are byte-identical to a local
-``campaign run`` of the same document.
+(a :class:`BackgroundServer`: a background thread holding its own
+asyncio loop) and drives it with the blocking :class:`ServeClient` —
+exactly the production topology, minus the process boundary.  The
+restart test covers restart survival: a server stopped mid-campaign
+checkpoints, a restarted server resumes the journaled job at the
+trial boundary, and the final streamed results are byte-identical to
+a local ``campaign run`` of the same document.
 """
 
-import asyncio
 import threading
 import time
 
@@ -22,9 +21,7 @@ from repro.campaign import Campaign, Grid, ResultStore, canonical_json
 from repro.core import Address
 from repro.scenario import Burst, NodeSpec, SystemSpec
 from repro.serve import (
-    CampaignServer,
-    Scheduler,
-    ServeClient,
+    BackgroundServer,
     ServeError,
     SubmitOptions,
 )
@@ -49,49 +46,6 @@ def campaign_doc(name="serve-int", counts=(1, 2)):
         grid=Grid.product(**{"workload.count": list(counts)}),
         name=name,
     ).to_dict()
-
-
-class ServerThread:
-    """A live server on an ephemeral port, in a background loop."""
-
-    def __init__(self, root=None, **scheduler_kwargs):
-        self.scheduler = Scheduler(root=root, **scheduler_kwargs)
-        self.server = CampaignServer(self.scheduler, port=0)
-        self._loop = None
-        self._stop = None
-        self._started = threading.Event()
-        self._thread = threading.Thread(target=self._run, daemon=True)
-
-    def _run(self):
-        asyncio.run(self._main())
-
-    async def _main(self):
-        self._loop = asyncio.get_running_loop()
-        self._stop = asyncio.Event()
-        await self.server.start()
-        self._started.set()
-        await self._stop.wait()
-        await self.server.stop()
-
-    def __enter__(self):
-        self._thread.start()
-        assert self._started.wait(10), "server did not start"
-        return self
-
-    def __exit__(self, *_exc):
-        self.stop()
-
-    def stop(self):
-        """Graceful shutdown: what the CLI's SIGTERM handler does —
-        the scheduler checkpoints an in-flight campaign at its next
-        trial boundary and journals it back to queued."""
-        if self._loop is not None and self._thread.is_alive():
-            self._loop.call_soon_threadsafe(self._stop.set)
-        self._thread.join(timeout=30)
-        assert not self._thread.is_alive()
-
-    def client(self):
-        return ServeClient(port=self.server.port)
 
 
 class TrialGate:
@@ -131,7 +85,7 @@ class TrialGate:
 
 class TestHTTPSurface:
     def test_healthz_and_unknown_routes(self):
-        with ServerThread() as live:
+        with BackgroundServer() as live:
             client = live.client()
             health = client.healthz()
             assert health["ok"] is True
@@ -144,7 +98,7 @@ class TestHTTPSurface:
             assert exc.value.status == 405
 
     def test_submit_watch_results_and_listing(self):
-        with ServerThread() as live:
+        with BackgroundServer() as live:
             client = live.client()
             status, created = client.submit(
                 campaign_doc(), client="alice"
@@ -161,7 +115,7 @@ class TestHTTPSurface:
             assert [j.job_id for j in listed] == [status.job_id]
 
     def test_submit_bad_document_is_400(self):
-        with ServerThread() as live:
+        with BackgroundServer() as live:
             client = live.client()
             with pytest.raises(ServeError) as exc:
                 client.submit({"system": {"nodes": []}})
@@ -186,7 +140,7 @@ class TestHTTPSurface:
             assert live.scheduler.jobs() == []
 
     def test_unknown_job_is_404(self):
-        with ServerThread() as live:
+        with BackgroundServer() as live:
             client = live.client()
             with pytest.raises(ServeError) as exc:
                 client.status("no-such-job")
@@ -196,7 +150,7 @@ class TestHTTPSurface:
             assert exc.value.status == 404
 
     def test_rate_limit_answers_429_with_retry_after(self):
-        with ServerThread(rate_per_s=0.1, burst=2.0) as live:
+        with BackgroundServer(rate_per_s=0.1, burst=2.0) as live:
             client = live.client()
             client.submit(campaign_doc("a", counts=(1,)), client="alice")
             client.submit(campaign_doc("b", counts=(2,)), client="alice")
@@ -214,7 +168,7 @@ class TestHTTPSurface:
 
     def test_full_queue_answers_503(self, monkeypatch):
         gate = TrialGate(monkeypatch)
-        with ServerThread(queue_depth=1) as live, gate:
+        with BackgroundServer(queue_depth=1) as live, gate:
             client = live.client()
             # A held job occupies the worker; one more fills the queue.
             client.submit(
@@ -229,7 +183,7 @@ class TestHTTPSurface:
 
     def test_metrics_route_reports_request_counters(self):
         with obs.observe(trace=False, profile=False):
-            with ServerThread() as live:
+            with BackgroundServer() as live:
                 client = live.client()
                 client.healthz()
                 status, _ = client.submit(campaign_doc(), client="alice")
@@ -254,7 +208,7 @@ class TestStreaming:
         the first line must arrive while the job is still live (held
         at its second trial until the line is seen)."""
         gate = TrialGate(monkeypatch, free=1)
-        with ServerThread() as live, gate:
+        with BackgroundServer() as live, gate:
             client = live.client()
             status, _ = client.submit(
                 campaign_doc("stream", counts=tuple(range(1, 7)))
@@ -273,7 +227,7 @@ class TestStreaming:
 class TestDedupe:
     def test_resubmission_is_served_from_cache(self, tmp_path):
         doc = campaign_doc("dedupe", counts=(1, 2, 3))
-        with ServerThread(root=tmp_path / "serve") as live:
+        with BackgroundServer(root=tmp_path / "serve") as live:
             client = live.client()
             first, _ = client.submit(doc, client="alice")
             final = client.watch(first.job_id, poll_s=0.02, timeout_s=60)
@@ -307,7 +261,7 @@ class TestRestartSurvival:
         doc = campaign_doc("restart", counts=counts)
         root = tmp_path / "serve"
 
-        with ServerThread(root=root) as live:
+        with BackgroundServer(root=root) as live:
             client = live.client()
             status, _ = client.submit(doc, client="alice")
             job_id = status.job_id
@@ -317,7 +271,7 @@ class TestRestartSurvival:
                 time.sleep(0.01)
         # Context exit = graceful stop: checkpoint + journal.
 
-        with ServerThread(root=root) as live:
+        with BackgroundServer(root=root) as live:
             client = live.client()
             recovered = client.status(job_id)
             if recovered.terminal:

@@ -39,8 +39,6 @@ def test_registry_has_the_contracted_passes():
         "typing",
     ):
         assert name in passes
-    assert passes["schema"].scope == "project"
-    assert passes["determinism"].scope == "file"
 
 
 def test_unknown_select_raises():

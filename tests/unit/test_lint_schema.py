@@ -1,5 +1,4 @@
-"""Schema pass: round-trip pairing, version stamps, canonical JSON,
-wall-clock exclusion from trial records."""
+"""Schema pass: round-trip pairing, version stamps, canonical JSON."""
 
 import textwrap
 
@@ -130,50 +129,3 @@ def test_plain_dumps_outside_canonical_modules_clean(tmp_path):
     })
     assert findings == []
 
-
-_RUNNER = """\
-class RunReport:
-    # lint: disable=schema -- fixture one-way report
-    def to_dict(self):
-        return {
-            "n_ok": self.n_ok,
-            "wall_s": self.wall_s,
-            "wall_throughput_tps": self.tps,
-        }
-"""
-
-_TRIAL_POPS = """\
-import json
-def canonical_json(doc):
-    return json.dumps(doc, sort_keys=True)
-def trial_record(trial, report):
-    doc = report.to_dict()
-    doc.pop("wall_s", None)
-    doc.pop("wall_throughput_tps", None)
-    return doc
-"""
-
-_TRIAL_FORGETS = """\
-import json
-def canonical_json(doc):
-    return json.dumps(doc, sort_keys=True)
-def trial_record(trial, report):
-    doc = report.to_dict()
-    doc.pop("wall_s", None)
-    return doc
-"""
-
-
-def test_wall_keys_must_be_popped_from_records(tmp_path):
-    clean = lint(tmp_path, {
-        "scenario/runner.py": _RUNNER,
-        "campaign/trial.py": _TRIAL_POPS,
-    })
-    assert clean == []
-    findings = lint(tmp_path / "drifted", {
-        "scenario/runner.py": _RUNNER,
-        "campaign/trial.py": _TRIAL_FORGETS,
-    })
-    assert len(findings) == 1
-    assert "wall_throughput_tps" in findings[0].message
-    assert findings[0].path == "campaign/trial.py"
