@@ -15,10 +15,13 @@ counts ``plan_round``) only a round shape it has not seen.  From a
 cold compile cache (``repro.batch.clear_cache()``) each tier must plan
 at most one of every ten rounds it ran, on every grid point and on the
 fleet, fast must plan exactly as many rounds as batch, and the two
-must give the same answer.  The wall-clock rows (interleaved
-best-of-N on the grid) are printed for information.  These are
-assert-only guards that write no files: ``perfbench/`` is the
-benchmark record.
+must give the same answer.  A plan looks its receivers up in the
+ring's index (``RingTopology.receivers``) rather than asking every
+node, so the cold batch fleet run calls ``Address.matches`` zero
+times (a scan would make 99 plans x 99 candidates = 9,801 calls).
+The wall-clock rows (interleaved best-of-N on the grid) are printed
+for information.  These are assert-only guards that write no files:
+``perfbench/`` is the benchmark record.
 """
 
 GRID = (60, 240, 960)
@@ -123,7 +126,8 @@ def test_batch_fig14_grid(report, burst_runner):
     )
 
 
-def test_batch_fleet_campaign(report):
+def test_batch_fleet_campaign(report, monkeypatch):
+    from repro.core import Address
     from repro.scenario import run
 
     spec = fleet_spec()
@@ -132,7 +136,20 @@ def test_batch_fleet_campaign(report):
 
     fast, fast_plans = planned_run(spec, workload, "fast")
     assert fast.n_ok == n_txns
+    scans = []
+    matches = Address.matches
+
+    def counted(self, *args):
+        scans.append(self)
+        return matches(self, *args)
+
+    monkeypatch.setattr(Address, "matches", counted)
     batch, batch_plans = planned_run(spec, workload, "batch")
+    monkeypatch.undo()
+    assert not scans, (
+        f"the cold batch fleet run called Address.matches {len(scans)} "
+        "times; a plan must look its receivers up in the ring's index"
+    )
     # The count only counts if the answer is the same answer.
     assert batch.transaction_signatures() == fast.transaction_signatures()
     assert batch.power == fast.power
@@ -146,7 +163,8 @@ def test_batch_fleet_campaign(report):
     batch = batch_best
     report(
         f"fleet campaign ({FLEET_NODES} nodes, {n_txns} transactions):\n"
-        f"  plan_round: fast {fast_plans}, batch {batch_plans}\n"
+        f"  plan_round: fast {fast_plans}, batch {batch_plans}; "
+        f"Address.matches calls in the batch run: {len(scans)}\n"
         f"  fast:  {fast.wall_s:6.2f} s  "
         f"{n_txns / fast.wall_s:10.0f} txn/s (wall, metrics on)\n"
         f"  batch: {batch.wall_s:6.2f} s  "

@@ -18,6 +18,12 @@ planning it with :func:`~repro.core.tlm_engine.plan_round` (once, at
 compiled spec share warm templates, and campaign bursts resolve to a
 handful of templates executed thousands of times.
 
+A run's report is built by :func:`materialize`: one
+``TransactionResult`` per round and one ``ReceivedMessage`` per
+delivery, with every field that does not depend on ``t0`` taken from
+the template, and automatic garbage collection paused while the list
+is built.
+
 Equivalence contract (enforced by ``tests/integration`` and the
 three-way diffcheck fuzz): byte-identical transaction signatures,
 delivery sets and wake counts versus the fast path.  Both tiers run
@@ -29,6 +35,7 @@ steady-state replay below is an optimisation on top of them.
 
 from __future__ import annotations
 
+import gc
 import time as _time
 from collections import deque
 from heapq import heappop, heappush
@@ -535,22 +542,31 @@ def materialize(csys: CompiledSystem, result: BatchResult):
     Every field but ``index`` and the times comes ready-made from the
     round's template, so each round only builds its
     :class:`TransactionResult` and one ``ReceivedMessage`` per
-    delivery, positionally in field order."""
+    delivery, positionally in field order.  The build allocates a few
+    acyclic containers per round and frees none, so automatic garbage
+    collection is paused while it runs: each collection would only
+    rescan the list built so far."""
     transactions: List[TransactionResult] = []
     append = transactions.append
-    for index, (t0, tpl) in enumerate(result.round_log):
-        append(TransactionResult(
-            index, tpl.ok, tpl.control, tpl.tx_node, tpl.message,
-            [
-                (name, ReceivedMessage(
-                    "", dest, payload, broadcast, control, t0 + arr_off
-                ))
-                for name, dest, payload, broadcast, control, arr_off
-                in tpl.rx
-            ],
-            tpl.clock_cycles, tpl.control_cycles, t0, t0 + tpl.end_off,
-            tpl.general_error, tpl.error_reason,
-        ))
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for index, (t0, tpl) in enumerate(result.round_log):
+            append(TransactionResult(
+                index, tpl.ok, tpl.control, tpl.tx_node, tpl.message,
+                [
+                    (name, ReceivedMessage(
+                        "", dest, payload, broadcast, control, t0 + arr_off
+                    ))
+                    for name, dest, payload, broadcast, control, arr_off
+                    in tpl.rx
+                ],
+                tpl.clock_cycles, tpl.control_cycles, t0, t0 + tpl.end_off,
+                tpl.general_error, tpl.error_reason,
+            ))
+    finally:
+        if collecting:
+            gc.enable()
     power, wire = tallies(csys, result)
     return transactions, power, wire
 

@@ -13,7 +13,7 @@ specification's layout.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Tuple
 
 from repro.core.addresses import Address
@@ -132,4 +132,3 @@ class ReceivedMessage:
     broadcast: bool = False
     control: ControlCode = ControlCode.EOM_ACK
     arrived_at_ps: int = 0
-    metadata: dict = field(default_factory=dict)

@@ -8,14 +8,15 @@ O(bits x nodes) behaviour), it computes each bus round *in closed
 form* from the protocol rules of Sections 4.3-4.9:
 
 * arbitration and priority-arbitration winners from ring topology
-  (a "nearest upstream driver" walk over the broken DATA ring);
+  (the first requester downstream of the break point);
 * the rising-edge count ``R`` at which the transaction ends — end of
   message, receiver-buffer abort, or the mediator's runaway watchdog;
 * the interjection sequence duration from the saturating-counter
   detector model (how many DATA toggles must circulate before the
   mediator's own detector fires);
-* the two control bits each node latches, again by ring walk, so that
-  per-node control codes (and therefore deliveries and ACK/NAK
+* the two control bits a node latches (the nearest upstream driver
+  on the DATA ring), so that the mediator's, the transmitter's and
+  each receiver's control code (and therefore deliveries and ACK/NAK
   outcomes) match the edge engine exactly;
 * per-node clock-edge arrival times, from which hierarchical wakeup
   times (bus domain at the 4th edge, layer domain 4 edges after its
@@ -31,6 +32,15 @@ templates by key.  Both tiers resolve rounds from such a table and
 realise a template at its start time ``t0`` by adding ``t0``: the
 fast path as simulator events on live nodes, the batch executor as
 integer updates on flat arrays.
+
+A plan pays only for the nodes its round touches.  The
+:class:`RingTopology` builds its tables once per ring: each
+position's CLK delay, the order and maximum of the per-node round
+ends, and the receivers of each short prefix, full prefix and
+broadcast channel.  The planner then loops over the round's
+requesters, receivers and nodes in a non-default state; what stays
+O(n) per plan is one tuple each for the per-node ends and the wire
+activity.
 
 It also owns everything else the two tiers must agree on, so neither
 keeps a copy: the mediator-rooted ring both lower a system to
@@ -49,10 +59,12 @@ picosecond timings agree to within propagation-delay slack.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import (
     Callable,
     Dict,
+    Iterable,
     List,
     NamedTuple,
     Optional,
@@ -107,11 +119,17 @@ class TLMNode:
 
 
 class RingTopology:
-    """Propagation arithmetic for one ring of nodes.
+    """Propagation arithmetic and receiver lookup for one ring of nodes.
 
     Position 0 is the mediator.  Signals travel 0 -> 1 -> ... -> n-1
     -> 0; the mediator's drive reaches node ``q``'s input pads after
     the pad-driver delay plus ``q - 1`` forwarding hops.
+
+    The per-ring tables the planner reads are built here once, so a
+    plan pays only for the nodes its round touches: each position's
+    CLK delay, the order and maximum of the per-node round ends, and
+    the receivers of each short prefix, full prefix and broadcast
+    channel.
     """
 
     def __init__(self, nodes: Sequence[TLMNode], timing: constants.MBusTiming):
@@ -132,6 +150,39 @@ class RingTopology:
             pos for pos, node in enumerate(self.nodes)
             if node.power_gated and node.auto_sleep
         )
+        #: Per position: mediator CLK drive -> the node's CLK-in.
+        self.clk_delay = tuple(self.clk_prop(q) for q in range(self.n))
+        # Node q observes a round's end at ``end + clk_delay[q]``, so
+        # every round's ends share one order (ties by position) and
+        # one maximum.
+        self.end_order = tuple(
+            sorted(range(self.n), key=self.clk_delay.__getitem__)
+        )
+        self.max_clk_delay = max(self.clk_delay)
+        # Receivers by ("short", prefix), ("full", prefix) and
+        # ("channel", broadcast channel), each in ring order.
+        index: Dict[Tuple[str, int], List[int]] = {}
+        for pos, node in enumerate(self.nodes):
+            keys = [("channel", ch) for ch in node.broadcast_channels]
+            if node.short_prefix is not None:
+                keys.append(("short", node.short_prefix))
+            if node.full_prefix is not None:
+                keys.append(("full", node.full_prefix))
+            for key in keys:
+                index.setdefault(key, []).append(pos)
+        self._receivers = {key: tuple(ps) for key, ps in index.items()}
+
+    def receivers(self, address: Address) -> Tuple[int, ...]:
+        """Positions whose node accepts ``address`` (exactly those
+        :meth:`Address.matches` accepts), in ring order."""
+        # Broadcast first: it is a short address with prefix 0.
+        if address.is_broadcast:
+            key = ("channel", address.fu_id)
+        elif address.is_short:
+            key = ("short", address.short_prefix)
+        else:
+            key = ("full", address.full_prefix)
+        return self._receivers.get(key, ())
 
     def clk_prop(self, q: int) -> int:
         """Mediator CLK drive -> node q's CLK-in arrival delay."""
@@ -256,6 +307,9 @@ class RoundTemplate:
     #: control rising arrival); interrupt servicing, auto-sleep
     #: scheduling and re-requests all key off this.
     node_end_off: Tuple[int, ...]
+    fin_off: int                    # the round's last observed end
+    #: Positions in the order they observe the end (ties by position).
+    end_order: Tuple[int, ...]
     #: ``(position, offset, reason)`` of each bus-domain power-on
     #: (gated nodes only), then of each layer-domain power-on.
     bus_wake: Tuple[Tuple[int, int, str], ...]
@@ -268,8 +322,6 @@ class RoundTemplate:
     wire_row: Tuple[int, ...]
     control_cycles: int = constants.CONTROL_CYCLES
     ok: bool = field(init=False)
-    fin_off: int = field(init=False)   # the round's last observed end
-    end_order: Tuple[int, ...] = field(init=False)
     #: A campaign record builder's per-shape row (filled outside the
     #: core, by repro.scenario.runner; None until then).
     row: Optional[dict] = field(default=None, init=False)
@@ -278,9 +330,6 @@ class RoundTemplate:
         self.ok = (
             self.control is ControlCode.EOM_ACK and not self.general_error
         )
-        ends = self.node_end_off
-        self.fin_off = max(ends)
-        self.end_order = tuple(sorted(range(len(ends)), key=ends.__getitem__))
 
 
 class RoundTable(Dict[RoundKey, RoundTemplate]):
@@ -300,40 +349,31 @@ class RoundTable(Dict[RoundKey, RoundTemplate]):
         self.ctx = ctx
 
 
-def matches(node: TLMNode, address: Address) -> bool:
-    """Receiver predicate — delegates to the shared Address.matches so
-    both backends always resolve the same receiver set."""
-    return address.matches(
-        node.short_prefix, node.full_prefix, node.broadcast_channels
-    )
-
-
 def sample_ring(
-    n: int, drivers: Dict[int, int], parked: int = 1
-) -> List[int]:
-    """Value every node samples on its DATA-in pad.
+    drivers: Dict[int, int], positions: Iterable[int], parked: int = 1
+) -> Dict[int, int]:
+    """Value each of ``positions`` samples on its DATA-in pad.
 
     Node ``q`` sees the nearest driving node walking upstream from
     ``q - 1``; a node driving its own output is reached last (a full
-    wrap).  With no drivers anywhere the line holds its parked value.
-    One O(n) sweep instead of a walk per node: seed with the highest-
-    position driver (the nearest upstream of position 0 after the
-    wrap), then assign before each position overwrites with its own
-    drive — which is exactly "self is reached last".
+    wrap).  That is the largest driver position below ``q``, wrapping
+    to the largest overall, found by bisection.  With no drivers
+    anywhere the line holds its parked value.
     """
     if not drivers:
-        return [parked] * n
-    cur = drivers[max(drivers)]
-    out = [parked] * n
-    for q in range(n):
-        out[q] = cur
-        if q in drivers:
-            cur = drivers[q]
-    return out
+        return dict.fromkeys(positions, parked)
+    keys = sorted(drivers)
+    # bisect_left is 0 when no driver is below q: keys[-1] is the wrap.
+    return {q: drivers[keys[bisect_left(keys, q) - 1]] for q in positions}
+
+
+def _downstream(positions: Iterable[int], start: int) -> int:
+    """The first of ``positions`` (none of them ``start``) walking
+    downstream from ``start``, wrapping past the ring's last node."""
+    return min(positions, key=lambda pos: (pos < start, pos))
 
 
 def resolve_arbitration(
-    n: int,
     requests: Dict[int, Message],
     anchor_pos: Optional[int],
 ) -> Optional[int]:
@@ -351,13 +391,7 @@ def resolve_arbitration(
     if break_pos in requests:
         winner = break_pos
     else:
-        winner = None
-        for i in range(1, n + 1):
-            pos = (break_pos + i) % n
-            if pos in requests:
-                winner = pos
-                break
-        assert winner is not None
+        winner = _downstream(requests, break_pos)
     # Priority slot (Figure 5): losers holding priority messages pull
     # DATA high; the first of them downstream of the winner takes the
     # bus (the winner always sees a '1' upstream and backs off).
@@ -366,10 +400,7 @@ def resolve_arbitration(
         if pos != winner and message.priority
     ]
     if prio:
-        for i in range(1, n + 1):
-            pos = (winner + i) % n
-            if pos in prio:
-                return pos
+        return _downstream(prio, winner)
     return winner
 
 
@@ -443,13 +474,13 @@ def _plan_round_impl(ctx: RoundContext, key: RoundKey) -> RoundTemplate:
     half = timing.half_period_ps
     settle = 2 * timing.ring_delay_ps(n)
     full_prop = topo.full_prop
-    states = {state[0]: state[1:] for state in key.states}
 
     requests = dict(key.requests)
-    winner = resolve_arbitration(n, requests, ctx.anchor_pos)
+    winner = resolve_arbitration(requests, ctx.anchor_pos)
     if winner is None:
-        return _plan_wakeup_round(ctx, key, states, half, settle, full_prop)
+        return _plan_wakeup_round(ctx, key, half, settle, full_prop)
 
+    states = {state[0]: state[1:] for state in key.states}
     message = requests[winner]
     stream = _stream_bits(message)
     addr_bits = message.dest.n_bits
@@ -458,9 +489,7 @@ def _plan_round_impl(ctx: RoundContext, key: RoundKey) -> RoundTemplate:
 
     # Receiver set: every non-transmitting node whose address matches.
     rx_positions = [
-        node.position
-        for node in nodes
-        if node.position != winner and matches(node, message.dest)
+        pos for pos in topo.receivers(message.dest) if pos != winner
     ]
 
     # --- where does the transaction end? --------------------------------
@@ -537,6 +566,9 @@ def _plan_round_impl(ctx: RoundContext, key: RoundKey) -> RoundTemplate:
     end_ps = tc0 + 6 * half                  # third control rising
 
     # --- control-bit resolution (Figure 7) -------------------------------
+    # Only the mediator, the transmitter and the receivers' codes are
+    # read.
+    read = (0, winner, *rx_positions)
     slot1: Dict[int, int] = {}
     if runaway:
         slot1[0] = 0                          # mediator drives General Error
@@ -545,7 +577,7 @@ def _plan_round_impl(ctx: RoundContext, key: RoundKey) -> RoundTemplate:
     if aborted:
         for pos in overruns:
             slot1[pos] = 0                    # incomplete: abort
-    bit0 = sample_ring(n, slot1)
+    bit0 = sample_ring(slot1, read)
 
     slot2: Dict[int, int] = {}
     if runaway:
@@ -559,22 +591,23 @@ def _plan_round_impl(ctx: RoundContext, key: RoundKey) -> RoundTemplate:
         else:
             ack = 0
         slot2[pos] = ack
-    bit1 = sample_ring(n, slot2)
+    bit1 = sample_ring(slot2, read)
 
-    codes = {q: ControlCode.from_bits(bit0[q], bit1[q]) for q in range(n)}
-    node_end_off = tuple(end_ps + topo.clk_prop(q) for q in range(n))
+    codes = {q: ControlCode.from_bits(bit0[q], bit1[q]) for q in read}
+    node_end_off = tuple(end_ps + delay for delay in topo.clk_delay)
 
     # --- per-node wakeups -------------------------------------------------
+    # Only a node in a non-default state has anything to wake.
     bus_wake: List[Tuple[int, int, str]] = []
     layer_wake: List[Tuple[int, int, str]] = []
-    for q in range(n):
-        bus_on, layer_on, pending = states.get(q, _AWAKE)
+    rx_set = set(rx_positions)
+    for q, bus_on, layer_on, pending in key.states:
         if bus_on and layer_on:
             continue  # nothing to wake; skip the edge arithmetic
         is_pulser = q in key.pulsers
         sees_extra = holder_pos is not None and 0 < q <= holder_pos
         n_edges = 2 * r_end + (2 if sees_extra else 0) + 6
-        prop = topo.clk_prop(q)
+        prop = topo.clk_delay[q]
         edge_at = lambda i: _edge_time_at(  # noqa: E731 - tiny local helper
             i, half, r_end, tc0, prop, sees_extra, t_interject
         )
@@ -597,7 +630,7 @@ def _plan_round_impl(ctx: RoundContext, key: RoundKey) -> RoundTemplate:
                     # Bus already on: the null pulse armed the layer
                     # directly, before the first clock edge.
                     arm_candidates.append(("interrupt", -1, False))
-            if q in rx_positions:
+            if q in rx_set:
                 r_match = 3 + addr_bits
                 arm_candidates.append(("rx-wakeup", 2 * r_match - 1, False))
             if arm_candidates:
@@ -609,11 +642,14 @@ def _plan_round_impl(ctx: RoundContext, key: RoundKey) -> RoundTemplate:
                     layer_wake.append((q, edge_at(on_index), reason))
 
     # --- deliveries --------------------------------------------------------
+    # Ring-arrival order: the members, then the mediator.
+    if rx_positions and rx_positions[0] == 0:
+        rx_positions.append(rx_positions.pop(0))
     layer_woken = {q for q, _off, _reason in layer_wake}
     rx = tuple(
         (nodes[pos].name, message.dest, delivered_payload,
          message.dest.is_broadcast, codes[pos], node_end_off[pos])
-        for pos in sorted(rx_positions, key=lambda p: (p == 0, p))
+        for pos in rx_positions
         if codes[pos] in (ControlCode.EOM_ACK, ControlCode.RX_ABORT)
         and (states.get(pos, _AWAKE)[1] or pos in layer_woken)
     )
@@ -623,12 +659,10 @@ def _plan_round_impl(ctx: RoundContext, key: RoundKey) -> RoundTemplate:
     toggles = interjection_fire_delay(
         broken_at_mediator, last_bit, 1, 0
     )
-    wire_row = []
-    for q in range(n):
-        clk_edges = 2 * r_end + 6
-        if holder_pos is not None and q <= holder_pos:
-            clk_edges += 2
-        wire_row.append(clk_edges + stream_edges + toggles + 3)
+    transitions = 2 * r_end + 6 + stream_edges + toggles + 3
+    # The CLK holder and every node before it see two more CLK edges.
+    held = 0 if holder_pos is None else holder_pos + 1
+    wire_row = (transitions + 2,) * held + (transitions,) * (n - held)
 
     tx_control = codes[winner]
     return RoundTemplate(
@@ -648,17 +682,18 @@ def _plan_round_impl(ctx: RoundContext, key: RoundKey) -> RoundTemplate:
         clock_cycles=r_end,
         end_off=end_ps,
         node_end_off=node_end_off,
+        fin_off=end_ps + topo.max_clk_delay,
+        end_order=topo.end_order,
         bus_wake=tuple(bus_wake),
         layer_wake=tuple(layer_wake),
         rx=rx,
-        wire_row=tuple(wire_row),
+        wire_row=wire_row,
     )
 
 
 def _plan_wakeup_round(
     ctx: RoundContext,
     key: RoundKey,
-    states: Dict[int, Tuple[bool, bool, bool]],
     half: int,
     settle: int,
     full_prop: int,
@@ -688,17 +723,14 @@ def _plan_wakeup_round(
     tc0 = fire + settle
     end_ps = tc0 + 6 * half
 
-    node_end_off = []
     bus_wake: List[Tuple[int, int, str]] = []
     layer_wake: List[Tuple[int, int, str]] = []
-    for q in range(n):
-        prop = topo.clk_prop(q)
-        node_end_off.append(end_ps + prop)
+    for q, bus_on, layer_on, pending in key.states:
+        prop = topo.clk_delay[q]
         # Edges each node sees: f1, r1, then the six control edges.
         edges = [half + prop, 2 * half + prop] + [
             tc0 + k * half + prop for k in range(1, 7)
         ]
-        bus_on, layer_on, pending = states.get(q, _AWAKE)
         is_pulser = q in key.pulsers
         bus_on_index = None
         if not bus_on:
@@ -727,7 +759,9 @@ def _plan_wakeup_round(
         error_reason="" if anchored else "no-arbitration-winner",
         clock_cycles=1,
         end_off=end_ps,
-        node_end_off=tuple(node_end_off),
+        node_end_off=tuple(end_ps + delay for delay in topo.clk_delay),
+        fin_off=end_ps + topo.max_clk_delay,
+        end_order=topo.end_order,
         bus_wake=tuple(bus_wake),
         layer_wake=tuple(layer_wake),
         rx=(),
