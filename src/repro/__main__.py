@@ -19,7 +19,8 @@ Commands
     report JSON to a file.
 ``sweep SCENARIO.json [--backend ...] [--faults FAULTS.json] [--json] [--output PATH]``
     Map the scenario's parameter grid over runs (figure-style study).
-    ``--output`` writes one JSON line per sweep point (JSONL).
+    ``--output`` writes one JSON line per sweep point (JSONL): its
+    ``params``, its record's ``report`` and its ``wall_s``.
     Implemented as a serial, uncached campaign; prefer ``campaign``.
 ``campaign run CAMPAIGN.json [--store DIR] [--executor serial|process] [--workers N]``
     Execute a campaign document: compile its grid to trials, serve
@@ -251,18 +252,19 @@ def _cmd_sweep(args) -> int:
               "for a single execution", file=sys.stderr)
         return 2
     # A serial, uncached, in-memory campaign (see the `campaign`
-    # command for the cached / parallel form).
+    # command for the cached / parallel form); dedupe=False gives
+    # every point its own execution and wall time.
     results = Campaign(
         spec=spec, workload=workload, grid=grid, faults=faults,
         backend=args.backend,
-    ).run(executor="serial", resume=False, dedupe=False, keep_reports=True)
+    ).run(executor="serial", resume=False, dedupe=False)
     if not results:
         print(f"error: the sweep grid in {args.scenario} enumerates no "
               "points (a parameter has an empty value list)",
               file=sys.stderr)
         return 2
     documents = [
-        {"params": dict(r.params), "report": r.live.to_dict()}
+        {"params": dict(r.params), "report": r.report, "wall_s": r.wall_s}
         for r in results
     ]
     if args.output:
@@ -273,26 +275,33 @@ def _cmd_sweep(args) -> int:
         print(f"wrote {len(documents)} sweep points to {args.output}")
     if args.json:
         print(json.dumps(documents, indent=2))
-        return 0
-    if args.output:
-        return 0
-    rows = [
-        (
-            ", ".join(f"{k}={v}" for k, v in r.params.items()),
-            f"{r.live.n_ok}/{r.live.n_transactions}",
-            f"{r.live.throughput_tps:,.0f}",
-            f"{r.live.goodput_bps / 1e3:,.1f}",
-            f"{r.live.energy_pj() / 1e3:.2f}",
-        )
-        for r in results
-    ]
-    print(format_table(
-        ["Point", "OK", "txn/s", "kbit/s", "nJ"],
-        rows,
-        title=f"Sweep: {spec.name or 'scenario'} "
-              f"[{results[0].live.backend} backend]",
-    ))
-    return 0
+    elif not args.output:
+        rows = [
+            (
+                _point_label(r.params),
+                f"{r.report['n_ok']}/{r.report['n_transactions']}",
+                f"{r.report['throughput_tps']:,.0f}",
+                f"{r.report['goodput_bps'] / 1e3:,.1f}",
+                f"{r.report['energy_pj'] / 1e3:.2f}",
+            )
+            if r.ok else (_point_label(r.params), r.outcome, "", "", "")
+            for r in results
+        ]
+        print(format_table(
+            ["Point", "OK", "txn/s", "kbit/s", "nJ"],
+            rows,
+            title=f"Sweep: {spec.name or 'scenario'} "
+                  f"[{results[0].record['backend']} backend]",
+        ))
+    for r in results:
+        if not r.ok:
+            print(f"error: sweep point {_point_label(r.params)} failed: "
+                  f"{r.failure.summary()}", file=sys.stderr)
+    return 1 if results.failed else 0
+
+
+def _point_label(params) -> str:
+    return ", ".join(f"{k}={v}" for k, v in params.items())
 
 
 def _parse_where(pairs):
@@ -665,8 +674,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep_cmd = sub.add_parser(
         "sweep", help="map a scenario's parameter grid over runs",
-        epilog="exit codes: 0 success, 2 usage error (missing or "
-               "empty sweep grid)",
+        epilog="exit codes: 0 all points ok, 1 any point failed "
+               "(named on stderr), 2 usage error (missing or empty "
+               "sweep grid)",
     )
     for command in (run_cmd, sweep_cmd):
         command.add_argument("scenario", help="path to a scenario JSON file")

@@ -30,17 +30,21 @@ Execution (:meth:`Campaign.run`) is memoised through a
 :class:`~repro.campaign.store.ResultStore`, *failure-isolating* (a
 trial that raises, times out, or kills its worker becomes a
 structured failure record — see :mod:`repro.campaign.failures` — and
-the campaign keeps going) and pluggable:
+the campaign keeps going) and pluggable.  A campaign carries data,
+never code: every trial runs through
+:func:`~repro.campaign.trial.execute_trial`, documents in and a
+record with its store line out, on either executor:
 
-* ``executor="serial"`` — in-process, in trial order; the only
-  executor that can keep live reports (``keep_reports=True``) or
-  carry code (``setup=`` hooks, ``trace=True`` — both bypass the
-  store, because code is invisible to a content hash);
+* ``executor="serial"`` — in-process, in trial order;
 * ``executor="process"`` — the crash-isolating
   :class:`~repro.campaign.executors.ProcessPool`: trials cross the
-  boundary as JSON documents and records come back, so results are
-  identical to serial execution byte for byte; a worker that dies
+  boundary as JSON documents and record lines come back, so results
+  are identical to serial execution byte for byte; a worker that dies
   mid-trial is replaced and only its trial records ``crashed``.
+
+A study that needs code — a ``setup`` hook, an edge waveform trace, a
+live :class:`~repro.scenario.runner.RunReport` — calls
+:func:`repro.scenario.run` itself.
 
 Future sharded/async backends plug in at the same seam: a list of
 :class:`Trial` documents in, records keyed by content hash out.
@@ -277,9 +281,6 @@ class Campaign:
         workers: Optional[int] = None,
         store: StoreLike = None,
         resume: bool = True,
-        keep_reports: bool = False,
-        setup: Optional[Callable] = None,
-        trace: bool = False,
         order: Optional[Sequence[int]] = None,
         dedupe: bool = True,
         retry: Any = None,
@@ -303,12 +304,6 @@ class Campaign:
         *execution* order (results always come back in trial order);
         the sharding hook, and the lever the determinism tests use.
 
-        ``setup`` / ``trace`` carry code or need the live system, so
-        they are serial-only and bypass the store entirely (a content
-        hash cannot see a closure).  ``keep_reports=True`` (serial
-        only) attaches each executed trial's live
-        :class:`RunReport` as ``result.live``.
-
         ``dedupe=False`` re-executes trials whose documents are
         identical instead of aliasing them to one execution.
 
@@ -329,18 +324,6 @@ class Campaign:
             raise ConfigurationError(
                 f"executor must be one of {EXECUTORS}, not {executor!r}"
             )
-        code_bearing = setup is not None or trace
-        if code_bearing and executor != "serial":
-            raise ConfigurationError(
-                "setup hooks and tracing are code, not data: they "
-                "cannot cross process boundaries or be content-hashed; "
-                "use executor='serial'"
-            )
-        if keep_reports and executor != "serial":
-            raise ConfigurationError(
-                "keep_reports needs the serial executor: live reports "
-                "hold the simulator, which cannot cross processes"
-            )
         check_timeouts(wall_timeout_s=wall_timeout_s)
         start = time.perf_counter()
         policy = (
@@ -357,11 +340,7 @@ class Campaign:
                 dataclasses.replace(trial, wall_timeout_s=wall_timeout_s)
                 for trial in trials
             ]
-        if code_bearing:
-            live_store = ResultStore.memory()
-            resume = False
-        else:
-            live_store = _as_store(store)
+        live_store = _as_store(store)
 
         exec_order = list(range(len(trials)))
         if order is not None:
@@ -416,7 +395,7 @@ class Campaign:
 
             fresh: Dict[str, Dict] = {}
 
-            def on_outcome(trial, record, wall_s, live_report, line):
+            def on_outcome(trial, record, line, wall_s):
                 live_store.put(record, line)
                 fresh[trial.key] = record
                 if OBS.enabled:
@@ -431,7 +410,6 @@ class Campaign:
                     record=record,
                     cached=False,
                     wall_s=wall_s,
-                    live=live_report if keep_reports else None,
                 ))
 
             stop_event = stop or threading.Event()
@@ -451,13 +429,7 @@ class Campaign:
             try:
                 if executor == "serial":
                     interrupted = run_serial(
-                        to_execute,
-                        on_outcome,
-                        policy,
-                        stop_event,
-                        setup=setup,
-                        trace=trace,
-                        keep_reports=keep_reports,
+                        to_execute, on_outcome, policy, stop_event
                     )
                 elif to_execute:
                     pool = ProcessPool(

@@ -2,9 +2,13 @@
 
 Both executors share one contract: take compiled
 :class:`~repro.campaign.trial.Trial` documents, and deliver *every*
-trial an outcome — a success record or a structured failure record —
-without ever letting one bad trial abort the campaign.  The
-differences are the failure classes each can survive:
+trial an outcome — a success record or a structured failure record,
+with the record's canonical JSON line — without ever letting one bad
+trial abort the campaign.  Both run a trial the one way there is,
+:func:`~repro.campaign.trial.execute_trial`; a pool worker sends the
+line it built back, and the parent decodes it instead of encoding the
+record a second time.  The differences are the failure classes each
+can survive:
 
 =====================  ========  =========
 failure                 serial    process
@@ -39,6 +43,7 @@ every completed outcome.
 
 from __future__ import annotations
 
+import json
 import multiprocessing
 import os
 import threading
@@ -55,15 +60,17 @@ from repro.campaign.failures import (
     crash_failure,
     failure_record,
 )
-from repro.campaign.trial import Trial, execute_trial, run_trial_document
+from repro.campaign.trial import (
+    Trial,
+    canonical_json,
+    execute_trial,
+    run_trial_document,
+)
 from repro.obs.state import OBS
 
-#: outcome callback: (trial, record, wall_s, live_report_or_None,
-#: line_or_None) — ``line`` is the record's canonical JSON when the
-#: execution already built it (see ``execute_trial``)
-OutcomeCallback = Callable[
-    [Trial, Dict, float, Optional[object], Optional[str]], None
-]
+#: outcome callback: (trial, record, line, wall_s) — ``line`` is the
+#: record's canonical JSON, for the store to append as it is
+OutcomeCallback = Callable[[Trial, Dict, str, float], None]
 
 #: Grace multiplier/offset for the process executor's hard kill: the
 #: cooperative in-worker timeout should fire first; the SIGKILL is the
@@ -88,17 +95,11 @@ def run_serial(
     on_outcome: OutcomeCallback,
     policy: RetryPolicy,
     stop: threading.Event,
-    setup: Optional[Callable] = None,
-    trace: bool = False,
-    keep_reports: bool = False,
 ) -> bool:
     """Execute ``trials`` in order, in this process.
 
-    ``keep_reports`` asks for each trial's live report (a batch trial
-    then materializes one instead of building its record from the
-    round log).  Returns True if execution was interrupted by
-    ``stop`` (remaining trials got no outcome and stay pending for a
-    future resume).
+    Returns True if execution was interrupted by ``stop`` (remaining
+    trials got no outcome and stay pending for a future resume).
     """
     for trial in trials:
         if stop.is_set():
@@ -109,14 +110,9 @@ def run_serial(
             with OBS.tracer.span(
                 "trial", cat="campaign", index=trial.index
             ):
-                _serial_attempts(
-                    trial, on_outcome, policy, stop, setup, trace,
-                    keep_reports,
-                )
+                _serial_attempts(trial, on_outcome, policy, stop)
         else:
-            _serial_attempts(
-                trial, on_outcome, policy, stop, setup, trace, keep_reports
-            )
+            _serial_attempts(trial, on_outcome, policy, stop)
     return False
 
 
@@ -125,9 +121,6 @@ def _serial_attempts(
     on_outcome: OutcomeCallback,
     policy: RetryPolicy,
     stop: threading.Event,
-    setup: Optional[Callable],
-    trace: bool,
-    keep_reports: bool,
 ) -> None:
     """One trial's attempt loop: execute, retry transients, record."""
     attempts = 0
@@ -135,9 +128,7 @@ def _serial_attempts(
         attempts += 1
         start = time.perf_counter()
         try:
-            record, line, wall_s, report = execute_trial(
-                trial, setup=setup, trace=trace, keep_report=keep_reports
-            )
+            record, line, wall_s = execute_trial(trial)
         except Exception as exc:
             failure = classify_exception(exc, attempts=attempts)
             if policy.should_retry(failure) and not stop.is_set():
@@ -146,16 +137,10 @@ def _serial_attempts(
                     _count_retry(delay_s)
                 _interruptible_sleep(delay_s, stop)
                 continue
-            failure = policy.finalize(failure)
-            on_outcome(
-                trial,
-                failure_record(trial, failure),
-                time.perf_counter() - start,
-                None,
-                None,
-            )
-            return
-        on_outcome(trial, record, wall_s, report, line)
+            record = failure_record(trial, policy.finalize(failure))
+            line = canonical_json(record)
+            wall_s = time.perf_counter() - start
+        on_outcome(trial, record, line, wall_s)
         return
 
 
@@ -181,9 +166,11 @@ def _emit_trial_span(trial: Trial, outcome: str, wall_s: float) -> None:
 def _worker_main(conn) -> None:
     """Worker loop: receive a trial document, send back its outcome.
 
-    Exceptions become ``("fail", index, failure_doc, wall_s)``
-    messages; only a crash (or kill) leaves the parent without a
-    message, which is exactly how the parent detects crashes.
+    A success is ``("ok", line, wall_s)``: the record's canonical line,
+    which the parent decodes and stores as it is.  Exceptions become
+    ``("fail", failure_doc, wall_s)`` messages; only a crash (or kill)
+    leaves the parent without a message, which is exactly how the
+    parent detects crashes.
     """
     while True:
         try:
@@ -195,15 +182,12 @@ def _worker_main(conn) -> None:
         trial_doc, attempts = task
         start = time.perf_counter()
         try:
-            index, record, wall_s = run_trial_document(trial_doc)
-            payload = ("ok", index, record, wall_s)
+            _index, _record, line, wall_s = run_trial_document(trial_doc)
+            payload = ("ok", line, wall_s)
         except Exception as exc:
             failure = classify_exception(exc, attempts=attempts)
             payload = (
-                "fail",
-                trial_doc["index"],
-                failure.to_dict(),
-                time.perf_counter() - start,
+                "fail", failure.to_dict(), time.perf_counter() - start
             )
         try:
             conn.send(payload)
@@ -367,15 +351,13 @@ class ProcessPool:
             attempt = worker.attempt
             worker.attempt = None
             worker.hard_deadline = None
-            kind = payload[0]
+            kind, body, wall_s = payload
             if kind == "ok":
-                _, _index, record, wall_s = payload
                 if OBS.enabled:
                     _emit_trial_span(attempt.trial, "ok", wall_s)
-                on_outcome(attempt.trial, record, wall_s, None, None)
+                on_outcome(attempt.trial, json.loads(body), body, wall_s)
             else:
-                _, _index, failure_doc, wall_s = payload
-                failure = TrialFailure.from_dict(failure_doc, lenient=True)
+                failure = TrialFailure.from_dict(body, lenient=True)
                 failure = replace(failure, attempts=attempt.attempts)
                 self._settle_failure(
                     attempt, failure, wall_s, queue, retries, on_outcome
@@ -449,10 +431,5 @@ class ProcessPool:
         failure = self.policy.finalize(failure)
         if OBS.enabled:
             _emit_trial_span(attempt.trial, failure.outcome, wall_s)
-        on_outcome(
-            attempt.trial,
-            failure_record(attempt.trial, failure),
-            wall_s,
-            None,
-            None,
-        )
+        record = failure_record(attempt.trial, failure)
+        on_outcome(attempt.trial, record, canonical_json(record), wall_s)

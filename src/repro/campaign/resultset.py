@@ -21,7 +21,7 @@ read naturally.
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     Any,
     Callable,
@@ -64,9 +64,6 @@ class TrialResult:
     #: Wall-clock cost of *this* execution; 0.0 for cache hits.  Kept
     #: off the record so cached bytes stay content-addressed.
     wall_s: float = 0.0
-    #: The live RunReport, only for serial ``keep_reports=True`` runs
-    #: (it holds the unpicklable simulator); never part of equality.
-    live: Any = field(default=None, repr=False, compare=False)
 
     @property
     def key(self) -> str:

@@ -35,8 +35,8 @@ Properties the campaign layer leans on:
   :func:`~repro.campaign.trial.canonical_json`, so the same trial
   always produces the same bytes, regardless of executor, process or
   execution order (asserted by ``tests/integration/test_campaign.py``).
-  A caller that already holds a record's canonical line (a batch
-  trial builds it from its round log, see
+  A caller that already holds a record's canonical line (every
+  campaign trial does, see
   :func:`~repro.campaign.trial.execute_trial`) hands it to :meth:`put`,
   which appends it as is: the same bytes, encoded once.  The index
   keeps every line, so a reader that wants bytes (the campaign

@@ -18,12 +18,14 @@ what buys every property the campaign layer promises:
   :class:`~repro.campaign.store.ResultStore` a content address that
   survives interpreter restarts and is insensitive to dict ordering.
 
-The executed outcome is a *record*: a JSON document holding the
-trial's key, parameters and the :meth:`RunReport.to_dict` report with
-its ``wall_s`` / ``wall_throughput_tps`` fields removed (wall-clock
-noise must never enter a content-addressed record — two byte-identical
-runs would otherwise hash the weather of the host machine).  Wall time is reported
-separately, per execution, on the
+Documents in, records out: :func:`execute_trial` is the only way a
+trial runs, and it returns a *record* and the record's canonical JSON
+line.  A record is a JSON document holding the trial's key, parameters
+and the :meth:`RunReport.to_dict` report with its ``wall_s`` /
+``wall_throughput_tps`` fields removed (wall-clock noise must never
+enter a content-addressed record — two byte-identical runs would
+otherwise hash the weather of the host machine).  Wall time is
+reported separately, per execution, on the
 :class:`~repro.campaign.resultset.TrialResult`.
 
 Each record is encoded once.  A trial carries the canonical JSON of
@@ -33,11 +35,11 @@ once per distinct spec; :attr:`Trial.key` splices it in, and
 (:func:`encode_spec` / :func:`decode_spec`), so the compiled-system
 cache's digest and the record's embedded spec come from one encoding
 per campaign.  A trial that runs on the batch tier — ``"batch"``, or
-``"auto"`` with no ``setup``, ``trace`` or faults document — and
-needs no live report builds its record and the record's line
-straight from the batch tier's round log
-(:func:`repro.scenario.runner.run_batch_record`); the store appends
-that line as it is.
+``"auto"`` with no faults document — builds its record and the
+record's line straight from the batch tier's round log
+(:func:`repro.scenario.runner.run_batch_record`).  The store appends
+the line as it is, and a pool worker sends the line, not the record,
+back to the parent (:func:`run_trial_document`).
 
 A record's ``backend`` field names the tier that ran the trial (an
 ok record) or the requested backend (a failure record, which may
@@ -53,7 +55,7 @@ from __future__ import annotations
 import functools
 import hashlib
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
 from repro.core.errors import ConfigurationError
 from repro.core.schema import (
@@ -214,30 +216,21 @@ def trial_record(trial: Trial, report_doc: Dict) -> Dict:
     return _envelope(trial, doc)
 
 
-def execute_trial(
-    trial: Trial,
-    setup: Optional[Callable] = None,
-    trace: bool = False,
-    keep_report: bool = False,
-) -> Tuple[Dict, Optional[str], float, Any]:
-    """Run one trial in this process.
+def execute_trial(trial: Trial) -> Tuple[Dict, str, float]:
+    """Run one trial in this process: the only way a campaign trial
+    runs, on the serial executor, in a pool worker and under serve.
 
-    Returns ``(record, line, wall_s, report)``: the JSON record for
-    the store, its canonical JSON line when this call already built
-    it (else ``None``; :meth:`ResultStore.put` encodes the record
-    then), the wall-clock cost of this execution, and the live
-    :class:`~repro.scenario.runner.RunReport` or ``None``.
+    Returns ``(record, line, wall_s)``: the JSON record for the store,
+    its canonical JSON line and the wall-clock cost of this execution.
 
     The trial's tier is :func:`~repro.scenario.runner.select_backend`'s
-    choice, exactly as :func:`~repro.scenario.runner.run` makes it, so
-    an ``"auto"`` trial with no ``setup``, ``trace`` or faults
-    document runs on the batch tier.  A batch trial without
-    ``keep_report`` never builds a live report: its record and line
-    come straight from the batch tier's round log, byte-identical to
-    ``trial_record(trial, run(...).to_dict())``.  Every other trial
-    runs through :func:`~repro.scenario.runner.run` and returns its
-    report (``keep_report=True`` serial runs keep it; it is never sent
-    across process boundaries, it holds the unpicklable simulator).
+    choice, exactly as :func:`~repro.scenario.runner.run` makes it for
+    the trial's documents, so an ``"auto"`` trial with no faults
+    document runs on the batch tier.  A batch trial never builds a
+    live report: its record and line come straight from the batch
+    tier's round log, byte-identical to
+    ``canonical_json(trial_record(trial, run(...).to_dict()))``.
+    Every other trial runs through :func:`~repro.scenario.runner.run`.
     """
     from repro.faults.primitives import FaultSpec
     from repro.scenario.runner import run, run_batch_record, select_backend
@@ -252,11 +245,10 @@ def execute_trial(
     )
     mode = select_backend(
         trial.backend,
-        trace,
         faults_active=bool(faults),
-        live_system=setup is not None or faults is not None,
+        live_system=faults is not None,
     )
-    if mode == "batch" and not keep_report:
+    if mode == "batch":
         report_doc, report_json, wall_s = run_batch_record(
             spec,
             workload,
@@ -265,30 +257,30 @@ def execute_trial(
         )
         record = _envelope(trial, report_doc)
         line = splice_json({**record, "report": Encoded(report_json)})
-        return record, line, wall_s, None
+        return record, line, wall_s
     report = run(
         spec,
         workload,
         backend=mode,
-        trace=trace,
         timeout_s=trial.timeout_s,
-        setup=setup,
         faults=faults,
         wall_timeout_s=trial.wall_timeout_s,
     )
-    return trial_record(trial, report.to_dict()), None, report.wall_s, report
+    record = trial_record(trial, report.to_dict())
+    return record, canonical_json(record), report.wall_s
 
 
-def run_trial_document(trial_doc: Dict) -> Tuple[int, Dict, float]:
+def run_trial_document(trial_doc: Dict) -> Tuple[int, Dict, str, float]:
     """Process-pool entry point: execute a trial shipped as a dict.
 
     Module-level (picklable by reference) and document-in /
-    document-out, so the only things crossing the process boundary
-    are JSON-shaped.
+    document-out: returns ``(index, record, line, wall_s)``, the
+    trial's index followed by :func:`execute_trial`'s result.  A pool
+    worker sends only the line and the wall time back, so the parent
+    decodes the line and never encodes the record again.
     """
     trial = Trial.from_dict(trial_doc)
-    record, _line, wall_s, _report = execute_trial(trial)
-    return trial.index, record, wall_s
+    return (trial.index, *execute_trial(trial))
 
 
 def patch_document(document: Any, path: str, value: Any, what: str) -> None:

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
+from repro.core.messages import ControlCode
 from repro.faults.primitives import FaultSpec, normalize_faults
 from repro.scenario.runner import RunReport, run
 from repro.scenario.spec import SystemSpec
@@ -133,7 +134,9 @@ def check_fault_free_noop(scenario: Dict, backend: str) -> List[str]:
 def check_conservation(scenario: Dict, report: RunReport) -> List[str]:
     """Fault-free runs may not invent payloads: every delivered
     (payload) was posted, and the delivery count per payload is
-    bounded by posts × possible receivers."""
+    bounded by posts × possible receivers.  A receiver that aborts on
+    a full buffer (``RX_ABORT``) keeps the bytes that fit, so such a
+    delivery counts against a posted payload it is a prefix of."""
     if scenario.get("faults") is not None:
         return []   # corruption/retransmission make this legitimate
     spec = SystemSpec.from_dict(scenario["system"])
@@ -146,8 +149,12 @@ def check_conservation(scenario: Dict, report: RunReport) -> List[str]:
     problems: List[str] = []
     n_nodes = len(spec.nodes)
     delivered: Dict[str, int] = {}
-    for _receiver, payload in report.deliveries:
-        delivered[payload.hex()] = delivered.get(payload.hex(), 0) + 1
+    for transaction in report.transactions:
+        for _receiver, message in transaction.rx_deliveries:
+            key = message.payload.hex()
+            if key not in posted and message.control is ControlCode.RX_ABORT:
+                key = next((p for p in posted if p.startswith(key)), key)
+            delivered[key] = delivered.get(key, 0) + 1
     for payload_hex, count in delivered.items():
         if payload_hex not in posted:
             problems.append(

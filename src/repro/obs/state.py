@@ -47,16 +47,14 @@ class Observability:
 
     # -- lifecycle -----------------------------------------------------
     def enable(
-        self,
-        trace: bool = True,
-        metrics: bool = True,
-        profile: bool = True,
+        self, trace: bool = True, profile: bool = True
     ) -> "Observability":
         """Turn observability on; returns self for reading results.
 
-        ``metrics`` is effectively always on while enabled (guarded
-        sites assume it); ``trace`` and ``profile`` opt into span
-        collection and phase wall timing.
+        Metrics are always collected while enabled (guarded sites
+        assume a registry), so there is no switch for them; ``trace``
+        and ``profile`` opt into span collection and phase wall
+        timing.
         """
         self.metrics = MetricsRegistry()
         self.tracer = Tracer() if trace else None
@@ -133,11 +131,9 @@ class ObsSession:
 OBS = Observability()
 
 
-def enable(
-    trace: bool = True, metrics: bool = True, profile: bool = True
-) -> Observability:
+def enable(trace: bool = True, profile: bool = True) -> Observability:
     """Module-level convenience: ``repro.obs.enable()``."""
-    return OBS.enable(trace=trace, metrics=metrics, profile=profile)
+    return OBS.enable(trace=trace, profile=profile)
 
 
 def disable() -> None:
@@ -145,15 +141,13 @@ def disable() -> None:
 
 
 @contextmanager
-def observe(
-    trace: bool = True, metrics: bool = True, profile: bool = True
-) -> Iterator[ObsSession]:
+def observe(trace: bool = True, profile: bool = True) -> Iterator[ObsSession]:
     """Scoped observability: enable on entry, restore the previous
     state on exit (the form tests and the CLI use).  Yields a
     detached :class:`ObsSession` whose collected tracer / metrics /
     profiler stay readable after the block exits."""
     previous = (OBS.enabled, OBS.tracer, OBS.metrics, OBS.profiler)
-    OBS.enable(trace=trace, metrics=metrics, profile=profile)
+    OBS.enable(trace=trace, profile=profile)
     try:
         yield ObsSession(OBS.tracer, OBS.metrics, OBS.profiler)
     finally:

@@ -36,12 +36,11 @@ options all derive from it.
 
 Parameter studies live in :mod:`repro.campaign` (grids, pluggable
 executors, content-addressed caching, queryable results).  A campaign
-trial on the batch tier that needs no live report calls
-:func:`run_batch_record` instead of :func:`run`: the same compile and
-execute, then the record's report document and its canonical JSON
-built straight from the round log, with no ``TransactionResult`` and
-no :meth:`RunReport.to_dict`.  :func:`run` itself always materializes
-the full report.
+trial on the batch tier calls :func:`run_batch_record` instead of
+:func:`run`: the same compile and execute, then the record's report
+document and its canonical JSON built straight from the round log,
+with no ``TransactionResult`` and no :meth:`RunReport.to_dict`.
+:func:`run` itself always materializes the full report.
 """
 
 from __future__ import annotations

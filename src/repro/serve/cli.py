@@ -42,7 +42,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if not args.no_obs:
         # Metrics + phase profiling for /v1/metrics; no span tracing
         # (concurrent requests would interleave one global span stack).
-        obs_state.enable(trace=False, metrics=True, profile=True)
+        obs_state.enable(trace=False, profile=True)
     try:
         return run_server(
             root=args.root,

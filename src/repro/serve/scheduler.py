@@ -50,7 +50,6 @@ from repro.campaign.campaign import Campaign
 from repro.campaign.failures import record_outcome
 from repro.campaign.resultset import ResultSet, TrialResult
 from repro.campaign.store import ResultStore
-from repro.campaign.trial import canonical_json
 from repro.core.errors import ConfigurationError
 from repro.core.schema import REPORT_SCHEMA_VERSION
 from repro.obs.state import OBS
@@ -501,12 +500,11 @@ class Scheduler:
         store = self.results_store
 
         def progress(done: int, total: int, result: TrialResult) -> None:
-            # Every resolved trial's record is in the store by now
-            # (executed ones were put just before this call): stream
-            # its stored line rather than encoding the record again.
+            # Every resolved trial's line is in the store by now:
+            # executed ones were put just before this call, cache
+            # hits and aliases were already there.
             line = store.line(result.trial.key)
-            if line is None:
-                line = canonical_json(result.record)
+            assert line is not None
             loop.call_soon_threadsafe(
                 self._on_trial, job, line, result.cached,
                 record_outcome(result.record), total,

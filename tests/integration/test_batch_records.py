@@ -1,7 +1,7 @@
 """Batch campaign records built from the round log.
 
-A batch trial that needs no live report builds its store record and
-the record's canonical line straight from the executor's round log
+A batch campaign trial builds its store record and the record's
+canonical line straight from the executor's round log
 (``run_batch_record``).  The contract is that nothing observable
 moves:
 
@@ -13,10 +13,10 @@ moves:
   before and after reopening;
 * records share no mutable object with each other or with the
   template cache;
-* a trial that fails records the same failure as the live-report
-  path;
-* with observability on, the trace, metrics and phase profile equal
-  the live-report path's.
+* a trial that fails records what ``run()`` raises, classified and
+  recorded as the executor records any failure;
+* with observability on, ``run_batch_record`` emits the trace,
+  metrics and phase profile ``run(..., backend="batch")`` does.
 
 It also covers the bound on the template and message tables of a
 cached compiled system.
@@ -30,12 +30,15 @@ import repro.batch.executor
 from repro.batch import cache_stats, clear_cache, compile_system_cached
 from repro.batch.compiler import MAX_TEMPLATES
 from repro.campaign import Campaign, Grid, ResultStore, canonical_json
+from repro.campaign.failures import classify_exception, failure_record
 from repro.campaign.trial import Trial, execute_trial, trial_record
 from repro.core import Address
 from repro.diffcheck import generate_scenarios
+from repro.faults import FaultSpec
 from repro.obs import observe, strip_wall_fields
 from repro.obs.tracer import canonical_line, trace_records
 from repro.scenario import Burst, NodeSpec, SystemSpec, run
+from repro.scenario.runner import run_batch_record
 from repro.scenario.workload import PostEvent, workload_from_dict
 
 from tests.integration.test_batch_backend import staggered_fleet
@@ -62,20 +65,30 @@ def outcome(call):
 
 
 def record_path(trial):
-    record, line, _wall_s, report = execute_trial(trial)
-    assert report is None
+    record, line, _wall_s = execute_trial(trial)
     assert json.loads(line) == record
     return line
 
 
-def report_path(trial):
-    report = run(
+def live_run(trial):
+    """``run()`` on the trial's documents, as a caller outside the
+    campaign layer makes it."""
+    return run(
         SystemSpec.from_dict(trial.spec_doc),
         workload_from_dict(trial.workload_doc),
-        backend="batch",
+        backend=trial.backend,
         timeout_s=trial.timeout_s,
+        faults=(
+            None if trial.faults_doc is None
+            else FaultSpec.from_dict(trial.faults_doc)
+        ),
+        wall_timeout_s=trial.wall_timeout_s,
     )
-    return canonical_json(trial_record(trial, report.to_dict()))
+
+
+def report_path(trial):
+    """The reference line: the record of ``run()``'s live report."""
+    return canonical_json(trial_record(trial, live_run(trial).to_dict()))
 
 
 def containers(document):
@@ -130,14 +143,12 @@ class TestByteIdentity:
             spec, workload = staggered_fleet(members=20, posts=30)
             campaign = Campaign(spec=spec, workload=workload,
                                 backend="batch")
-        fresh, live = ResultStore.memory(), ResultStore.memory()
-        results = campaign.run(store=fresh)
-        campaign.run(store=live, keep_reports=True)
-        assert fresh.entries() == live.entries()
+        store = ResultStore.memory()
+        results = campaign.run(store=store)
         for result in results:
-            assert canonical_json(result.record) == fresh.line(
-                result.trial.key
-            )
+            line = store.line(result.trial.key)
+            assert line == report_path(result.trial)
+            assert canonical_json(result.record) == line
 
     def test_store_returns_the_record_after_put_and_reopen(self, tmp_path):
         results = fig14_grid().run(store=str(tmp_path))
@@ -165,22 +176,33 @@ class TestByteIdentity:
                 assert id(tpl.row) not in ids
 
 
+def live_failure(trial):
+    """The failure record of what ``run()`` raises on ``trial``,
+    classified and recorded as the executor records a failure."""
+    with pytest.raises(Exception) as raised:
+        live_run(trial)
+    return failure_record(trial, classify_exception(raised.value))
+
+
+def without_digest(record):
+    """A failure record without its traceback digest, which names the
+    source lines the failure was raised through."""
+    assert record["outcome"] != "ok"
+    failure = dict(record["failure"])
+    assert len(failure.pop("traceback_digest")) == 16
+    return {**record, "failure": failure}
+
+
 class TestFailures:
-    def failure_records(self, campaign, **kwargs):
-        """Failure records from the round-log path and from the
-        live-report path, without their traceback digests (which name
-        the source lines each path raised through)."""
-        by_path = []
-        for keep_reports in (False, True):
-            results = campaign.run(keep_reports=keep_reports, **kwargs)
-            records = [dict(r.record) for r in results]
-            for record in records:
-                assert record["outcome"] != "ok"
-                record["failure"] = dict(record["failure"])
-                assert len(record["failure"].pop("traceback_digest")) == 16
-            by_path.append(records)
-        assert by_path[0] == by_path[1]
-        return by_path[0]
+    def failure_records(self, campaign):
+        """The campaign's failure records, which must be the ones
+        ``run()``'s exceptions give."""
+        results = campaign.run()
+        records = [without_digest(r.record) for r in results]
+        assert records == [
+            without_digest(live_failure(r.trial)) for r in results
+        ]
+        return records
 
     def test_bad_spec(self):
         campaign = Campaign(
@@ -251,14 +273,19 @@ class TestFailures:
 
 
 class TestObservability:
-    def trace(self, keep_reports):
+    def trace(self, path):
         clear_cache()
         campaign = fig14_grid()
         campaign.grid = Grid.product(**{
             "workload.payload": ["0102030405060708", "a1a2a3a4a5a6a7a8"],
         })
+        trials = campaign.trials()
         with observe() as session:
-            campaign.run(keep_reports=keep_reports)
+            for trial in trials:
+                path(
+                    SystemSpec.from_dict(trial.spec_doc),
+                    workload_from_dict(trial.workload_doc),
+                )
         records = trace_records(
             session.tracer,
             meta={"label": "batch-records"},
@@ -268,8 +295,10 @@ class TestObservability:
         return [canonical_line(strip_wall_fields(r)) for r in records]
 
     def test_round_log_path_emits_what_the_report_path_does(self):
-        lines = self.trace(keep_reports=False)
-        assert lines == self.trace(keep_reports=True)
+        lines = self.trace(run_batch_record)
+        assert lines == self.trace(
+            lambda spec, workload: run(spec, workload, backend="batch")
+        )
         text = "\n".join(lines)
         for needle in ('"name":"run"', '"name":"bus-round"',
                        '"name":"transaction"', "run.calls{backend=batch}",
@@ -290,7 +319,7 @@ class TestTemplateTables:
             workload["payload"] = i.to_bytes(8, "big").hex()
             trial = batch_trial(doc, dict(workload), index=i)
             before = cache_stats()["templates"]
-            record, _line, _wall, _report = execute_trial(trial)
+            record, _line, _wall = execute_trial(trial)
             after = cache_stats()["templates"]
             peak = max(peak, after)
             # Check every trial that ran right after a reset, and a

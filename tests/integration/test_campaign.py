@@ -16,12 +16,16 @@ import json
 
 import pytest
 
+import repro.campaign.executors
+import repro.campaign.store
 from repro.campaign import (
     Campaign,
     Grid,
     ResultStore,
+    canonical_json,
     load_campaign,
 )
+from repro.campaign.trial import trial_record
 from repro.core import Address
 from repro.core.errors import ConfigurationError
 from repro.faults import FaultSpec, RandomGlitches
@@ -30,6 +34,7 @@ from repro.scenario import (
     NodeSpec,
     RandomTraffic,
     SystemSpec,
+    run,
 )
 
 THREE_CHIP = SystemSpec(
@@ -243,6 +248,42 @@ class TestDeterminism:
             self._campaign().run(order=[0, 0, 1, 2])
 
 
+class TestOneTrialPath:
+    """A pool worker ships each record's line: the parent stores that
+    line as it is and encodes nothing for an ok outcome."""
+
+    def test_pool_stores_each_workers_line(self, monkeypatch):
+        puts, encodes = [], []
+        real_put = ResultStore.put
+
+        def recording_put(store, record, line=None):
+            puts.append((record["key"], line))
+            return real_put(store, record, line)
+
+        def counting_encode(document):
+            encodes.append(document)
+            return canonical_json(document)
+
+        for backend in ("edge", "fast", "batch"):
+            campaign = Campaign(
+                THREE_CHIP, BURST, grid={"workload.count": [1, 2, 3]},
+                backend=backend,
+            )
+            serial = ResultStore.memory()
+            campaign.run(store=serial)
+            puts.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(ResultStore, "put", recording_put)
+                for module in (repro.campaign.executors, repro.campaign.store):
+                    patch.setattr(module, "canonical_json", counting_encode)
+                results = campaign.run(executor="process", workers=2)
+            assert [r.record["backend"] for r in results] == [backend] * 3
+            assert len(puts) == 3
+            for key, line in puts:
+                assert line is not None and line == serial.line(key)
+            assert encodes == []
+
+
 class TestResume:
     def test_interrupted_campaign_resumes_missing_trials_only(self, tmp_path):
         campaign = fault_campaign("resume")
@@ -289,38 +330,22 @@ class TestExecutionModes:
         assert results.cached == 1
         assert results[0].record == results[1].record
 
-    def test_keep_reports_serial_only(self):
-        campaign = Campaign(THREE_CHIP, BURST)
-        results = campaign.run(keep_reports=True)
-        assert results[0].live is not None
-        assert results[0].live.n_ok == BURST.count
-        with pytest.raises(ConfigurationError, match="serial"):
-            campaign.run(executor="process", keep_reports=True)
-
-    def test_setup_hook_is_serial_only_and_uncached(self, tmp_path):
-        seen = []
-        store = ResultStore(tmp_path / "store")
-        campaign = Campaign(THREE_CHIP, BURST, backend="fast")
-        campaign.run(setup=lambda system: seen.append(system.mode),
-                     store=store)
-        assert seen == ["fast"]
-        # Code-bearing runs never touch the store.
-        assert len(store) == 0
-        with pytest.raises(ConfigurationError, match="serial"):
-            campaign.run(executor="process", setup=lambda s: None)
-
     def test_unknown_executor_rejected(self):
         with pytest.raises(ConfigurationError, match="executor"):
             Campaign(THREE_CHIP, BURST).run(executor="quantum")
 
     def test_live_report_matches_record(self):
-        results = Campaign(THREE_CHIP, BURST).run(keep_reports=True)
-        live_doc = results[0].live.to_dict()
+        store = ResultStore.memory()
+        (result,) = Campaign(THREE_CHIP, BURST).run(store=store)
+        live_doc = run(THREE_CHIP, BURST).to_dict()
+        assert store.line(result.trial.key) == canonical_json(
+            trial_record(result.trial, live_doc)
+        )
         # Wall-clock noise (and anything derived from it) never enters
         # the content-addressed record.
         live_doc.pop("wall_s")
         live_doc.pop("wall_throughput_tps")
-        assert live_doc == results[0].report
+        assert live_doc == result.report
 
 
 class TestCampaignDocuments:

@@ -9,9 +9,11 @@ bus.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
+from repro.core import Address, ControlCode
 from repro.diffcheck import (
     check_conservation,
     check_fault_free_noop,
@@ -23,6 +25,7 @@ from repro.diffcheck import (
     replay_repro,
 )
 from repro.diffcheck.checks import _run_scenario
+from repro.scenario import Broadcast, Burst, NodeSpec, SystemSpec
 
 
 def burst_scenario(n_members=3, source="m0", count=2, gap_s=0.0):
@@ -49,6 +52,24 @@ def burst_scenario(n_members=3, source="m0", count=2, gap_s=0.0):
         },
         "faults": None,
     }
+
+
+def buffer_abort_scenario():
+    """n0 broadcasts 6 bytes on channel 1; n1, the only node on that
+    channel, has a 4-byte receive buffer and aborts mid-message.  Then
+    n1 bursts twice to a full prefix nobody claims."""
+    spec = SystemSpec(name="buffer-abort", nodes=(
+        NodeSpec("m", short_prefix=0x1, is_mediator=True,
+                 broadcast_channels=()),
+        NodeSpec("n0", short_prefix=0x2, broadcast_channels=(3,)),
+        NodeSpec("n1", full_prefix=0x10001, power_gated=True,
+                 broadcast_channels=(1, 2), rx_buffer_bytes=4),
+    ))
+    workload = Broadcast("n0", channel=1, payload=bytes(range(6))) + Burst(
+        "n1", Address.full(0xFFFFF, 5), b"\xaa\xbb", count=2, at_s=10e-3
+    )
+    return {"seed": 0, "system": spec.to_dict(),
+            "workload": workload.to_dict(), "faults": None}
 
 
 class TestBoundedFuzz:
@@ -214,9 +235,39 @@ class TestInvariants:
     def test_conservation_flags_invented_payloads(self):
         scenario = burst_scenario()
         report = _run_scenario(scenario, "edge")
-        report.deliveries.append(("n1", b"\xde\xad"))
+        _name, message = report.transactions[0].rx_deliveries[0]
+        report.transactions[0].rx_deliveries.append(
+            ("n1", replace(message, payload=b"\xde\xad"))
+        )
         problems = check_conservation(scenario, report)
         assert any("never posted" in p for p in problems)
+
+    @pytest.mark.parametrize("backend", ["edge", "fast", "batch"])
+    def test_conservation_accepts_a_buffer_abort_prefix(self, backend):
+        scenario = buffer_abort_scenario()
+        report = _run_scenario(scenario, backend)
+        ((transaction, name, message),) = [
+            (t, name, message)
+            for t in report.transactions
+            for name, message in t.rx_deliveries
+        ]
+        # n1 sees its 4-byte buffer overrun when the fifth byte
+        # latches, so it keeps a 5-byte prefix of the 6-byte broadcast.
+        assert (name, message.payload, message.control) == (
+            "n1", bytes(range(5)), ControlCode.RX_ABORT
+        )
+        assert check_conservation(scenario, report) == []
+        # Truncated bytes that no post starts with, or a prefix that
+        # arrived as a complete message, were still never posted.
+        for forged in (
+            replace(message, payload=b"\x01\x02"),
+            replace(message, control=ControlCode.EOM_ACK),
+        ):
+            transaction.rx_deliveries[0] = (name, forged)
+            problems = check_conservation(scenario, report)
+            assert problems == [
+                f"delivered payload {forged.payload.hex()} was never posted"
+            ]
 
     def test_faulty_scenarios_replay_deterministically(self):
         # Find a generated faulty scenario and pin its determinism.

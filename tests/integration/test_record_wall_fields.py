@@ -5,15 +5,17 @@ the same bytes, so host time (``wall_s``, ``wall_throughput_tps``, any
 ``wall_*``) may appear in a live report but never in a record.  This
 walks every key, at every depth, of records from each way one is
 made: the edge, fast and batch backends (the batch tier's round-log
-record and its live-report record), the process pool, failure
-records, and the lines the campaign server streams.
+record, and the record of ``run()``'s live report), the process
+pool, failure records, and the lines the campaign server streams.
 """
 
 import json
 
 from repro.campaign import Campaign, Grid, ResultStore
+from repro.campaign.trial import trial_record
 from repro.core import Address
-from repro.scenario import Burst, NodeSpec, SystemSpec
+from repro.scenario import Burst, NodeSpec, SystemSpec, run
+from repro.scenario.workload import workload_from_dict
 from repro.serve.protocol import SubmitRequest
 from repro.serve.scheduler import Scheduler
 
@@ -69,15 +71,19 @@ def stored(results_store):
 
 def test_backend_records_hold_no_wall_fields():
     for backend in ("edge", "fast", "batch"):
-        for keep_reports in (False, True):
-            store = ResultStore.memory()
-            results = campaign(backend).run(
-                store=store, keep_reports=keep_reports
-            )
-            assert not results.failed
-            assert results[0].wall_s > 0   # wall time lives here
-            for record in stored(store):
-                assert wall_keys(record) == [], (backend, keep_reports)
+        store = ResultStore.memory()
+        results = campaign(backend).run(store=store)
+        assert not results.failed
+        assert results[0].wall_s > 0   # wall time lives here
+        for record in stored(store):
+            assert wall_keys(record) == [], backend
+        for result in results:
+            report_doc = run(
+                SPEC, workload_from_dict(result.trial.workload_doc),
+                backend=backend,
+            ).to_dict()
+            assert wall_keys(report_doc)   # a live report has them
+            assert wall_keys(trial_record(result.trial, report_doc)) == []
 
 
 def test_pool_records_hold_no_wall_fields():

@@ -93,6 +93,21 @@ class TestCli:
         assert all("params" in line and "report" in line for line in lines)
         assert "4 sweep points" in capsys.readouterr().out
 
+    def test_sweep_names_failed_points_and_exits_1(self, tmp_path, capsys):
+        import json
+
+        scenario = json.load(open("examples/scenarios/fig14_burst.json"))
+        scenario["sweep"] = {"workload.source": ["m", "nosuch"]}
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(scenario))
+        assert main(["sweep", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert "workload.source=m " in captured.out   # the ok row
+        (error,) = captured.err.splitlines()
+        assert "workload.source=nosuch" in error
+        assert "ConfigurationError" in error
+        assert "Traceback" not in captured.err
+
     def test_reliability_command(self, capsys):
         assert main(["reliability"]) == 0
         out = capsys.readouterr().out
