@@ -452,15 +452,14 @@ def _cmd_campaign_status(args) -> int:
 
 
 def _cmd_campaign_results(args) -> int:
-    from repro.campaign import ResultSet, ResultStore, TrialResult, load_campaign
+    from repro.campaign import ResultSet, ResultStore, load_campaign
 
     campaign = load_campaign(args.campaign)
     store = ResultStore(args.store, readonly=True)
     stored = [
-        TrialResult(trial=trial, record=record, cached=True)
-        for trial in campaign.trials()
-        for record in (store.get(trial.key),)
-        if record is not None
+        result
+        for result in map(store.result, campaign.trials())
+        if result is not None
     ]
     results = ResultSet(stored, executor="store", name=campaign.name)
     where = _parse_where(args.where)

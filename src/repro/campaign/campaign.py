@@ -32,8 +32,8 @@ trial that raises, times out, or kills its worker becomes a
 structured failure record — see :mod:`repro.campaign.failures` — and
 the campaign keeps going) and pluggable.  A campaign carries data,
 never code: every trial runs through
-:func:`~repro.campaign.trial.execute_trial`, documents in and a
-record with its store line out, on either executor:
+:func:`~repro.campaign.trial.execute_trial`, documents in and the
+record's store line out, on either executor:
 
 * ``executor="serial"`` — in-process, in trial order;
 * ``executor="process"`` — the crash-isolating
@@ -65,6 +65,7 @@ from typing import (
     List,
     Optional,
     Sequence,
+    Set,
     Tuple,
     Union,
 )
@@ -74,7 +75,6 @@ from repro.campaign.failures import (
     RetryPolicy,
     normalize_retry,
     record_is_quarantined,
-    record_outcome,
 )
 from repro.campaign.grid import Grid, GridLike, as_grid
 from repro.campaign.resultset import ResultSet, TrialResult
@@ -365,15 +365,13 @@ class Campaign:
             for index in exec_order:
                 trial = trials[index]
                 if resume:
-                    record = live_store.get(trial.key)
-                    if record is not None and not self._should_redo(
-                        record, retry_failed, retry_quarantined
+                    cached = live_store.result(trial)
+                    if cached is not None and not self._should_redo(
+                        cached, retry_failed, retry_quarantined
                     ):
                         if OBS.enabled:
                             OBS.metrics.inc("campaign.cache_hits")
-                        _resolved(TrialResult(
-                            trial=trial, record=record, cached=True
-                        ))
+                        _resolved(cached)
                         continue
                 pending.append(trial)
 
@@ -393,24 +391,23 @@ class Campaign:
             else:
                 to_execute = pending
 
-            fresh: Dict[str, Dict] = {}
+            fresh: Set[str] = set()
 
-            def on_outcome(trial, record, line, wall_s):
-                live_store.put(record, line)
-                fresh[trial.key] = record
+            def on_outcome(trial: Trial, line: str, wall_s: float) -> None:
+                live_store.put(line=line)
+                fresh.add(trial.key)
+                result = live_store.result(trial, cached=False, wall_s=wall_s)
+                assert result is not None
                 if OBS.enabled:
                     OBS.metrics.inc(
                         "campaign.outcomes",
-                        labels={"outcome": record_outcome(record)},
+                        labels={"outcome": result.outcome},
                     )
-                    if record_is_quarantined(record):
+                    if not result.ok and record_is_quarantined(
+                        result.record
+                    ):
                         OBS.metrics.inc("campaign.quarantined")
-                _resolved(TrialResult(
-                    trial=trial,
-                    record=record,
-                    cached=False,
-                    wall_s=wall_s,
-                ))
+                _resolved(result)
 
             stop_event = stop or threading.Event()
             restore: List = []
@@ -446,13 +443,15 @@ class Campaign:
                     signal.signal(signum, previous)
             for trial in aliases:
                 # An alias only resolves if its twin actually finished
-                # (an interrupted run may have left it pending).
-                if trial.key in fresh:
-                    if OBS.enabled:
-                        OBS.metrics.inc("campaign.aliases")
-                    _resolved(TrialResult(
-                        trial=trial, record=fresh[trial.key], cached=True
-                    ))
+                # (an interrupted run may have left it pending); the
+                # twin's line is then in the store.
+                if trial.key not in fresh:
+                    continue
+                alias = live_store.result(trial)
+                assert alias is not None
+                if OBS.enabled:
+                    OBS.metrics.inc("campaign.aliases")
+                _resolved(alias)
 
             return ResultSet(
                 [
@@ -485,14 +484,15 @@ class Campaign:
 
     @staticmethod
     def _should_redo(
-        record: Dict, retry_failed: bool, retry_quarantined: bool
+        cached: TrialResult, retry_failed: bool, retry_quarantined: bool
     ) -> bool:
-        """Resume policy: is this cached record stale enough to
-        re-execute?  Successes never are; failures only on request,
-        and quarantined failures only on *explicit* request."""
-        if record_outcome(record) == "ok":
+        """Resume policy: is this cached result stale enough to
+        re-execute?  Successes never are (and are not decoded to
+        tell); failures only on request, and quarantined failures only
+        on *explicit* request."""
+        if cached.ok:
             return False
-        if record_is_quarantined(record):
+        if record_is_quarantined(cached.record):
             return retry_quarantined
         return retry_failed or retry_quarantined
 
@@ -516,19 +516,21 @@ class Campaign:
         outcomes = {"ok": 0, "error": 0, "timeout": 0, "crashed": 0}
         quarantined_trials: List[int] = []
         for trial in trials:
-            record = live_store.get(trial.key)
-            if record is None:
+            result = live_store.result(trial)
+            if result is None:
                 continue
             cached += 1
-            outcome = record_outcome(record)
+            outcome = result.outcome   # an ok one decodes nothing
             outcomes[outcome] = outcomes.get(outcome, 0) + 1
+            if result.ok:
+                continue
+            failed += 1
+            record = result.record
             failure = record.get("failure")
             if failure:
                 retries += max(0, int(failure.get("attempts", 1)) - 1)
-            if outcome != "ok":
-                failed += 1
-                if record_is_quarantined(record):
-                    quarantined_trials.append(trial.index)
+            if record_is_quarantined(record):
+                quarantined_trials.append(trial.index)
         return CampaignStatus(
             name=self.name,
             n_trials=len(trials),

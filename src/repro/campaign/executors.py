@@ -2,13 +2,13 @@
 
 Both executors share one contract: take compiled
 :class:`~repro.campaign.trial.Trial` documents, and deliver *every*
-trial an outcome — a success record or a structured failure record,
-with the record's canonical JSON line — without ever letting one bad
-trial abort the campaign.  Both run a trial the one way there is,
+trial an outcome — the canonical JSON line of a success record or of
+a structured failure record — without ever letting one bad trial
+abort the campaign.  Both run a trial the one way there is,
 :func:`~repro.campaign.trial.execute_trial`; a pool worker sends the
-line it built back, and the parent decodes it instead of encoding the
-record a second time.  The differences are the failure classes each
-can survive:
+line it built back, and the parent hands it to the store as it is,
+neither decoding it nor encoding the record a second time.  The
+differences are the failure classes each can survive:
 
 =====================  ========  =========
 failure                 serial    process
@@ -43,7 +43,6 @@ every completed outcome.
 
 from __future__ import annotations
 
-import json
 import multiprocessing
 import os
 import threading
@@ -51,7 +50,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, replace
 from multiprocessing.connection import wait as connection_wait
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from repro.campaign.failures import (
     RetryPolicy,
@@ -60,17 +59,12 @@ from repro.campaign.failures import (
     crash_failure,
     failure_record,
 )
-from repro.campaign.trial import (
-    Trial,
-    canonical_json,
-    execute_trial,
-    run_trial_document,
-)
+from repro.campaign.trial import Trial, canonical_json, execute_trial
 from repro.obs.state import OBS
 
-#: outcome callback: (trial, record, line, wall_s) — ``line`` is the
-#: record's canonical JSON, for the store to append as it is
-OutcomeCallback = Callable[[Trial, Dict, str, float], None]
+#: outcome callback: (trial, line, wall_s) — ``line`` is the record's
+#: canonical JSON, for the store to append as it is
+OutcomeCallback = Callable[[Trial, str, float], None]
 
 #: Grace multiplier/offset for the process executor's hard kill: the
 #: cooperative in-worker timeout should fire first; the SIGKILL is the
@@ -128,7 +122,7 @@ def _serial_attempts(
         attempts += 1
         start = time.perf_counter()
         try:
-            record, line, wall_s = execute_trial(trial)
+            line, wall_s = execute_trial(trial)
         except Exception as exc:
             failure = classify_exception(exc, attempts=attempts)
             if policy.should_retry(failure) and not stop.is_set():
@@ -137,10 +131,11 @@ def _serial_attempts(
                     _count_retry(delay_s)
                 _interruptible_sleep(delay_s, stop)
                 continue
-            record = failure_record(trial, policy.finalize(failure))
-            line = canonical_json(record)
+            line = canonical_json(
+                failure_record(trial, policy.finalize(failure))
+            )
             wall_s = time.perf_counter() - start
-        on_outcome(trial, record, line, wall_s)
+        on_outcome(trial, line, wall_s)
         return
 
 
@@ -167,7 +162,7 @@ def _worker_main(conn) -> None:
     """Worker loop: receive a trial document, send back its outcome.
 
     A success is ``("ok", line, wall_s)``: the record's canonical line,
-    which the parent decodes and stores as it is.  Exceptions become
+    which the parent stores as it is.  Exceptions become
     ``("fail", failure_doc, wall_s)`` messages; only a crash (or kill)
     leaves the parent without a message, which is exactly how the
     parent detects crashes.
@@ -182,7 +177,7 @@ def _worker_main(conn) -> None:
         trial_doc, attempts = task
         start = time.perf_counter()
         try:
-            _index, _record, line, wall_s = run_trial_document(trial_doc)
+            line, wall_s = execute_trial(Trial.from_dict(trial_doc))
             payload = ("ok", line, wall_s)
         except Exception as exc:
             failure = classify_exception(exc, attempts=attempts)
@@ -355,7 +350,7 @@ class ProcessPool:
             if kind == "ok":
                 if OBS.enabled:
                     _emit_trial_span(attempt.trial, "ok", wall_s)
-                on_outcome(attempt.trial, json.loads(body), body, wall_s)
+                on_outcome(attempt.trial, body, wall_s)
             else:
                 failure = TrialFailure.from_dict(body, lenient=True)
                 failure = replace(failure, attempts=attempt.attempts)
@@ -431,5 +426,8 @@ class ProcessPool:
         failure = self.policy.finalize(failure)
         if OBS.enabled:
             _emit_trial_span(attempt.trial, failure.outcome, wall_s)
-        record = failure_record(attempt.trial, failure)
-        on_outcome(attempt.trial, record, canonical_json(record), wall_s)
+        on_outcome(
+            attempt.trial,
+            canonical_json(failure_record(attempt.trial, failure)),
+            wall_s,
+        )

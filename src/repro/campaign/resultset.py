@@ -15,13 +15,16 @@ Metrics address the stored record by dotted path (``report.n_ok``,
 ``report.reliability.recovery_rate``, ``params.clock_hz``) or by a
 callable ``TrialResult -> value``; bare names are looked up in
 ``params`` first, then at the top of the report — so the common cases
-read naturally.
+read naturally.  Each result decodes its record only when a query
+reads it (see :class:`TrialResult`).
 """
 
 from __future__ import annotations
 
+import functools
+import json
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import (
     Any,
     Callable,
@@ -35,7 +38,7 @@ from typing import (
 )
 
 from repro.campaign.failures import TrialFailure, record_outcome
-from repro.campaign.trial import Trial, canonical_json
+from repro.campaign.trial import Trial
 from repro.core.errors import ConfigurationError
 
 Metric = Union[str, Callable[["TrialResult"], Any]]
@@ -52,18 +55,49 @@ AGGREGATIONS: Dict[str, Callable[[List[Any]], Any]] = {
 }
 
 
+def decode_record(line: str, key: str, where: str) -> Dict:
+    """Decode a stored record line.  One that does not decode (a
+    corrupt line a store indexed by its prefix) raises a
+    :class:`ConfigurationError` naming where it is stored and its key."""
+    try:
+        return json.loads(line)
+    except ValueError as exc:
+        raise ConfigurationError(
+            f"{where}: the stored line of key {key} does not decode "
+            f"({exc}); compacting the store drops it, and the next "
+            "resume re-executes its trial"
+        ) from None
+
+
 @dataclass(frozen=True)
 class TrialResult:
-    """One trial's outcome: its record, and how it was obtained."""
+    """One trial's outcome: its record, and how it was obtained.
+
+    A result holds the record's canonical line, as the store does
+    (:meth:`~repro.campaign.store.ResultStore.result` builds it), and
+    decodes the record on first read of :attr:`record`.  ``ok`` comes
+    from the store's index, so :attr:`ok`, :attr:`outcome` and
+    :attr:`failure` of an ok trial decode nothing.
+    """
 
     trial: Trial
-    record: Dict
+    #: The record's canonical JSON line.
+    line: str
+    #: Whether the record is an ok outcome.
+    ok: bool
     #: True when the record came from the store (or from an earlier
     #: identical trial in the same run) instead of being executed.
-    cached: bool
+    cached: bool = False
     #: Wall-clock cost of *this* execution; 0.0 for cache hits.  Kept
     #: off the record so cached bytes stay content-addressed.
     wall_s: float = 0.0
+    #: The store holding the line, for an error about it.
+    where: str = field(default="a store", compare=False, repr=False)
+
+    @functools.cached_property
+    def record(self) -> Dict:
+        """The JSON record, decoded from the line on first read."""
+        return decode_record(self.line, self.key, self.where)
 
     @property
     def key(self) -> str:
@@ -86,16 +120,12 @@ class TrialResult:
     @property
     def outcome(self) -> str:
         """``"ok"`` / ``"error"`` / ``"timeout"`` / ``"crashed"``."""
-        return record_outcome(self.record)
-
-    @property
-    def ok(self) -> bool:
-        return self.outcome == "ok"
+        return "ok" if self.ok else record_outcome(self.record)
 
     @property
     def failure(self) -> Optional[TrialFailure]:
         """The structured failure, or None for successful trials."""
-        doc = self.record.get("failure")
+        doc = None if self.ok else self.record.get("failure")
         if doc is None:
             return None
         return TrialFailure.from_dict(doc, lenient=True)
@@ -380,11 +410,11 @@ class ResultSet(Sequence):
         )
 
     def to_jsonl(self, path: str) -> int:
-        """Write one canonical record line per result; returns the
-        number of lines written (the store's exact byte format)."""
+        """Write each result's canonical record line, as the store
+        holds it; returns the number of lines written."""
         with open(path, "w") as handle:
             for result in self._results:
-                handle.write(canonical_json(result.record) + "\n")
+                handle.write(result.line + "\n")
         return len(self._results)
 
     def summary(self) -> str:

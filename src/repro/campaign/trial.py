@@ -18,8 +18,8 @@ what buys every property the campaign layer promises:
   :class:`~repro.campaign.store.ResultStore` a content address that
   survives interpreter restarts and is insensitive to dict ordering.
 
-Documents in, records out: :func:`execute_trial` is the only way a
-trial runs, and it returns a *record* and the record's canonical JSON
+Documents in, lines out: :func:`execute_trial` is the only way a
+trial runs, and it returns the trial's *record* as its canonical JSON
 line.  A record is a JSON document holding the trial's key, parameters
 and the :meth:`RunReport.to_dict` report with its ``wall_s`` /
 ``wall_throughput_tps`` fields removed (wall-clock noise must never
@@ -35,11 +35,12 @@ once per distinct spec; :attr:`Trial.key` splices it in, and
 (:func:`encode_spec` / :func:`decode_spec`), so the compiled-system
 cache's digest and the record's embedded spec come from one encoding
 per campaign.  A trial that runs on the batch tier — ``"batch"``, or
-``"auto"`` with no faults document — builds its record and the
-record's line straight from the batch tier's round log
-(:func:`repro.scenario.runner.run_batch_record`).  The store appends
-the line as it is, and a pool worker sends the line, not the record,
-back to the parent (:func:`run_trial_document`).
+``"auto"`` with no faults document — builds its line straight from
+the batch tier's round log
+(:func:`repro.scenario.runner.run_batch_record`), and no record dict
+exists at all.  A pool worker sends the line back to the parent, the
+store appends it as it is, and nothing decodes it until a reader asks
+for the record.
 
 A record's ``backend`` field names the tier that ran the trial (an
 ok record) or the requested backend (a failure record, which may
@@ -54,6 +55,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import json
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
@@ -191,14 +193,14 @@ def _remember(spec_json: str, spec: "SystemSpec") -> None:
     _decoded_specs[spec_json] = spec
 
 
-def _envelope(trial: Trial, report_doc: Dict) -> Dict:
+def _envelope(trial: Trial, backend: Any, report: Any) -> Dict:
     return {
         "schema_version": REPORT_SCHEMA_VERSION,
         "key": trial.key,
         "params": dict(trial.params),
-        "backend": report_doc.get("backend"),
+        "backend": backend,
         "outcome": "ok",
-        "report": report_doc,
+        "report": report,
     }
 
 
@@ -213,22 +215,23 @@ def trial_record(trial: Trial, report_doc: Dict) -> Dict:
     doc = dict(report_doc)
     doc.pop("wall_s", None)
     doc.pop("wall_throughput_tps", None)
-    return _envelope(trial, doc)
+    return _envelope(trial, doc.get("backend"), doc)
 
 
-def execute_trial(trial: Trial) -> Tuple[Dict, str, float]:
+def execute_trial(trial: Trial) -> Tuple[str, float]:
     """Run one trial in this process: the only way a campaign trial
     runs, on the serial executor, in a pool worker and under serve.
 
-    Returns ``(record, line, wall_s)``: the JSON record for the store,
-    its canonical JSON line and the wall-clock cost of this execution.
+    Returns ``(line, wall_s)``: the trial's record as the canonical
+    JSON line the store appends, and the wall-clock cost of this
+    execution.
 
     The trial's tier is :func:`~repro.scenario.runner.select_backend`'s
     choice, exactly as :func:`~repro.scenario.runner.run` makes it for
     the trial's documents, so an ``"auto"`` trial with no faults
     document runs on the batch tier.  A batch trial never builds a
-    live report: its record and line come straight from the batch
-    tier's round log, byte-identical to
+    live report or a record dict: its line comes straight from the
+    batch tier's round log, byte-identical to
     ``canonical_json(trial_record(trial, run(...).to_dict()))``.
     Every other trial runs through :func:`~repro.scenario.runner.run`.
     """
@@ -249,15 +252,16 @@ def execute_trial(trial: Trial) -> Tuple[Dict, str, float]:
         live_system=faults is not None,
     )
     if mode == "batch":
-        report_doc, report_json, wall_s = run_batch_record(
+        report_json, wall_s = run_batch_record(
             spec,
             workload,
             timeout_s=trial.timeout_s,
             wall_timeout_s=trial.wall_timeout_s,
         )
-        record = _envelope(trial, report_doc)
-        line = splice_json({**record, "report": Encoded(report_json)})
-        return record, line, wall_s
+        line = splice_json(
+            _envelope(trial, "batch", Encoded(report_json))
+        )
+        return line, wall_s
     report = run(
         spec,
         workload,
@@ -266,21 +270,23 @@ def execute_trial(trial: Trial) -> Tuple[Dict, str, float]:
         faults=faults,
         wall_timeout_s=trial.wall_timeout_s,
     )
-    record = trial_record(trial, report.to_dict())
-    return record, canonical_json(record), report.wall_s
+    return (
+        canonical_json(trial_record(trial, report.to_dict())),
+        report.wall_s,
+    )
 
 
 def run_trial_document(trial_doc: Dict) -> Tuple[int, Dict, str, float]:
-    """Process-pool entry point: execute a trial shipped as a dict.
+    """Execute a trial shipped as a document, as a pool worker does,
+    and decode its record: ``(index, record, line, wall_s)``.
 
-    Module-level (picklable by reference) and document-in /
-    document-out: returns ``(index, record, line, wall_s)``, the
-    trial's index followed by :func:`execute_trial`'s result.  A pool
-    worker sends only the line and the wall time back, so the parent
-    decodes the line and never encodes the record again.
+    For in-process replays and tests that read the record.  A pool
+    worker calls :func:`execute_trial` itself and sends only the line
+    and the wall time back, so neither side decodes the record.
     """
     trial = Trial.from_dict(trial_doc)
-    return (trial.index, *execute_trial(trial))
+    line, wall_s = execute_trial(trial)
+    return trial.index, json.loads(line), line, wall_s
 
 
 def patch_document(document: Any, path: str, value: Any, what: str) -> None:

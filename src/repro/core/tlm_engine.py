@@ -62,6 +62,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import (
+    Any,
     Callable,
     Dict,
     Iterable,
@@ -322,9 +323,9 @@ class RoundTemplate:
     wire_row: Tuple[int, ...]
     control_cycles: int = constants.CONTROL_CYCLES
     ok: bool = field(init=False)
-    #: A campaign record builder's per-shape row (filled outside the
-    #: core, by repro.scenario.runner; None until then).
-    row: Optional[dict] = field(default=None, init=False)
+    #: A campaign record builder's per-shape record terms (filled
+    #: outside the core, by repro.scenario.runner; None until then).
+    row: Any = field(default=None, init=False)
 
     def __post_init__(self) -> None:
         self.ok = (

@@ -37,10 +37,10 @@ options all derive from it.
 Parameter studies live in :mod:`repro.campaign` (grids, pluggable
 executors, content-addressed caching, queryable results).  A campaign
 trial on the batch tier calls :func:`run_batch_record` instead of
-:func:`run`: the same compile and execute, then the record's report
-document and its canonical JSON built straight from the round log,
-with no ``TransactionResult`` and no :meth:`RunReport.to_dict`.
-:func:`run` itself always materializes the full report.
+:func:`run`: the same compile and execute, then the canonical JSON of
+the record's report built straight from the round log, with no
+``TransactionResult``, no :meth:`RunReport.to_dict` and no report
+dict.  :func:`run` itself always materializes the full report.
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ from typing import (
     Dict,
     Iterable,
     List,
+    NamedTuple,
     Optional,
     Tuple,
     Union,
@@ -538,17 +539,17 @@ def run_batch_record(
     workload: Workload,
     timeout_s: Optional[float] = None,
     wall_timeout_s: Optional[float] = None,
-) -> Tuple[Dict, str, float]:
+) -> Tuple[str, float]:
     """``run(spec, workload, backend="batch")`` for a campaign record.
 
-    Returns ``(report, line, wall_s)``: the report document exactly as
-    a trial record holds it — ``RunReport.to_dict()`` without its
-    ``wall_*`` fields — its canonical JSON, and the wall time.  Both
-    come straight from the executor's round log: no
-    :func:`~repro.batch.materialize`, no ``TransactionResult``, no
-    ``RunReport.to_dict``.  Each round template contributes its
-    ready-encoded transaction row (the round's index spliced in), its
-    energy term (summed per transaction, in order, as
+    Returns ``(report_json, wall_s)``: the canonical JSON of the report
+    document exactly as a trial record holds it —
+    ``RunReport.to_dict()`` without its ``wall_*`` fields — and the
+    wall time.  The text comes straight from the executor's round log:
+    no :func:`~repro.batch.materialize`, no ``TransactionResult``, no
+    ``RunReport.to_dict`` and no report dict.  Each round template
+    contributes its ready-encoded transaction row (the round's index
+    spliced in), its energy term (summed per transaction, in order, as
     :meth:`RunReport.energy_pj` sums) and its delivered bits; the spec
     contributes its one encoding (:attr:`SystemSpec.encoded`).
 
@@ -565,14 +566,14 @@ def run_batch_record(
             spec, workload, timeout_s, wall_deadline
         )
         with OBS.phase("serialize"):
-            doc, line = _batch_record_report(csys, result, spec, workload)
+            line = _batch_record_report(csys, result, spec, workload)
             wall_s = time.perf_counter() - start
         if tracer is not None:
             _round_spans(tracer, (
                 (t0, tpl.end_off, index, tpl.ok)
                 for index, (t0, tpl) in enumerate(result.round_log)
             ))
-    return doc, line, wall_s
+    return line, wall_s
 
 
 def _wall_deadline(wall_timeout_s: Optional[float]) -> Optional[float]:
@@ -758,20 +759,13 @@ def _run_batch(
 _ENERGY_MODEL = MeasuredEnergyModel()
 
 
-class _TemplateRow(dict):
-    """A round template's transaction row in a batch record, without
-    ``index`` and ``rx_nodes``, plus the record terms every round of
-    that template shares; kept in the template's ``row``.
+class _TemplateRow(NamedTuple):
+    """A round template's record terms, kept in the template's ``row``:
+    its transaction row's canonical JSON cut around ``index`` (the
+    row is ``head + str(index) + tail``), its Section 6.2 message
+    energy (``None`` when :meth:`RunReport.energy_pj` skips it) and
+    its delivered payload bits."""
 
-    ``rx_nodes`` keeps the receivers, and the row's canonical JSON is
-    ``head + str(index) + tail``.  ``energy_pj`` is the round's
-    Section 6.2 message energy (``None`` when
-    :meth:`RunReport.energy_pj` skips it) and ``payload_bits`` its
-    delivered payload bits.
-    """
-
-    __slots__ = ("rx_nodes", "head", "tail", "energy_pj", "payload_bits")
-    rx_nodes: Tuple[str, ...]
     head: str
     tail: str
     energy_pj: Optional[float]
@@ -781,59 +775,57 @@ class _TemplateRow(dict):
 def _template_row(tpl: RoundTemplate, n_nodes: int) -> _TemplateRow:
     """Compute and keep ``tpl``'s record terms on an ``n_nodes`` ring."""
     message = tpl.message
-    row = _TemplateRow(
-        ok=tpl.ok,
-        control=None if tpl.control is None else tpl.control.name,
-        tx_node=tpl.tx_node,
-        payload_hex=None if message is None else message.payload.hex(),
-        clock_cycles=tpl.clock_cycles,
-        control_cycles=tpl.control_cycles,
-        duration_ps=tpl.end_off,
-        general_error=tpl.general_error,
-        error_reason=tpl.error_reason,
-    )
-    row.rx_nodes = tuple(rx[0] for rx in tpl.rx)
     # Encoded with index 0 and cut around it: '"index":' can only be
     # that key (quotes inside string values are escaped).
-    text = canonical_json(dict(row, index=0, rx_nodes=row.rx_nodes))
+    text = canonical_json({
+        "index": 0,
+        "ok": tpl.ok,
+        "control": None if tpl.control is None else tpl.control.name,
+        "tx_node": tpl.tx_node,
+        "rx_nodes": [rx[0] for rx in tpl.rx],
+        "payload_hex": None if message is None else message.payload.hex(),
+        "clock_cycles": tpl.clock_cycles,
+        "control_cycles": tpl.control_cycles,
+        "duration_ps": tpl.end_off,
+        "general_error": tpl.general_error,
+        "error_reason": tpl.error_reason,
+    })
     cut = text.index('"index":0') + len('"index":')
-    row.head, row.tail = text[:cut], text[cut + 1:]
-    row.energy_pj = (
-        _ENERGY_MODEL.message_energy_pj(
-            len(message.payload),
-            n_nodes,
-            full_address=not message.dest.is_short,
-            n_receivers=max(1, len(tpl.rx)),
-        )
-        if tpl.ok and message is not None
-        else None
+    row = _TemplateRow(
+        head=text[:cut],
+        tail=text[cut + 1:],
+        energy_pj=(
+            _ENERGY_MODEL.message_energy_pj(
+                len(message.payload),
+                n_nodes,
+                full_address=not message.dest.is_short,
+                n_receivers=max(1, len(tpl.rx)),
+            )
+            if tpl.ok and message is not None
+            else None
+        ),
+        payload_bits=sum(8 * len(rx[2]) for rx in tpl.rx),
     )
-    row.payload_bits = sum(8 * len(rx[2]) for rx in tpl.rx)
     tpl.row = row
     return row
 
 
-def _batch_record_report(csys, result, spec: SystemSpec, workload: Workload):
-    """The record view of a batch run, from its round log: the
-    ``RunReport.to_dict()`` document minus ``wall_*`` and its
-    canonical JSON (see :func:`run_batch_record`).  Every row and
-    container is built fresh, so records share nothing mutable with
-    the template cache or with each other."""
+def _batch_record_report(
+    csys: Any, result: Any, spec: SystemSpec, workload: Workload
+) -> str:
+    """The canonical JSON of a batch run's record report, from its
+    round log: the ``RunReport.to_dict()`` document minus ``wall_*``
+    (see :func:`run_batch_record`)."""
     from repro.batch.executor import tallies
 
     n_nodes = len(spec.nodes)
-    rows: List[Dict] = []
-    encoded_rows: List[str] = []
+    rows: List[str] = []
     energy_pj = 0.0
     for index, (_t0, tpl) in enumerate(result.round_log):
         terms = tpl.row
         if terms is None:
             terms = _template_row(tpl, n_nodes)
-        row = terms.copy()
-        row["index"] = index
-        row["rx_nodes"] = list(terms.rx_nodes)
-        rows.append(row)
-        encoded_rows.append(f"{terms.head}{index}{terms.tail}")
+        rows.append(f"{terms.head}{index}{terms.tail}")
         if terms.energy_pj is not None:
             energy_pj += terms.energy_pj
     n_ok = bits = 0
@@ -843,10 +835,10 @@ def _batch_record_report(csys, result, spec: SystemSpec, workload: Workload):
         bits += hits * tpl.row.payload_bits
     power, wire = tallies(csys, result)
     sim_time_s = result.end_ps / PS_PER_S
-    doc = {
+    return splice_json({
         "schema_version": REPORT_SCHEMA_VERSION,
         "backend": "batch",
-        "spec": spec.to_dict(),
+        "spec": Encoded(spec.encoded),
         "workload": workload.to_dict(),
         "faults": None,
         "reliability": None,
@@ -860,11 +852,5 @@ def _batch_record_report(csys, result, spec: SystemSpec, workload: Workload):
         "energy_per_delivered_bit_pj": energy_pj / bits if bits else 0.0,
         "wire_activity": wire,
         "power": power,
-        "transactions": rows,
-    }
-    line = splice_json({
-        **doc,
-        "spec": Encoded(spec.encoded),
-        "transactions": Encoded("[" + ",".join(encoded_rows) + "]"),
+        "transactions": Encoded("[" + ",".join(rows) + "]"),
     })
-    return doc, line

@@ -32,8 +32,9 @@ serve status and streaming requests while a campaign runs; the
 process executor then parallelises trials across worker processes as
 usual.  Trial completions cross back into the loop via
 ``call_soon_threadsafe``, append the record's stored line (the store
-already holds its canonical bytes; nothing is encoded twice) to the
-job, and wake every streaming subscriber.
+already holds its canonical bytes; nothing is encoded twice, and an
+ok record is never decoded) to the job, and wake every streaming
+subscriber.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from threading import Event as ThreadEvent
 from typing import Callable, Deque, Dict, List, Optional, Tuple, Union
 
 from repro.campaign.campaign import Campaign
-from repro.campaign.failures import record_outcome
 from repro.campaign.resultset import ResultSet, TrialResult
 from repro.campaign.store import ResultStore
 from repro.core.errors import ConfigurationError
@@ -497,17 +497,13 @@ class Scheduler:
         loop = self._loop
         assert loop is not None
 
-        store = self.results_store
-
         def progress(done: int, total: int, result: TrialResult) -> None:
-            # Every resolved trial's line is in the store by now:
-            # executed ones were put just before this call, cache
-            # hits and aliases were already there.
-            line = store.line(result.trial.key)
-            assert line is not None
+            # The result carries its stored line, and its outcome
+            # comes from the store's index: an ok record is never
+            # decoded here.
             loop.call_soon_threadsafe(
-                self._on_trial, job, line, result.cached,
-                record_outcome(result.record), total,
+                self._on_trial, job, result.line, result.cached,
+                result.outcome, total,
             )
 
         return campaign.run(

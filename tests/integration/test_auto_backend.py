@@ -13,6 +13,8 @@ the fast path's record for the same trial in everything but the
 with the same outcome and error type.
 """
 
+import json
+
 import pytest
 
 from repro.campaign import Campaign, Grid, ResultStore, canonical_json
@@ -99,7 +101,8 @@ class TestRecordBackendField:
             store=store
         )
         assert result.cached and result.record == fast_era
-        assert fast_era == as_batch(execute_trial(trial)[0], "fast")
+        line, _wall_s = execute_trial(trial)
+        assert fast_era == as_batch(json.loads(line), "fast")
 
 
 def fast_record(trial):
@@ -132,7 +135,8 @@ def outcome(call):
 
 
 def auto_record(trial):
-    record, line, _wall_s = execute_trial(trial)
+    line, _wall_s = execute_trial(trial)
+    record = json.loads(line)
     assert line == canonical_json(record)
     return record
 

@@ -65,8 +65,8 @@ def outcome(call):
 
 
 def record_path(trial):
-    record, line, _wall_s = execute_trial(trial)
-    assert json.loads(line) == record
+    line, _wall_s = execute_trial(trial)
+    assert canonical_json(json.loads(line)) == line
     return line
 
 
@@ -174,6 +174,39 @@ class TestByteIdentity:
         for tpl in csys.template_list:
             if tpl.row is not None:
                 assert id(tpl.row) not in ids
+
+
+class TestLineBackedResume:
+    """A record is its line: a resume pass over ok records, and the
+    queries that read only outcomes, decode no record."""
+
+    @pytest.fixture
+    def decodes(self, monkeypatch):
+        calls = []
+        real = json.loads
+
+        def counting(text, *args, **kwargs):
+            calls.append(text)
+            return real(text, *args, **kwargs)
+
+        monkeypatch.setattr(json, "loads", counting)
+        return calls
+
+    def test_resume_pass_decodes_nothing(self, tmp_path, decodes):
+        campaign = fig14_grid()
+        first = campaign.run(store=str(tmp_path))
+        assert first.executed == 40 and decodes == []
+        resumed = campaign.run(store=str(tmp_path))
+        status = campaign.status(str(tmp_path))
+        assert resumed.cached == 40 and resumed.failed == 0
+        assert len(resumed.oks()) == 40 and not resumed.failures()
+        assert "40 from cache" in resumed.summary()
+        assert status.complete and status.outcomes["ok"] == 40
+        assert decodes == []
+        # Reading the records decodes each once, and they are the
+        # executed ones.
+        assert resumed.records() == first.records()
+        assert len(decodes) == 2 * 40
 
 
 def live_failure(trial):
@@ -319,22 +352,22 @@ class TestTemplateTables:
             workload["payload"] = i.to_bytes(8, "big").hex()
             trial = batch_trial(doc, dict(workload), index=i)
             before = cache_stats()["templates"]
-            record, _line, _wall = execute_trial(trial)
+            line, _wall = execute_trial(trial)
             after = cache_stats()["templates"]
             peak = max(peak, after)
             # Check every trial that ran right after a reset, and a
             # spread of the others.
             if after < before:
                 resets += 1
-                checked.append((trial, record))
+                checked.append((trial, line))
             elif i % 997 == 0:
-                checked.append((trial, record))
+                checked.append((trial, line))
         assert peak <= MAX_TEMPLATES + 2
         assert resets >= 4
         assert cache_stats()["entries"] == 1
-        for trial, record in checked:
+        for trial, line in checked:
             clear_cache()
-            assert execute_trial(trial)[0] == record
+            assert execute_trial(trial)[0] == line
 
     def test_a_run_keeps_its_own_working_set_warm(self):
         clear_cache()

@@ -250,19 +250,24 @@ class TestDeterminism:
 
 class TestOneTrialPath:
     """A pool worker ships each record's line: the parent stores that
-    line as it is and encodes nothing for an ok outcome."""
+    line as it is, and neither encodes nor decodes an ok outcome."""
 
     def test_pool_stores_each_workers_line(self, monkeypatch):
-        puts, encodes = [], []
+        puts, encodes, decodes = [], [], []
         real_put = ResultStore.put
+        real_loads = json.loads
 
-        def recording_put(store, record, line=None):
-            puts.append((record["key"], line))
+        def recording_put(store, record=None, line=None):
+            puts.append((record, line))
             return real_put(store, record, line)
 
         def counting_encode(document):
             encodes.append(document)
             return canonical_json(document)
+
+        def counting_decode(text, *args, **kwargs):
+            decodes.append(text)
+            return real_loads(text, *args, **kwargs)
 
         for backend in ("edge", "fast", "batch"):
             campaign = Campaign(
@@ -274,14 +279,17 @@ class TestOneTrialPath:
             puts.clear()
             with monkeypatch.context() as patch:
                 patch.setattr(ResultStore, "put", recording_put)
+                patch.setattr(json, "loads", counting_decode)
                 for module in (repro.campaign.executors, repro.campaign.store):
                     patch.setattr(module, "canonical_json", counting_encode)
                 results = campaign.run(executor="process", workers=2)
             assert [r.record["backend"] for r in results] == [backend] * 3
             assert len(puts) == 3
-            for key, line in puts:
-                assert line is not None and line == serial.line(key)
+            for record, line in puts:
+                assert record is None and line is not None
+                assert line == serial.line(json.loads(line)["key"])
             assert encodes == []
+            assert decodes == []
 
 
 class TestResume:

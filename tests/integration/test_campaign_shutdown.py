@@ -154,8 +154,8 @@ class TestStopEvent:
         store = ResultStore(tmp_path / "store")
         original_put = store.put
 
-        def counting_put(record, line=None):
-            seen.append(record["key"])
+        def counting_put(record=None, line=None):
+            seen.append(line)
             if len(seen) == 2:
                 stop.set()
             return original_put(record, line)

@@ -17,13 +17,14 @@ def make_result(index, params, report, cached=False):
     )
     return TrialResult(
         trial=trial,
-        record={
+        line=canonical_json({
             "schema_version": 1,
             "key": trial.key,
             "params": params,
             "backend": "fast",
             "report": report,
-        },
+        }),
+        ok=True,
         cached=cached,
     )
 

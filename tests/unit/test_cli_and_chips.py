@@ -173,6 +173,28 @@ class TestCampaignCli:
         assert len(lines) == 1
         assert lines[0]["params"]["faults.faults.0.rate_hz"] == 4000.0
 
+    def test_campaign_results_output_is_the_stored_lines(
+        self, tmp_path, capsys
+    ):
+        from repro.campaign import ResultStore, load_campaign
+
+        store = str(tmp_path / "store")
+        out = tmp_path / "records.jsonl"
+        assert main(["campaign", "run", CAMPAIGN_DOC, "--store", store]) == 0
+        assert main([
+            "campaign", "results", CAMPAIGN_DOC, "--store", store,
+            "--output", str(out),
+        ]) == 0
+        capsys.readouterr()
+        stored = ResultStore(store, readonly=True)
+        lines = [
+            stored.line(trial.key)
+            for trial in load_campaign(CAMPAIGN_DOC).trials()
+        ]
+        assert out.read_bytes() == "".join(
+            line + "\n" for line in lines
+        ).encode()
+
     def test_campaign_results_empty_store_fails(self, tmp_path, capsys):
         assert main([
             "campaign", "results", CAMPAIGN_DOC,

@@ -206,6 +206,31 @@ class TestExecution:
         assert second.lines == first.lines
 
 
+    def test_jobs_decode_no_record(self, monkeypatch):
+        """Outcomes come from the store's index and lines go to the
+        job as stored: neither a new job nor its resubmission decodes
+        a record on the server."""
+        import json
+
+        decodes = []
+        real = json.loads
+
+        def counting(text, *args, **kwargs):
+            decodes.append(text)
+            return real(text, *args, **kwargs)
+
+        monkeypatch.setattr(json, "loads", counting)
+        scheduler = Scheduler()
+        first, _ = scheduler.submit(request())
+        run_to_terminal(scheduler, first)
+        assert first.executed == 2 and first.outcomes == {"ok": 2}
+        second, _ = scheduler.submit(request())
+        run_to_terminal(scheduler, second)
+        assert second.cached == 2 and second.outcomes == {"ok": 2}
+        assert second.lines == first.lines
+        assert decodes == []
+
+
 class TestJournalRecovery:
     def test_queued_job_survives_restart(self, tmp_path):
         root = tmp_path / "serve"

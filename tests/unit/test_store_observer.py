@@ -40,9 +40,9 @@ class TestIndexedLookup:
     def test_membership_is_o1_dict_backed(self, tmp_path):
         store = ResultStore(tmp_path / "store")
         store.put(record("k1"))
-        # The index *is* a dict: the contract satellite #1 pins.
-        assert isinstance(store._records, dict)
-        assert "k1" in store._records
+        # The index *is* a dict, key -> line.
+        assert isinstance(store._lines, dict)
+        assert "k1" in store._lines
 
 
 class TestReadonlyObserver:
@@ -142,6 +142,41 @@ class TestRefresh:
         assert observer.keys() == ["k1", "k2"]
         assert observer.stale_lines == 0
         assert observer.get("k1")["params"] == {"x": 1}
+
+
+    def test_refresh_reloads_a_replaced_log_that_grew_back(self, tmp_path):
+        """A compaction replaces the file; appends after it can grow the
+        new file past the observer's offset.  The size check alone
+        misses that: the observer would seek into the middle of a line
+        and skip every record past it.  The file's identity says the
+        log was replaced, so the observer reloads it whole."""
+        path = tmp_path / "store"
+        writer = ResultStore(path, auto_compact=False)
+        for i in range(10):
+            writer.put(record(f"k{i}", params={"pad": "x" * 40}))
+            writer.put(record(f"k{i}", params={"pad": "y" * 40}))
+        observer = ResultStore(path, readonly=True)
+        offset = (path / RESULTS_FILENAME).stat().st_size
+        assert len(observer) == 10 and observer.stale_lines == 10
+
+        compactor = ResultStore(path, auto_compact=False)
+        for i in range(10):
+            compactor.put(record(f"k{i}"))    # supersede with short lines
+        assert compactor.compact() == 20
+        assert (path / RESULTS_FILENAME).stat().st_size < offset
+        extra = 0
+        while (path / RESULTS_FILENAME).stat().st_size <= offset:
+            compactor.put(record(f"n{extra}"))
+            extra += 1
+        compactor.sync()
+
+        assert observer.refresh() == 10 + extra
+        assert observer.keys() == (
+            [f"k{i}" for i in range(10)] + [f"n{j}" for j in range(extra)]
+        )
+        assert observer.stale_lines == 0
+        assert observer.get("k3") == record("k3")
+        assert observer.refresh() == 0
 
 
 class TestCampaignStatusObserver:
