@@ -19,7 +19,10 @@ must give the same answer.  A plan looks its receivers up in the
 ring's index (``RingTopology.receivers``) rather than asking every
 node, so the cold batch fleet run calls ``Address.matches`` zero
 times (a scan would make 99 plans x 99 candidates = 9,801 calls).
-The wall-clock rows (interleaved best-of-N on the grid) are printed
+A batch run logs its rounds in two flat arrays (starts and templates),
+so a warm fleet run leaves at most ``FLEET_NODES`` GC-tracked objects
+alive, not one per round (a list of ``(t0, template)`` pairs left
+10,105).  The wall-clock rows (interleaved best-of-N on the grid) are printed
 for information.  These are assert-only guards that write no files:
 ``perfbench/`` is the benchmark record.
 """
@@ -94,6 +97,34 @@ def check_plans(where, fast, fast_plans, batch, batch_plans):
     )
 
 
+def tracked_after_warm_run(spec, workload):
+    """How many more GC-tracked objects are alive after a warm
+    ``BatchExecutor.run()`` than before it, its result kept.
+    Collection is paused while counting, then restored."""
+    import gc
+
+    from repro.batch import (
+        BatchExecutor,
+        compile_system_cached,
+        compile_workload,
+    )
+
+    csys = compile_system_cached(spec)
+    cwl = compile_workload(workload.compile(spec), csys)
+    BatchExecutor(csys, cwl).run()
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        result = BatchExecutor(csys, cwl).run()
+        tracked = len(gc.get_objects()) - before
+    finally:
+        if collecting:
+            gc.enable()
+    assert len(result.rounds) == (FLEET_NODES - 1) * FLEET_BURST
+    return tracked
+
+
 def test_batch_fig14_grid(report, burst_runner):
     from repro.scenario import run
 
@@ -161,10 +192,16 @@ def test_batch_fleet_campaign(report, monkeypatch):
         if batch_best is None or batch.wall_s < batch_best.wall_s:
             batch_best = batch
     batch = batch_best
+    tracked = tracked_after_warm_run(spec, workload)
+    assert tracked <= FLEET_NODES, (
+        f"a warm batch fleet run left {tracked} GC-tracked objects "
+        f"alive; its round log must hold no per-round objects"
+    )
     report(
         f"fleet campaign ({FLEET_NODES} nodes, {n_txns} transactions):\n"
         f"  plan_round: fast {fast_plans}, batch {batch_plans}; "
-        f"Address.matches calls in the batch run: {len(scans)}\n"
+        f"Address.matches calls in the batch run: {len(scans)}; "
+        f"GC-tracked objects a warm run leaves: {tracked}\n"
         f"  fast:  {fast.wall_s:6.2f} s  "
         f"{n_txns / fast.wall_s:10.0f} txn/s (wall, metrics on)\n"
         f"  batch: {batch.wall_s:6.2f} s  "

@@ -18,8 +18,12 @@ planning it with :func:`~repro.core.tlm_engine.plan_round` (once, at
 compiled spec share warm templates, and campaign bursts resolve to a
 handful of templates executed thousands of times.
 
-A run's report is built by :func:`materialize`: one
-``TransactionResult`` per round and one ``ReceivedMessage`` per
+A run records its rounds as two flat arrays, ``starts`` (each round's
+``t0``) and ``rounds`` (its template), so a run of ``k`` replayed
+rounds is two list extends and the log holds no per-round objects.
+Workload events that land inside a round are cut off the compiled
+arrays by bisection.  A run's report is built by :func:`materialize`:
+one ``TransactionResult`` per round and one ``ReceivedMessage`` per
 delivery, with every field that does not depend on ``t0`` taken from
 the template, and automatic garbage collection paused while the list
 is built.
@@ -37,10 +41,11 @@ from __future__ import annotations
 
 import gc
 import time as _time
+from bisect import bisect_right
 from collections import deque
 from heapq import heappop, heappush
-from itertools import islice
-from typing import Dict, List, Optional, Tuple
+from itertools import count, islice, repeat, starmap, takewhile
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.batch.compiler import (
     KIND_POST,
@@ -64,16 +69,22 @@ from repro.sim.scheduler import SimulationError
 MAX_STEPS = 50_000_000
 
 class BatchResult:
-    """Raw executor output, before report materialisation."""
+    """Raw executor output, before report materialisation.
+
+    The round log is two parallel arrays: ``starts[i]`` is round
+    ``i``'s start ``t0`` (integer ps) and ``rounds[i]`` its
+    :class:`RoundTemplate`.
+    """
 
     __slots__ = (
-        "round_log", "hit_counts", "end_ps", "steps",
+        "starts", "rounds", "hit_counts", "end_ps", "steps",
         "bus_on_ps", "layer_on_ps", "bus_wakeups", "layer_wakeups",
     )
 
-    def __init__(self, round_log, hit_counts, end_ps, steps,
+    def __init__(self, starts, rounds, hit_counts, end_ps, steps,
                  bus_on_ps, layer_on_ps, bus_wakeups, layer_wakeups):
-        self.round_log = round_log            # [(t0, RoundTemplate), ...]
+        self.starts = starts                  # [t0, ...]
+        self.rounds = rounds                  # [RoundTemplate, ...]
         self.hit_counts = hit_counts          # {RoundTemplate: executions}
         self.end_ps = end_ps
         self.steps = steps
@@ -81,6 +92,28 @@ class BatchResult:
         self.layer_on_ps = layer_on_ps
         self.bus_wakeups = bus_wakeups
         self.layer_wakeups = layer_wakeups
+
+    @property
+    def round_log(self) -> "RoundLog":
+        """The rounds as ``(t0, template)`` pairs, read-only."""
+        return RoundLog(self)
+
+
+class RoundLog:
+    """A read-only ``(t0, template)`` view over a :class:`BatchResult`'s
+    two arrays: its length is the round count, and iterating it zips
+    the arrays without building a list of pairs."""
+
+    __slots__ = ("_result",)
+
+    def __init__(self, result: BatchResult) -> None:
+        self._result = result
+
+    def __len__(self) -> int:
+        return len(self._result.rounds)
+
+    def __iter__(self) -> Iterator[Tuple[int, RoundTemplate]]:
+        return zip(self._result.starts, self._result.rounds)
 
 
 class BatchExecutor:
@@ -124,7 +157,8 @@ class BatchExecutor:
         self.steps = 0
         self.until: Optional[int] = None
         self.max_steps = MAX_STEPS
-        self.round_log: List[Tuple[int, RoundTemplate]] = []
+        self.starts: List[int] = []
+        self.rounds: List[RoundTemplate] = []
         self.hit_counts: Dict[RoundTemplate, int] = {}
 
     # ------------------------------------------------------------------
@@ -212,9 +246,10 @@ class BatchExecutor:
         if OBS.enabled:
             OBS.metrics.inc("batch.run_calls")
             OBS.metrics.set("batch.steps", self.steps)
-            OBS.metrics.set("batch.rounds", len(self.round_log))
+            OBS.metrics.set("batch.rounds", len(self.rounds))
         return BatchResult(
-            round_log=self.round_log,
+            starts=self.starts,
+            rounds=self.rounds,
             hit_counts=self.hit_counts,
             end_ps=end_ps,
             steps=self.steps,
@@ -345,22 +380,27 @@ class BatchExecutor:
             self.steps += 1
             self._refresh(p)
         # Workload arriving while the round is in flight is absorbed
-        # passively (post/interrupt on an active fast path only queue).
-        wl_t, wl_pos, wl_kind, wl_ref = (
-            self.cwl.t_ps, self.cwl.pos, self.cwl.kind, self.cwl.ref
-        )
-        while self.wi < self.wl_n and wl_t[self.wi] <= fin_t:
-            i = self.wi
-            self.wi += 1
-            self.steps += 1
-            p = wl_pos[i]
-            if wl_kind[i] == KIND_POST:
-                self.queues[p].append(wl_ref[i])
-                self.backlog.add(p)
-            else:
-                self.pending[p] = True
-                self.pending_set.add(p)
-                self.dirty.add(p)
+        # passively (post/interrupt on an active fast path only queue):
+        # every event up to the finalize, cut off the sorted arrays.
+        wi = self.wi
+        wl_t = self.cwl.t_ps
+        if wi < self.wl_n and wl_t[wi] <= fin_t:
+            cut = bisect_right(wl_t, fin_t, wi)
+            wl_pos, wl_kind, wl_ref = self.cwl.pos, self.cwl.kind, self.cwl.ref
+            queues, backlog = self.queues, self.backlog
+            pending, pending_set = self.pending, self.pending_set
+            dirty = self.dirty
+            for i in range(wi, cut):
+                p = wl_pos[i]
+                if wl_kind[i] == KIND_POST:
+                    queues[p].append(wl_ref[i])
+                    backlog.add(p)
+                else:
+                    pending[p] = True
+                    pending_set.add(p)
+                    dirty.add(p)
+            self.wi = cut
+            self.steps += cut - wi
         # Auto-sleeps that fire inside the round are no-ops there (the
         # backend is busy); they predate this round's finalize, so any
         # heap entry at or before fin_t is spent.
@@ -376,7 +416,8 @@ class BatchExecutor:
             queue.popleft()
             if not queue:
                 backlog.discard(tpl.winner)
-        self.round_log.append((t0, tpl))
+        self.starts.append(t0)
+        self.rounds.append(tpl)
         self.hit_counts[tpl] = self.hit_counts.get(tpl, 0) + 1
         bus_on, layer_on = self.bus_on, self.layer_on
         pending, pending_set = self.pending, self.pending_set
@@ -484,14 +525,8 @@ class BatchExecutor:
             k = min(k, (te - t0 - tpl.fin_off - 1) // delta)
         if k <= 0:
             return
-        run_len = 0
-        for r in islice(queue, k):
-            if r != head:
-                break
-            run_len += 1
-        k = run_len
-        if k <= 0:
-            return
+        # Only the leading refs equal to the head replay this template.
+        k = len(list(takewhile(head.__eq__, islice(queue, k))))
         self.steps += steps_per * k
         if self.steps > self.max_steps:
             raise SimulationError(
@@ -500,12 +535,11 @@ class BatchExecutor:
         if OBS.enabled:
             OBS.metrics.inc("batch.steady_replays")
             OBS.metrics.inc("batch.steady_rounds", k)
-        log_append = self.round_log.append
-        s = t0
-        for _ in range(k):
-            s += delta
-            log_append((s, tpl))
-            queue.popleft()
+        s = t0 + k * delta
+        self.starts.extend(range(t0 + delta, s + 1, delta))
+        self.rounds.extend(repeat(tpl, k))
+        # Pop the k replayed refs: popleft called k times inside C.
+        deque(starmap(queue.popleft, repeat((), k)), maxlen=0)
         self.hit_counts[tpl] += k
         self.seq += 1
         self.start_t0 = s + delta
@@ -536,33 +570,41 @@ class BatchExecutor:
 # Report materialisation.
 # ----------------------------------------------------------------------
 def materialize(csys: CompiledSystem, result: BatchResult):
-    """Expand a round log into the event-loop backends' report shape:
-    (transactions, power report, wire activity).
+    """Expand a run's round arrays into the event-loop backends' report
+    shape: (transactions, power report, wire activity).
 
     Every field but ``index`` and the times comes ready-made from the
     round's template, so each round only builds its
     :class:`TransactionResult` and one ``ReceivedMessage`` per
-    delivery, positionally in field order.  The build allocates a few
-    acyclic containers per round and frees none, so automatic garbage
-    collection is paused while it runs: each collection would only
-    rescan the list built so far."""
+    delivery, positionally in field order (a single delivery as a list
+    literal: a comprehension is one more call per round).  The build
+    allocates a few acyclic containers per round and frees none, so
+    automatic garbage collection is paused while it runs: each
+    collection would only rescan the list built so far."""
     transactions: List[TransactionResult] = []
     append = transactions.append
     collecting = gc.isenabled()
     gc.disable()
     try:
-        for index, (t0, tpl) in enumerate(result.round_log):
-            append(TransactionResult(
-                index, tpl.ok, tpl.control, tpl.tx_node, tpl.message,
-                [
+        for index, t0, tpl in zip(count(), result.starts, result.rounds):
+            rx = tpl.rx
+            if len(rx) == 1:
+                name, dest, payload, broadcast, control, arr_off = rx[0]
+                delivered = [(name, ReceivedMessage(
+                    "", dest, payload, broadcast, control, t0 + arr_off
+                ))]
+            else:
+                delivered = [
                     (name, ReceivedMessage(
                         "", dest, payload, broadcast, control, t0 + arr_off
                     ))
                     for name, dest, payload, broadcast, control, arr_off
-                    in tpl.rx
-                ],
-                tpl.clock_cycles, tpl.control_cycles, t0, t0 + tpl.end_off,
-                tpl.general_error, tpl.error_reason,
+                    in rx
+                ]
+            append(TransactionResult(
+                index, tpl.ok, tpl.control, tpl.tx_node, tpl.message,
+                delivered, tpl.clock_cycles, tpl.control_cycles, t0,
+                t0 + tpl.end_off, tpl.general_error, tpl.error_reason,
             ))
     finally:
         if collecting:

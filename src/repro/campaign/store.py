@@ -99,13 +99,22 @@ _OK_PREFIX = re.compile(
 )
 
 
+def ok_line_key(line: str) -> Optional[str]:
+    """The key of an ok trial record's line, read from its canonical
+    prefix without decoding it; None for any other line."""
+    match = _OK_PREFIX.match(line)
+    if match is not None and line.endswith("}"):
+        return match.group(1)
+    return None
+
+
 def _line_key(line: str) -> Tuple[Optional[str], bool]:
     """``(key, ok)`` of a record line: from its canonical prefix when
     it is an ok trial record's, else by decoding it.  ``key`` is None
     for a line that does not decode to a keyed record."""
-    match = _OK_PREFIX.match(line)
-    if match is not None and line.endswith("}"):
-        return match.group(1), True
+    key = ok_line_key(line)
+    if key is not None:
+        return key, True
     try:
         record = json.loads(line)
     except ValueError:

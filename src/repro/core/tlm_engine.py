@@ -405,20 +405,24 @@ def resolve_arbitration(
     return winner
 
 
-def _stream_bits(message: Message) -> Tuple[int, ...]:
-    return message.address_bits() + message.data_bits()
+def _stream_word(message: Message) -> Tuple[int, int]:
+    """The bits a transmitter drives, address then payload, as one
+    integer read MSB first: ``(word, n_bits)``.  Bit ``i`` of the
+    stream is ``(word >> (n_bits - 1 - i)) & 1``."""
+    payload = message.payload
+    n_data = 8 * len(payload)
+    return (
+        (message.dest.encode() << n_data) | int.from_bytes(payload, "big"),
+        message.dest.n_bits + n_data,
+    )
 
 
-def _stream_transitions(bits: Tuple[int, ...]) -> int:
-    """DATA transitions while driving: idle-high -> arbitration-low ->
-    address/data bits."""
-    count = 0
-    prev = 1
-    for value in (0,) + bits:
-        if value != prev:
-            count += 1
-        prev = value
-    return count
+def _stream_transitions(word: int, n_bits: int, m: int) -> int:
+    """DATA transitions while driving the stream's first ``m`` bits:
+    idle-high -> arbitration-low, then one per change between
+    neighbours of ``0, bit 0, ..., bit m-1``."""
+    prefix = word >> (n_bits - m)
+    return 1 + (prefix ^ (prefix >> 1)).bit_count()
 
 
 def interjection_fire_delay(
@@ -483,7 +487,7 @@ def _plan_round_impl(ctx: RoundContext, key: RoundKey) -> RoundTemplate:
 
     states = {state[0]: state[1:] for state in key.states}
     message = requests[winner]
-    stream = _stream_bits(message)
+    word, n_stream = _stream_word(message)
     addr_bits = message.dest.n_bits
     n_bytes = message.n_bytes
     nodes = topo.nodes
@@ -494,7 +498,7 @@ def _plan_round_impl(ctx: RoundContext, key: RoundKey) -> RoundTemplate:
     ]
 
     # --- where does the transaction end? --------------------------------
-    r_eom = 3 + len(stream)
+    r_eom = 3 + n_stream
     candidates = [("eom", r_eom)]
     for pos in rx_positions:
         buffer_bytes = nodes[pos].rx_buffer_bytes
@@ -551,15 +555,15 @@ def _plan_round_impl(ctx: RoundContext, key: RoundKey) -> RoundTemplate:
         # from #4; it sees the absorbed falling R+1 only if the CLK
         # holder is further around the ring than it is.
         if eom:
-            last_index = len(stream) - 1
+            last_index = n_stream - 1
         else:
             saw_extra_falling = (
                 holder_pos is not None and winner < holder_pos
             )
             last_index = min(
-                len(stream) - 1, r_end - 3 if saw_extra_falling else r_end - 4
+                n_stream - 1, r_end - 3 if saw_extra_falling else r_end - 4
             )
-        last_bit = stream[last_index]
+        last_bit = (word >> (n_stream - 1 - last_index)) & 1
     fire = t_interject + interjection_fire_delay(
         broken_at_mediator, last_bit, settle, full_prop
     )
@@ -656,7 +660,7 @@ def _plan_round_impl(ctx: RoundContext, key: RoundKey) -> RoundTemplate:
     )
 
     # --- wire-activity estimate -------------------------------------------
-    stream_edges = _stream_transitions(stream[: r_end - 3])
+    stream_edges = _stream_transitions(word, n_stream, r_end - 3)
     toggles = interjection_fire_delay(
         broken_at_mediator, last_bit, 1, 0
     )

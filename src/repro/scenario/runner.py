@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -464,7 +465,7 @@ def _compile(workload, spec) -> Tuple[ScheduleEvent, ...]:
             raise ConfigurationError(
                 f"workload items must be schedule events, got {event!r}"
             )
-    return tuple(sorted(events, key=lambda e: e.at_s))
+    return tuple(sorted(events, key=operator.attrgetter("at_s")))
 
 
 def _post_fn(system: MBusSystem, event: PostEvent):
@@ -571,7 +572,9 @@ def run_batch_record(
         if tracer is not None:
             _round_spans(tracer, (
                 (t0, tpl.end_off, index, tpl.ok)
-                for index, (t0, tpl) in enumerate(result.round_log)
+                for index, (t0, tpl) in enumerate(
+                    zip(result.starts, result.rounds)
+                )
             ))
     return line, wall_s
 
@@ -814,14 +817,14 @@ def _batch_record_report(
     csys: Any, result: Any, spec: SystemSpec, workload: Workload
 ) -> str:
     """The canonical JSON of a batch run's record report, from its
-    round log: the ``RunReport.to_dict()`` document minus ``wall_*``
+    round templates: the ``RunReport.to_dict()`` document minus ``wall_*``
     (see :func:`run_batch_record`)."""
     from repro.batch.executor import tallies
 
     n_nodes = len(spec.nodes)
     rows: List[str] = []
     energy_pj = 0.0
-    for index, (_t0, tpl) in enumerate(result.round_log):
+    for index, tpl in enumerate(result.rounds):
         terms = tpl.row
         if terms is None:
             terms = _template_row(tpl, n_nodes)

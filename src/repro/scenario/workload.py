@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import operator
 import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Optional, Tuple, Union
@@ -101,7 +102,9 @@ class Workload:
 
     def compile(self, spec: "SystemSpec") -> Tuple[ScheduleEvent, ...]:
         """The deterministic, time-sorted schedule for ``spec``."""
-        return tuple(sorted(self._events(spec), key=lambda e: e.at_s))
+        return tuple(
+            sorted(self._events(spec), key=operator.attrgetter("at_s"))
+        )
 
     def _events(self, spec):
         raise NotImplementedError

@@ -13,10 +13,10 @@ import json
 import sys
 from typing import Optional, TextIO, Tuple
 
-from repro.campaign.trial import canonical_json
+from repro.campaign.store import ok_line_key
 from repro.core.errors import ConfigurationError
 from repro.obs import state as obs_state
-from repro.serve.client import ServeClient, ServeError
+from repro.serve.client import ServeClient, ServeError, decode_result_line
 from repro.serve.protocol import JobStatus, SubmitOptions
 from repro.serve.server import run_server
 
@@ -76,9 +76,14 @@ def _print_status(status: JobStatus, as_json: bool) -> None:
 def _stream_results(
     client: ServeClient, job_id: str, handle: TextIO
 ) -> int:
+    """Write the job's result lines as they arrive, as they were
+    stored.  Only a line that is not an ok trial record's canonical
+    line is decoded, so a line that does not parse still fails."""
     lines = 0
-    for record in client.results(job_id):
-        handle.write(canonical_json(record) + "\n")
+    for line in client.result_lines(job_id):
+        if ok_line_key(line) is None:
+            decode_result_line(line)
+        handle.write(line + "\n")
         lines += 1
     return lines
 

@@ -47,6 +47,15 @@ class ServeError(Exception):
         self.retry_after_s = retry_after_s
 
 
+def decode_result_line(text: str) -> Dict:
+    """One streamed result line as its record; :class:`ServeError` if
+    the line does not parse."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ServeError(f"unparsable result line: {exc}") from exc
+
+
 class ServeClient:
     """Typed access to one campaign server."""
 
@@ -149,13 +158,13 @@ class ServeClient:
             for entry in doc.get("jobs", [])
         ]
 
-    def results(
+    def result_lines(
         self, job_id: str, timeout_s: Optional[float] = None
-    ) -> Iterator[Dict]:
-        """Stream the job's records as they resolve (a live job keeps
-        the connection open until it reaches a terminal state).  The
-        default ``timeout_s=None`` waits indefinitely between lines —
-        trials can legitimately be minutes apart."""
+    ) -> Iterator[str]:
+        """Stream the job's record lines as text, as they resolve (a
+        live job keeps the connection open until it reaches a terminal
+        state).  The default ``timeout_s=None`` waits indefinitely
+        between lines — trials can legitimately be minutes apart."""
         connection = self._connect(timeout_s)
         try:
             connection.request(
@@ -177,16 +186,17 @@ class ServeClient:
                 if not line:
                     return
                 text = line.decode("utf-8").strip()
-                if not text:
-                    continue
-                try:
-                    yield json.loads(text)
-                except json.JSONDecodeError as exc:
-                    raise ServeError(
-                        f"unparsable result line: {exc}"
-                    ) from exc
+                if text:
+                    yield text
         finally:
             connection.close()
+
+    def results(
+        self, job_id: str, timeout_s: Optional[float] = None
+    ) -> Iterator[Dict]:
+        """The job's records, decoded from :meth:`result_lines`."""
+        for text in self.result_lines(job_id, timeout_s):
+            yield decode_result_line(text)
 
     # ------------------------------------------------------------------
     # Watch.

@@ -13,10 +13,23 @@ import dataclasses
 
 import pytest
 
-from repro.batch import cache_stats, clear_cache, compile_system_cached
+from repro.batch import (
+    BatchExecutor,
+    cache_stats,
+    clear_cache,
+    compile_system_cached,
+    compile_workload,
+)
 from repro.core import Address
 from repro.core.errors import BusLockedError, ConfigurationError
-from repro.scenario import Burst, NodeSpec, OneShot, SystemSpec, run
+from repro.scenario import (
+    Burst,
+    Interrupt,
+    NodeSpec,
+    OneShot,
+    SystemSpec,
+    run,
+)
 
 from tests.integration.test_scenario_runner import SHAPES
 
@@ -128,6 +141,105 @@ class TestThreeWayEquivalence:
         mid_s = (txn.start_ps + txn.duration_ps // 2) / 1e12
         with pytest.raises(BusLockedError):
             run(spec, workload, backend=backend, timeout_s=mid_s)
+
+
+def boundary_spec(gated):
+    return SystemSpec(
+        name="round-boundary",
+        nodes=(
+            NodeSpec("m", short_prefix=0x1, is_mediator=True),
+            NodeSpec("a", short_prefix=0x2),
+            NodeSpec("b", short_prefix=0x3, power_gated=gated),
+        ),
+    )
+
+
+#: Twelve identical rounds: after the first, batch replays the rest as
+#: a steady run unless a workload event lands among them.
+STEADY = Burst("m", Address.short(0x2, 5), b"\x5a\xa5", count=12)
+
+
+def round_spans(spec, workload):
+    """``(start, fin)`` in ps of each round of a batch run, where
+    ``fin`` is the round's last observed end (its finalize)."""
+    csys = compile_system_cached(spec)
+    result = BatchExecutor(
+        csys, compile_workload(workload.compile(spec), csys)
+    ).run()
+    return [
+        (t0, t0 + tpl.fin_off)
+        for t0, tpl in zip(result.starts, result.rounds)
+    ]
+
+
+class TestRoundBoundaries:
+    """Batch absorbs a workload event into a round when it lands at or
+    before the round's finalize (``<= fin``, which the fast path gets
+    from workload events' lower sequence numbers at equal times), and
+    bounds each steady run by the next workload event and the horizon.
+    Each case must agree on all three tiers, and batch must fire the
+    fast path's event count."""
+
+    def agree(self, spec, workload, **kwargs):
+        reports = run_matrix(spec, workload, **kwargs)
+        edge, fast, batch = (
+            reports["edge"], reports["fast"], reports["batch"]
+        )
+        assert (
+            edge.transaction_signatures() == fast.transaction_signatures()
+        )
+        assert edge.delivery_set() == fast.delivery_set()
+        assert batch.transactions == fast.transactions
+        assert batch.power == fast.power
+        assert batch.wire_activity == fast.wire_activity
+        assert batch.events_processed == fast.events_processed
+        return fast
+
+    @pytest.mark.parametrize("gated", [False, True], ids=["on", "gated"])
+    def test_post_at_a_rounds_finalize(self, gated):
+        spec = boundary_spec(gated)
+        fin = round_spans(spec, STEADY)[2][1]
+        post = OneShot("b", Address.short(0x2, 5), b"\x01", at_s=fin / 1e12)
+        fast = self.agree(spec, STEADY + post)
+        assert fast.n_transactions == 13
+
+    @pytest.mark.parametrize("gated", [False, True], ids=["on", "gated"])
+    def test_interrupt_at_a_rounds_finalize(self, gated):
+        spec = boundary_spec(gated)
+        fin = round_spans(spec, STEADY)[2][1]
+        self.agree(spec, STEADY + Interrupt("b", at_s=fin / 1e12))
+
+    @pytest.mark.parametrize("gated", [False, True], ids=["on", "gated"])
+    def test_interrupt_during_a_steady_run(self, gated):
+        spec = boundary_spec(gated)
+        spans = round_spans(spec, STEADY)
+        mid = (spans[6][0] + spans[6][1]) // 2
+        gap = (spans[5][1] + spans[6][0]) // 2
+        for at in (mid, gap):
+            self.agree(spec, STEADY + Interrupt("b", at_s=at / 1e12))
+
+    @pytest.mark.parametrize("backend", ["edge", "fast", "batch"])
+    def test_timeout_cutting_a_steady_run_locks_the_bus(self, backend):
+        spec = boundary_spec(False)
+        spans = round_spans(spec, STEADY)
+        # Inside round 6, and between rounds 5 and 6: either way the
+        # burst is still queued at the horizon.
+        for at in (
+            (spans[6][0] + spans[6][1]) // 2,
+            (spans[5][1] + spans[6][0]) // 2,
+        ):
+            with pytest.raises(BusLockedError):
+                run(spec, STEADY, backend=backend, timeout_s=at / 1e12)
+
+    def test_timeout_after_a_steady_run_agrees(self):
+        spec = boundary_spec(False)
+        start, fin = round_spans(spec, STEADY)[-1]
+        # One round's length past the last finalize: clear of the edge
+        # engine's settle after its own end.
+        horizon = (2 * fin - start) / 1e12
+        fast = self.agree(spec, STEADY, timeout_s=horizon)
+        assert fast.n_transactions == 12
+        assert fast.sim_time_s == horizon
 
 
 class TestBatchReport:

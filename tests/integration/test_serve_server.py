@@ -302,3 +302,82 @@ class TestRestartSurvival:
         # And the server's own store holds the same bytes.
         server_store = ResultStore(root / "results", readonly=True)
         assert sorted(server_store.entries()) == sorted(expected)
+
+
+class TestSubmitOutput:
+    """``campaign submit --output`` writes each streamed line as the
+    server stored it: an ok record's line is never decoded, and a line
+    that does not parse still fails the command."""
+
+    def test_output_is_the_server_store_lines(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        import json
+
+        from repro.__main__ import main
+        from repro.campaign import load_campaign
+
+        doc = tmp_path / "campaign.json"
+        doc.write_text(json.dumps(campaign_doc("output", counts=(1, 2, 3))))
+        out = tmp_path / "results.jsonl"
+        decoded = []
+        real = json.loads
+
+        def counting(text, *args, **kwargs):
+            decoded.append(text)
+            return real(text, *args, **kwargs)
+
+        with BackgroundServer(root=tmp_path / "serve") as live:
+            monkeypatch.setattr(json, "loads", counting)
+            code = main([
+                "campaign", "submit", str(doc),
+                "--server", f":{live.server.port}",
+                "--watch", "--output", str(out), "--json",
+            ])
+            monkeypatch.undo()
+            store = live.scheduler.results_store
+            lines = [
+                store.line(trial.key)
+                for trial in load_campaign(str(doc)).trials()
+            ]
+        capsys.readouterr()
+        assert code == 0
+        assert len(lines) == 3 and None not in lines
+        assert out.read_bytes() == "".join(
+            line + "\n" for line in lines
+        ).encode()
+        assert not set(lines) & set(decoded)
+
+    def test_unparsable_line_still_fails(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from repro.__main__ import main
+        from repro.serve import ServeClient
+        from repro.serve.cli import _stream_results
+
+        with BackgroundServer() as live:
+            client = live.client()
+            status, _ = client.submit(campaign_doc("garbled"))
+            client.watch(status.job_id, poll_s=0.02, timeout_s=60)
+            stored = list(client.result_lines(status.job_id))
+            failed = '{"key": "k", "outcome": "error"}'
+
+            def garbled(self, job_id, timeout_s=None):
+                yield stored[0]
+                yield failed
+                yield "{not json"
+
+            monkeypatch.setattr(ServeClient, "result_lines", garbled)
+            out = tmp_path / "results.jsonl"
+            with open(out, "w") as handle:
+                with pytest.raises(ServeError, match="unparsable"):
+                    _stream_results(client, status.job_id, handle)
+            # Lines before the bad one were written as they came.
+            assert out.read_text() == stored[0] + "\n" + failed + "\n"
+            code = main([
+                "campaign", "watch", status.job_id,
+                "--server", f":{live.server.port}",
+                "--output", str(out),
+            ])
+        assert code == 2
+        assert "unparsable result line" in capsys.readouterr().err

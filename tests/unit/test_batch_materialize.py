@@ -1,7 +1,9 @@
 """``materialize`` pauses automatic garbage collection while it builds
 a batch run's transaction list, and leaves the collector as it found
 it: enabled stays enabled and disabled stays disabled, also when the
-build raises."""
+build raises.  A run's round log is two arrays, ``starts`` and
+``rounds``; ``round_log`` is a read-only ``(t0, template)`` view of
+them."""
 
 import gc
 
@@ -42,26 +44,39 @@ def collecting(request):
 
 def test_build_runs_with_collection_paused(collecting):
     csys, result = executed()
-    log = result.round_log
+    rounds = result.rounds
     seen = []
 
     def watched():
-        for entry in log:
+        for tpl in rounds:
             seen.append(gc.isenabled())
-            yield entry
+            yield tpl
 
-    result.round_log = watched()
+    result.rounds = watched()
     transactions, _power, _wire = materialize(csys, result)
-    assert seen == [False] * len(log)
+    assert seen == [False] * len(rounds)
     assert gc.isenabled() is collecting
-    result.round_log = log
+    result.rounds = rounds
     assert transactions == materialize(csys, result)[0]
-    assert [t.index for t in transactions] == list(range(len(log)))
+    assert [t.index for t in transactions] == list(range(len(rounds)))
+    assert [t.start_ps for t in transactions] == result.starts
 
 
 def test_collector_restored_when_the_build_raises(collecting):
     csys, result = executed()
-    result.round_log = [(0, None)]   # not a template: the build raises
+    result.starts = [0]
+    result.rounds = [None]   # not a template: the build raises
     with pytest.raises(AttributeError):
         materialize(csys, result)
     assert gc.isenabled() is collecting
+
+
+def test_round_log_is_a_view_of_the_two_arrays():
+    _csys, result = executed()
+    assert len(result.starts) == len(result.rounds) == 3
+    assert len(result.round_log) == len(result.rounds)
+    assert list(result.round_log) == list(
+        zip(result.starts, result.rounds)
+    )
+    with pytest.raises(AttributeError):
+        result.round_log = []
