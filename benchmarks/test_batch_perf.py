@@ -1,12 +1,14 @@
 """Tier-3 batch backend performance: compiled replay vs fast path.
 
-Two workloads, each run on both transaction-level tiers:
+Three workloads, each run on both transaction-level tiers:
 
 * the Figure 14 burst grid — the saturating two-node burst at three
-  queue depths; and
+  queue depths;
 * a fleet campaign — 100 nodes, >10k transactions, the scale the
   batch tier exists for (one compiled system, a handful of round
-  templates, tens of thousands of replayed rounds).
+  templates, tens of thousands of replayed rounds); and
+* a fig14 payload campaign — perfbench's ``campaign-batch`` shape:
+  200 trials of six 8-byte messages, one distinct payload per trial.
 
 The guard is on the mechanism both tiers' speed comes from, not on
 the wall clock, which races on a shared host: each tier resolves a
@@ -22,8 +24,13 @@ times (a scan would make 99 plans x 99 candidates = 9,801 calls).
 A batch run logs its rounds in two flat arrays (starts and templates),
 so a warm fleet run leaves at most ``FLEET_NODES`` GC-tracked objects
 alive, not one per round (a list of ``(t0, template)`` pairs left
-10,105).  The wall-clock rows (interleaved best-of-N on the grid) are printed
-for information.  These are assert-only guards that write no files:
+10,105).  A round table plans each message shape once and overlays
+every other payload of it, so the cold 200-trial campaign plans at
+most two rounds on batch (one: the mediator transmits, so no payload
+bit moves the round's end), and the fast path plans as many on the
+same 200 bursts in one run (a fast table lives as long as its system,
+so a fast campaign trial starts cold).  The wall-clock rows
+(interleaved best-of-N on the grid) are printed for information.  These are assert-only guards that write no files:
 ``perfbench/`` is the benchmark record.
 """
 
@@ -31,6 +38,10 @@ GRID = (60, 240, 960)
 GRID_REPEATS = 7
 #: Rounds each tier runs per plan_round call, at least.
 ROUNDS_PER_PLAN = 10
+
+#: Trials of the fig14 payload campaign, and the most rounds it plans.
+CAMPAIGN_TRIALS = 200
+CAMPAIGN_PLANS = 2
 
 FLEET_NODES = 100
 FLEET_BURST = 102      # 99 members x 102 posts = 10098 transactions
@@ -68,6 +79,17 @@ def fleet_workload():
         )
         workload = burst if workload is None else workload + burst
     return workload
+
+
+def campaign_payloads():
+    """``CAMPAIGN_TRIALS`` distinct 8-byte payloads, as hex."""
+    import random
+
+    rng = random.Random(14)
+    payloads = set()
+    while len(payloads) < CAMPAIGN_TRIALS:
+        payloads.add(rng.randbytes(8).hex())
+    return sorted(payloads)
 
 
 def planned_run(spec, workload, backend):
@@ -207,4 +229,60 @@ def test_batch_fleet_campaign(report, monkeypatch):
         f"  batch: {batch.wall_s:6.2f} s  "
         f"{n_txns / batch.wall_s:10.0f} txn/s (wall)\n"
         f"  speedup: {fast.wall_s / batch.wall_s:.0f}x"
+    )
+
+
+def test_fig14_payload_campaign_plans_per_shape(report, burst_runner):
+    from dataclasses import replace
+
+    from repro.batch import clear_cache
+    from repro.campaign import Campaign, Grid
+    from repro.obs import observe
+
+    spec = burst_runner["spec"]()
+    burst = burst_runner["workload"]()
+    payloads = campaign_payloads()
+    results = {}
+    plans = {}
+    for backend in ("batch", "fast"):
+        clear_cache()
+        campaign = Campaign(
+            spec=spec,
+            workload=burst,
+            grid=Grid.product(**{"workload.payload": payloads}),
+            backend=backend,
+        )
+        with observe(trace=False, profile=False) as session:
+            results[backend] = campaign.run()
+        counters = session.metrics.to_dict()["counters"]
+        plans[backend] = counters.get("tlm.plan_round_calls", 0)
+    # The count only counts if the answer is the same answer.
+    assert len(results["batch"]) == CAMPAIGN_TRIALS
+    for b, f in zip(results["batch"], results["fast"]):
+        assert b.params == f.params
+        for field in ("transactions", "power", "wire_activity", "sim_time_s"):
+            assert b.report[field] == f.report[field], (b.params, field)
+    assert 1 <= plans["batch"] <= CAMPAIGN_PLANS, (
+        f"the cold {CAMPAIGN_TRIALS}-trial fig14 campaign planned "
+        f"{plans['batch']} rounds on batch; one message shape must plan "
+        f"at most {CAMPAIGN_PLANS}"
+    )
+
+    # The same bursts, one per millisecond, through one fast system.
+    workload = None
+    for i, payload in enumerate(payloads):
+        trial = replace(burst, payload=bytes.fromhex(payload), at_s=i * 1e-3)
+        workload = trial if workload is None else workload + trial
+    fast, fast_plans = planned_run(spec, workload, "fast")
+    assert fast.n_ok == 6 * CAMPAIGN_TRIALS
+    assert fast_plans == plans["batch"], (
+        f"one fast system planned {fast_plans} rounds for the campaign's "
+        f"bursts and the batch campaign {plans['batch']}"
+    )
+    report(
+        f"fig14 payload campaign ({CAMPAIGN_TRIALS} trials x 6 x 8-byte "
+        f"messages, one payload per trial, cold cache):\n"
+        f"  plan_round: batch campaign {plans['batch']}, fast campaign "
+        f"{plans['fast']} (one per trial: a fast table lives as long as "
+        f"its system), one fast system over every burst {fast_plans}"
     )

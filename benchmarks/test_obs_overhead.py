@@ -9,13 +9,19 @@ deterministically, on all three backends, with a Figure 14 burst:
 * **no facet is touched** — ``OBS.metrics``, ``OBS.profiler`` and
   ``OBS.tracer`` are swapped for tripwires that fail on any use for
   the length of the run;
-* **the per-round wrapper is a tail call** — the only per-round site
-  is the :func:`repro.core.tlm_engine.plan_round` wrapper (both
-  transaction-level tiers call it once per round template, the edge
-  engine never).  Disabled, it must call ``_plan_round_impl`` exactly
-  once per call, and be called exactly as often as an observed run of
-  the same burst counts in ``tlm.plan_round_calls`` — from a cold
-  cache, at most once per ten transactions.
+* **the per-round wrapper is a tail call** — the per-round sites are
+  in :meth:`repro.core.tlm_engine.RoundTable.resolve`, which both
+  transaction-level tiers call per round (the edge engine never): the
+  :func:`~repro.core.tlm_engine.plan_round` wrapper each tier passes
+  it, once per round it plans, and the ``tlm.shape_hits`` count, once
+  per round it overlays on a message shape's plan.  Disabled, the
+  wrapper must call ``_plan_round_impl`` exactly once per call, and
+  be called exactly as often as an observed run of the same burst
+  counts in ``tlm.plan_round_calls`` — from a cold cache, at most
+  once per ten transactions;
+* **overlays touch no facet either** — a burst of one-off payloads,
+  which an observed run resolves as one plan and the rest shape hits,
+  runs with every facet tripwired.
 
 Wall-clock rows are printed for information only: the shipped
 guarded path against ``plan_round`` re-linked to its unwrapped
@@ -178,6 +184,30 @@ def test_disabled_obs_does_no_obs_work(report):
             f"ratio {guarded / bypassed - 1.0:+7.2%}"
         )
     report("\n".join(lines))
+
+
+def test_disabled_shape_hits_do_no_obs_work(burst_runner):
+    import repro.batch
+    from repro.core import Address
+    from repro.obs.state import observe
+    from repro.scenario import PostEvent, run
+
+    n_messages = 12
+    one_offs = [
+        PostEvent(i * 1e-3, "m", Address.short(0x2, 5), i.to_bytes(8, "big"))
+        for i in range(n_messages)
+    ]
+    for mode in ("fast", "batch"):
+        repro.batch.clear_cache()
+        with observe(trace=False, profile=False) as session:
+            observed = run(burst_runner["spec"](), one_offs, backend=mode)
+        counters = session.metrics.to_dict()["counters"]
+        assert counters.get("tlm.plan_round_calls", 0) == 1, mode
+        assert counters.get("tlm.shape_hits", 0) == n_messages - 1, mode
+        repro.batch.clear_cache()
+        with tripwired_facets():
+            report = run(burst_runner["spec"](), one_offs, backend=mode)
+        assert report.transactions == observed.transactions, mode
 
 
 def test_enabled_metrics_only_run_still_correct():

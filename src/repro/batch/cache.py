@@ -5,9 +5,12 @@ canonical documents (``repro.campaign.trial.Trial.key``); the spec
 document is one component of that key.  This cache addresses compiled
 systems by the same canonical-JSON digest of the spec document, so a
 campaign whose trials share a topology compiles it **once** — and,
-because the round-template cache lives on the
+because the round table lives on the
 :class:`~repro.batch.compiler.CompiledSystem` itself, later trials
-start with every round shape the earlier ones discovered.
+start with every round the earlier ones resolved and every message
+shape they planned: a trial that only changes payloads overlays them
+instead of planning (a shape holds at most two plans, one per value
+of the driven bit its round's end depends on).
 """
 
 from __future__ import annotations

@@ -62,14 +62,15 @@ class CompiledSystem:
 
     That table, and the message intern table, are bounded at the
     start of each run (:func:`compile_workload`): every distinct
-    payload adds one entry to each, and a cached system lives as long
-    as its compile-cache entry (a long-running ``repro serve`` never
-    drops it), so once either passes
-    :data:`~repro.core.tlm_engine.MAX_TEMPLATES` plus the templates
-    the last run used, the next run starts both afresh.  A workload
-    that repeats its own messages stays warm however many templates
-    it needs; a stream of one-off payloads keeps about
-    ``MAX_TEMPLATES`` plus one run's worth.
+    payload adds one entry to each (a template overlaid on its
+    message shape's plan, so only a new shape costs a plan), and a
+    cached system lives as long as its compile-cache entry (a
+    long-running ``repro serve`` never drops it), so once either
+    passes :data:`~repro.core.tlm_engine.MAX_TEMPLATES` plus the
+    templates the last run used, the next run starts both afresh,
+    shape plans included.  A workload that repeats its own messages
+    stays warm however many templates it needs; a stream of one-off
+    payloads keeps about ``MAX_TEMPLATES`` plus one run's worth.
     """
 
     __slots__ = (

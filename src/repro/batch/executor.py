@@ -10,12 +10,14 @@ each round's :class:`~repro.core.tlm_engine.RoundTemplate` at its
 start ``t0`` by integer addition.
 
 Rounds resolve exactly as on the fast path: the executor builds the
-round's :class:`~repro.core.tlm_engine.RoundKey` and looks it up in
-the compiled system's :class:`~repro.core.tlm_engine.RoundTable`,
-planning it with :func:`~repro.core.tlm_engine.plan_round` (once, at
-``t0 = 0``) on a miss.  The table lives on the
+round's :class:`~repro.core.tlm_engine.RoundKey` and resolves it in
+the compiled system's :class:`~repro.core.tlm_engine.RoundTable`
+(:meth:`~repro.core.tlm_engine.RoundTable.resolve`: a kept template,
+else an overlay of the plan of the key's message shape, else a plan
+at ``t0 = 0``).  The table lives on the
 :class:`~repro.batch.compiler.CompiledSystem`, so trials sharing a
-compiled spec share warm templates, and campaign bursts resolve to a
+compiled spec share warm templates, a campaign of one-off payloads
+plans each message shape once, and campaign bursts resolve to a
 handful of templates executed thousands of times.
 
 A run records its rounds as two flat arrays, ``starts`` (each round's
@@ -343,15 +345,12 @@ class BatchExecutor:
             tuple(sorted(pulsers)) if pulsers else (),
         )
         templates = csys.templates
-        tpl = templates.get(key)
         if OBS.enabled:
             OBS.metrics.inc(
-                "batch.template_hits" if tpl is not None
+                "batch.template_hits" if key in templates
                 else "batch.template_misses"
             )
-        if tpl is None:
-            tpl = templates[key] = plan_round(templates.ctx, key)
-        return tpl
+        return templates.resolve(key, plan_round)
 
     def _run_round(self, t0: int) -> None:
         csys = self.csys

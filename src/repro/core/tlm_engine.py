@@ -28,10 +28,16 @@ with which message, each node's power and interrupt state, and who
 raised a null pulse.  :func:`plan_round` plans a key once, at
 ``t0 = 0``, into a :class:`RoundTemplate` whose every time is an
 offset from the round's start, and a :class:`RoundTable` keeps the
-templates by key.  Both tiers resolve rounds from such a table and
-realise a template at its start time ``t0`` by adding ``t0``: the
-fast path as simulator events on live nodes, the batch executor as
-integer updates on flat arrays.
+templates by key.  Payload content reaches a round in three places
+only: the DATA toggle count, the one driven bit its timing reads (at
+:attr:`RoundTemplate.cut`) and the delivered bytes.  So the table also
+keeps one plan per message *shape* (destination, length and priority,
+plus that bit) and serves a new payload of a known shape as an
+overlay of those three on the shape's plan.  Both tiers resolve
+rounds from such a table (:meth:`RoundTable.resolve`) and realise a
+template at its start time ``t0`` by adding ``t0``: the fast path as
+simulator events on live nodes, the batch executor as integer updates
+on flat arrays.
 
 A plan pays only for the nodes its round touches.  The
 :class:`RingTopology` builds its tables once per ring: each
@@ -97,8 +103,9 @@ __all__ = [
 ]
 
 #: The bound on a :class:`RoundTable`.  Every distinct payload adds a
-#: template, so a long run of one-off payloads would otherwise grow
-#: the table with every round.
+#: template (an overlay when its shape is known, so it costs no plan),
+#: so a long run of one-off payloads would otherwise grow the table
+#: with every round.
 MAX_TEMPLATES = 256
 
 
@@ -146,6 +153,11 @@ class RingTopology:
         #: The settle every node applies between observing a round's
         #: end and acting on it (MBusNode._settle_ps).
         self.settle_ps = NODE_SETTLE_FACTOR * timing.node_delay_ps
+        #: Positions whose node decides its ACK by payload content.
+        self.content_acks = frozenset(
+            pos for pos, node in enumerate(self.nodes)
+            if node.ack_policy is not None
+        )
         #: Positions that power themselves down once idle.
         self.auto_sleepers = tuple(
             pos for pos, node in enumerate(self.nodes)
@@ -322,9 +334,15 @@ class RoundTemplate:
     #: activity model.
     wire_row: Tuple[int, ...]
     control_cycles: int = constants.CONTROL_CYCLES
+    #: The stream index of the one driven bit the round's timing reads
+    #: (a member transmitter's last bit before interjection); None
+    #: when it reads none.  It depends only on the message's shape.
+    cut: Optional[int] = None
     ok: bool = field(init=False)
-    #: A campaign record builder's per-shape record terms (filled
-    #: outside the core, by repro.scenario.runner; None until then).
+    #: A campaign record builder's record terms (filled outside the
+    #: core, by repro.scenario.runner).  Until then it is None on a
+    #: planned template and the shape's plan on an overlay, whose
+    #: terms the builder derives from the plan's.
     row: Any = field(default=None, init=False)
 
     def __post_init__(self) -> None:
@@ -336,18 +354,85 @@ class RoundTemplate:
 class RoundTable(Dict[RoundKey, RoundTemplate]):
     """Round templates by key, all planned in one :class:`RoundContext`.
 
-    A tier looks a round up here and plans it on a miss; a change of
-    ring settings needs a new table.  Each tier bounds its table by
-    :data:`MAX_TEMPLATES`, emptying it where it holds no template it
-    still needs by key: the fast path before it plans a round, the
-    batch tier at the start of a run.
+    A tier resolves each round here (:meth:`resolve`): a template per
+    distinct message, planned once per message shape and overlaid for
+    each new payload of that shape; a change of ring settings needs a
+    new table.  Each tier bounds its table by :data:`MAX_TEMPLATES`,
+    emptying it (both levels) where it holds no template it still needs
+    by key: the fast path before it resolves a round it has no template
+    for (``limit``), the batch tier at the start of a run.
     """
 
-    __slots__ = ("ctx",)
+    __slots__ = ("ctx", "limit", "_shapes")
 
-    def __init__(self, ctx: RoundContext) -> None:
+    def __init__(self, ctx: RoundContext, limit: Optional[int] = None) -> None:
         super().__init__()
         self.ctx = ctx
+        self.limit = limit
+        # Per shape (the key with each message reduced to its
+        # destination, length and priority): the winner and the cut its
+        # first plan recorded, and by the bit at that cut, a plan with
+        # its DATA stream transitions.
+        self._shapes: Dict[tuple, Tuple[
+            int, Optional[int], Dict[int, Tuple[RoundTemplate, int]]
+        ]] = {}
+
+    def clear(self) -> None:
+        super().clear()
+        self._shapes.clear()
+
+    def resolve(
+        self,
+        key: RoundKey,
+        plan: Callable[[RoundContext, RoundKey], RoundTemplate],
+    ) -> RoundTemplate:
+        """The template of ``key``: the one already kept for it, else
+        an overlay of a plan of its shape, else a new plan by ``plan``
+        (kept for the key and, unless a receiver decides its ACK by
+        content, for the shape).  Each tier passes the
+        :func:`plan_round` it imported, where harnesses wrap it."""
+        tpl = self.get(key)
+        if tpl is not None:
+            return tpl
+        if self.limit is not None and len(self) >= self.limit:
+            self.clear()
+        requests = key.requests
+        shape = (
+            tuple([
+                (pos, message.dest, len(message.payload), message.priority)
+                for pos, message in requests
+            ]),
+            key.states,
+            key.pulsers,
+        )
+        found = self._shapes.get(shape)
+        if found is not None:
+            winner, cut, plans = found
+            for pos, message in requests:
+                if pos == winner:
+                    break
+            word, n_bits = _stream_word(message)
+            shaped = plans.get(_bit_at(word, n_bits, cut))
+            if shaped is not None:
+                tpl = self[key] = _overlay(*shaped, key, message, word, n_bits)
+                if OBS.enabled:
+                    OBS.metrics.inc("tlm.shape_hits")
+                return tpl
+        tpl = self[key] = plan(self.ctx, key)
+        topo = self.ctx.topology
+        if tpl.winner is None or tpl.message is None or (
+            topo.content_acks and not topo.content_acks.isdisjoint(
+                topo.receivers(tpl.message.dest)
+            )
+        ):
+            return tpl
+        if found is None:
+            found = self._shapes[shape] = (tpl.winner, tpl.cut, {})
+        word, n_bits = _stream_word(tpl.message)
+        found[2][_bit_at(word, n_bits, tpl.cut)] = (
+            tpl, _stream_transitions(word, n_bits, tpl.clock_cycles - 3)
+        )
+        return tpl
 
 
 def sample_ring(
@@ -423,6 +508,49 @@ def _stream_transitions(word: int, n_bits: int, m: int) -> int:
     neighbours of ``0, bit 0, ..., bit m-1``."""
     prefix = word >> (n_bits - m)
     return 1 + (prefix ^ (prefix >> 1)).bit_count()
+
+
+def _bit_at(word: int, n_bits: int, index: Optional[int]) -> int:
+    """Bit ``index`` of the stream; 0 when no bit is read (None)."""
+    if index is None:
+        return 0
+    return (word >> (n_bits - 1 - index)) & 1
+
+
+def _overlay(
+    plan: RoundTemplate,
+    plan_edges: int,
+    key: RoundKey,
+    message: Message,
+    word: int,
+    n_bits: int,
+) -> RoundTemplate:
+    """``plan`` carrying ``message``, another payload of its shape and
+    the same bit at its cut: only the message, the delivered prefix and
+    the DATA transitions in ``wire_row`` change (``plan_edges`` is the
+    plan's own stream transition count)."""
+    rx = plan.rx
+    if rx:
+        dest = message.dest
+        delivered = message.payload[:len(rx[0][2])]
+        rx = tuple([
+            (name, dest, delivered, broadcast, control, arrival)
+            for name, _dest, _payload, broadcast, control, arrival in rx
+        ])
+    wire_row = plan.wire_row
+    edges = _stream_transitions(word, n_bits, plan.clock_cycles - 3)
+    delta = edges - plan_edges
+    if delta:
+        wire_row = tuple(count + delta for count in wire_row)
+    tpl = RoundTemplate(
+        key, plan.winner, plan.tx_node, message, plan.tx_control,
+        plan.tx_bytes_sent, plan.control, plan.general_error,
+        plan.error_reason, plan.clock_cycles, plan.end_off,
+        plan.node_end_off, plan.fin_off, plan.end_order, plan.bus_wake,
+        plan.layer_wake, rx, wire_row, plan.control_cycles, plan.cut,
+    )
+    tpl.row = plan
+    return tpl
 
 
 def interjection_fire_delay(
@@ -548,22 +676,22 @@ def _plan_round_impl(ctx: RoundContext, key: RoundKey) -> RoundTemplate:
     holder_pos = None
     if not runaway and not broken_at_mediator:
         holder_pos = winner if eom else min(overruns)
-    if broken_at_mediator:
-        last_bit = 0
-    else:
+    # The last bit the transmitter drove; the mediator drives none.
+    cut: Optional[int] = None
+    if not broken_at_mediator:
         # Bits the transmitter has pushed out: one per falling edge
         # from #4; it sees the absorbed falling R+1 only if the CLK
         # holder is further around the ring than it is.
         if eom:
-            last_index = n_stream - 1
+            cut = n_stream - 1
         else:
             saw_extra_falling = (
                 holder_pos is not None and winner < holder_pos
             )
-            last_index = min(
+            cut = min(
                 n_stream - 1, r_end - 3 if saw_extra_falling else r_end - 4
             )
-        last_bit = (word >> (n_stream - 1 - last_index)) & 1
+    last_bit = _bit_at(word, n_stream, cut)
     fire = t_interject + interjection_fire_delay(
         broken_at_mediator, last_bit, settle, full_prop
     )
@@ -693,6 +821,7 @@ def _plan_round_impl(ctx: RoundContext, key: RoundKey) -> RoundTemplate:
         layer_wake=tuple(layer_wake),
         rx=rx,
         wire_row=wire_row,
+        cut=cut,
     )
 
 

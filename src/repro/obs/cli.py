@@ -7,7 +7,8 @@ deterministic JSONL trace file (plus an optional Chrome
 ``trace_event`` JSON for chrome://tracing / Perfetto).
 
 ``stats`` is the offline half: load one recorded trace and print its
-phase profile, or load several (e.g. the same scenario traced on
+phase profile and how its rounds resolved (planned, or overlaid on a
+message shape's plan), or load several (e.g. the same scenario traced on
 ``edge``, ``fast`` and ``batch``) and print a side-by-side phase
 diff — the backend-comparison workflow EXPERIMENTS.md walks through.
 """
@@ -123,6 +124,13 @@ def cmd_stats(args) -> int:
             f"{doc.label}: {len(doc.spans)} span(s), "
             f"{len(counters)} counter(s) [{path}]"
         )
+        if "tlm.plan_round_calls" in counters:
+            print(
+                f"  rounds: {counters['tlm.plan_round_calls']} planned "
+                "(tlm.plan_round_calls), "
+                f"{counters.get('tlm.shape_hits', 0)} overlaid on a "
+                "message shape's plan (tlm.shape_hits)"
+            )
     if problems:
         for problem in problems:
             print(f"warning: {problem}", file=sys.stderr)

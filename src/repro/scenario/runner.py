@@ -765,28 +765,47 @@ _ENERGY_MODEL = MeasuredEnergyModel()
 class _TemplateRow(NamedTuple):
     """A round template's record terms, kept in the template's ``row``:
     its transaction row's canonical JSON cut around ``index`` (the
-    row is ``head + str(index) + tail``), its Section 6.2 message
-    energy (``None`` when :meth:`RunReport.energy_pj` skips it) and
-    its delivered payload bits."""
+    row is ``head + str(index) + tail``), the same text's cut around
+    the payload (``tail`` is ``mid + payload_json + end``, ``mid`` and
+    ``end`` empty without a message), its Section 6.2 message energy
+    (``None`` when :meth:`RunReport.energy_pj` skips it) and its
+    delivered payload bits.  All but ``tail`` are the same for every
+    template of one message shape."""
 
     head: str
     tail: str
+    mid: str
+    end: str
     energy_pj: Optional[float]
     payload_bits: int
 
 
 def _template_row(tpl: RoundTemplate, n_nodes: int) -> _TemplateRow:
-    """Compute and keep ``tpl``'s record terms on an ``n_nodes`` ring."""
+    """Compute and keep ``tpl``'s record terms on an ``n_nodes`` ring:
+    an overlay's from its shape's plan's (a few string joins), a
+    planned template's by encoding its row once."""
     message = tpl.message
-    # Encoded with index 0 and cut around it: '"index":' can only be
-    # that key (quotes inside string values are escaped).
+    plan = tpl.row
+    if plan is not None and message is not None:
+        shape = plan.row
+        if type(shape) is not _TemplateRow:
+            shape = _template_row(plan, n_nodes)
+        row = _TemplateRow(
+            shape.head, f'{shape.mid}"{message.payload.hex()}"{shape.end}',
+            shape.mid, shape.end, shape.energy_pj, shape.payload_bits,
+        )
+        tpl.row = row
+        return row
+    # Encoded with index 0 and an empty payload, and cut around both:
+    # '"index":' and '"payload_hex":' can only be those keys (quotes
+    # inside string values are escaped), and index sorts first.
     text = canonical_json({
         "index": 0,
         "ok": tpl.ok,
         "control": None if tpl.control is None else tpl.control.name,
         "tx_node": tpl.tx_node,
         "rx_nodes": [rx[0] for rx in tpl.rx],
-        "payload_hex": None if message is None else message.payload.hex(),
+        "payload_hex": None if message is None else "",
         "clock_cycles": tpl.clock_cycles,
         "control_cycles": tpl.control_cycles,
         "duration_ps": tpl.end_off,
@@ -794,9 +813,17 @@ def _template_row(tpl: RoundTemplate, n_nodes: int) -> _TemplateRow:
         "error_reason": tpl.error_reason,
     })
     cut = text.index('"index":0') + len('"index":')
+    mid = end = ""
+    tail = text[cut + 1:]
+    if message is not None:
+        at = text.index('"payload_hex":""', cut) + len('"payload_hex":')
+        mid, end = text[cut + 1:at], text[at + 2:]
+        tail = f'{mid}"{message.payload.hex()}"{end}'
     row = _TemplateRow(
         head=text[:cut],
-        tail=text[cut + 1:],
+        tail=tail,
+        mid=mid,
+        end=end,
         energy_pj=(
             _ENERGY_MODEL.message_energy_pj(
                 len(message.payload),
@@ -826,7 +853,7 @@ def _batch_record_report(
     energy_pj = 0.0
     for index, tpl in enumerate(result.rounds):
         terms = tpl.row
-        if terms is None:
+        if type(terms) is not _TemplateRow:
             terms = _template_row(tpl, n_nodes)
         rows.append(f"{terms.head}{index}{terms.tail}")
         if terms.energy_pj is not None:

@@ -5,10 +5,11 @@ schedules a Python event for every transition of every ring segment —
 hundreds of events per transaction.  This backend replaces that with a
 handful of events per transaction.  Each bus round resolves from the
 system's :class:`~repro.core.tlm_engine.RoundTable`, keyed by the
-live nodes' requests, power and interrupt state (a miss plans the
-round once at ``t0 = 0`` with :func:`~repro.core.tlm_engine.plan_round`,
-as the batch executor does), and the template is realised at the
-round's start ``t0`` as
+live nodes' requests, power and interrupt state (the same
+:meth:`~repro.core.tlm_engine.RoundTable.resolve` the batch executor
+calls: a new payload of a known message shape is overlaid on the
+shape's plan, anything else planned once at ``t0 = 0``), and the
+template is realised at the round's start ``t0`` as
 
 * one *start* event (the mediator's self-start),
 * one power on/off event per hierarchical wakeup or auto-sleep, at
@@ -71,7 +72,7 @@ class FastPathBackend:
         }
         self.templates = RoundTable(RoundContext(
             self.topology, None, constants.MIN_MAX_MESSAGE_BYTES
-        ))
+        ), MAX_TEMPLATES)
         self.active = False
         self._pulsers: set = set()
         # The coming round's DATA falls (repro.core.tlm_engine).
@@ -128,7 +129,9 @@ class FastPathBackend:
 
     def _new_ring_settings(self, **changes) -> None:
         # Every template was planned under the old settings.
-        self.templates = RoundTable(replace(self.templates.ctx, **changes))
+        self.templates = RoundTable(
+            replace(self.templates.ctx, **changes), MAX_TEMPLATES
+        )
 
     # ------------------------------------------------------------------
     # Round triggering.
@@ -196,12 +199,7 @@ class FastPathBackend:
         key = self._round_key()
         self._pulsers.clear()
         self._falls = {}
-        templates = self.templates
-        tpl = templates.get(key)
-        if tpl is None:
-            if len(templates) >= MAX_TEMPLATES:
-                templates.clear()
-            tpl = templates[key] = plan_round(templates.ctx, key)
+        tpl = self.templates.resolve(key, plan_round)
         t0 = self.sim.now
         self.active = True
         for pos, off, reason in tpl.bus_wake:

@@ -10,6 +10,7 @@ errors, and slot into :mod:`repro.campaign` unchanged.
 """
 
 import dataclasses
+import random
 
 import pytest
 
@@ -22,6 +23,7 @@ from repro.batch import (
 )
 from repro.core import Address
 from repro.core.errors import BusLockedError, ConfigurationError
+from repro.core.messages import ControlCode
 from repro.scenario import (
     Burst,
     Interrupt,
@@ -158,6 +160,16 @@ def boundary_spec(gated):
 #: a steady run unless a workload event lands among them.
 STEADY = Burst("m", Address.short(0x2, 5), b"\x5a\xa5", count=12)
 
+#: Workloads whose last round ends a run that a time budget cuts just
+#: after that round's finalize.
+LAST_ROUND_WORKLOADS = {
+    "burst": Burst("m", Address.short(0x2, 5), b"\x01\x02", count=3),
+    "one_shot": OneShot("m", Address.short(0x2, 5), b"\x01\x02"),
+}
+#: Horizons past the last finalize (ps) at which the edge engine is
+#: still busy (it settles after its own end); at 1,000,000 ps it is not.
+JUST_AFTER_FINALIZE_PS = (0, 10, 1_000, 10_000)
+
 
 def round_spans(spec, workload):
     """``(start, fin)`` in ps of each round of a batch run, where
@@ -170,6 +182,15 @@ def round_spans(spec, workload):
         (t0, t0 + tpl.fin_off)
         for t0, tpl in zip(result.starts, result.rounds)
     ]
+
+
+def last_finalize_plus(shape, margin_ps):
+    """The always-on boundary ring, ``LAST_ROUND_WORKLOADS[shape]`` and
+    a ``timeout_s`` ``margin_ps`` after its last round's finalize."""
+    spec = boundary_spec(False)
+    workload = LAST_ROUND_WORKLOADS[shape]
+    fin = round_spans(spec, workload)[-1][1]
+    return spec, workload, (fin + margin_ps) / 1e12
 
 
 class TestRoundBoundaries:
@@ -240,6 +261,92 @@ class TestRoundBoundaries:
         fast = self.agree(spec, STEADY, timeout_s=horizon)
         assert fast.n_transactions == 12
         assert fast.sim_time_s == horizon
+
+    @pytest.mark.parametrize("margin_ps", JUST_AFTER_FINALIZE_PS)
+    @pytest.mark.parametrize("shape", sorted(LAST_ROUND_WORKLOADS))
+    def test_timeout_just_after_the_last_finalize(self, shape, margin_ps):
+        spec, workload, horizon = last_finalize_plus(shape, margin_ps)
+        fast = run(spec, workload, backend="fast", timeout_s=horizon)
+        batch = run(spec, workload, backend="batch", timeout_s=horizon)
+        assert fast.n_ok == fast.n_transactions == len(workload.compile(spec))
+        assert batch.transactions == fast.transactions
+        assert batch.events_processed == fast.events_processed
+        assert batch.sim_time_s == fast.sim_time_s == horizon
+
+    @pytest.mark.xfail(
+        raises=BusLockedError, strict=True,
+        reason="edge stays busy for a settle after its own end of the "
+        "last round, so a horizon there finds its bus not yet idle",
+    )
+    @pytest.mark.parametrize("margin_ps", JUST_AFTER_FINALIZE_PS)
+    @pytest.mark.parametrize("shape", sorted(LAST_ROUND_WORKLOADS))
+    def test_edge_locks_on_a_timeout_just_after_the_last_finalize(
+        self, shape, margin_ps
+    ):
+        spec, workload, horizon = last_finalize_plus(shape, margin_ps)
+        run(spec, workload, backend="edge", timeout_s=horizon)
+
+    @pytest.mark.parametrize("shape", sorted(LAST_ROUND_WORKLOADS))
+    def test_timeout_a_microsecond_after_the_last_finalize(self, shape):
+        spec, workload, horizon = last_finalize_plus(shape, 1_000_000)
+        fast = self.agree(spec, workload, timeout_s=horizon)
+        assert fast.n_ok == fast.n_transactions == len(workload.compile(spec))
+
+
+def abort_spec(receiver, buffer_bytes):
+    """``m``, ``a``, ``b`` (short 0x1-0x3) with ``receiver``'s receive
+    buffer cut to ``buffer_bytes``."""
+    return SystemSpec(
+        name="buffer-abort",
+        nodes=tuple(
+            NodeSpec(
+                name, short_prefix=prefix, is_mediator=name == "m",
+                **({"rx_buffer_bytes": buffer_bytes}
+                   if name == receiver else {}),
+            )
+            for name, prefix in (("m", 0x1), ("a", 0x2), ("b", 0x3))
+        ),
+    )
+
+
+#: 64 seeded random 8-byte payloads.
+_PAYLOADS = random.Random(23)
+ABORT_PAYLOADS = [_PAYLOADS.randbytes(8) for _ in range(64)]
+
+
+class TestReceiveBufferAborts:
+    """``a`` sends 8 bytes into a 1-5-byte receive buffer, which aborts
+    the round inside the payload: the last bit ``a`` drove there moves
+    the round's end, so a payload of a known shape is overlaid on the
+    plan made for that bit (``RoundTable.resolve``)."""
+
+    @pytest.mark.parametrize("buffer_bytes", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("receiver, prefix", [("b", 0x3), ("m", 0x1)])
+    def test_fast_and_batch_agree(self, receiver, prefix, buffer_bytes):
+        spec = abort_spec(receiver, buffer_bytes)
+        clear_cache()
+        for payload in ABORT_PAYLOADS:
+            workload = OneShot("a", Address.short(prefix, 5), payload)
+            fast = run(spec, workload, backend="fast")
+            batch = run(spec, workload, backend="batch")
+            assert timing_free_doc(batch) == timing_free_doc(fast), payload
+            assert batch.events_processed == fast.events_processed
+            (txn,) = batch.transactions
+            assert txn.control is ControlCode.RX_ABORT, payload
+
+    @pytest.mark.xfail(
+        raises=BusLockedError, strict=True,
+        reason="a receive-buffer overrun at a member can leave the edge "
+        "engine's receiver in transfer and its mediator in control",
+    )
+    def test_edge_locks_on_a_members_overrun(self):
+        spec = abort_spec("b", 4)
+        run(
+            spec,
+            OneShot("a", Address.short(0x3, 5),
+                    bytes.fromhex("3a5e4842fab428f7")),
+            backend="edge",
+        )
 
 
 class TestBatchReport:

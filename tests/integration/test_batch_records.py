@@ -374,26 +374,32 @@ class TestTemplateTables:
         spec = fig14_spec()
 
         def messages(first):
-            # One round per message, far enough apart to drain.
+            # One round per message, far enough apart to drain; one
+            # message shape (the mediator sends 2 bytes to a).
             return [
                 PostEvent(i * 1e-3, "m", Address.short(0x2, 5),
                           (first + i).to_bytes(2, "big"))
                 for i in range(300)
             ]
 
-        def planned(events):
+        def resolved(events):
+            """Rounds planned and rounds overlaid on a shape's plan."""
             with observe(trace=False, profile=False) as session:
                 assert run(spec, events, backend="batch").n_ok == 300
             counters = session.metrics.to_dict()["counters"]
-            return counters.get("tlm.plan_round_calls", 0)
+            return (
+                counters.get("tlm.plan_round_calls", 0),
+                counters.get("tlm.shape_hits", 0),
+            )
 
         csys = compile_system_cached(spec)
         assert 300 > MAX_TEMPLATES
-        assert planned(messages(0)) == 300
-        assert planned(messages(0)) == 0      # the whole set stayed
+        assert resolved(messages(0)) == (1, 299)
+        assert resolved(messages(0)) == (0, 0)   # the whole set stayed
         assert len(csys.template_list) == 300
-        assert planned(messages(1000)) == 300
+        assert resolved(messages(1000)) == (0, 300)
         assert len(csys.template_list) == 600
-        # 600 > MAX_TEMPLATES + 300: the next run starts afresh.
-        assert planned(messages(0)) == 300
+        # 600 > MAX_TEMPLATES + 300: the next run starts afresh, both
+        # the templates and the shape's plan.
+        assert resolved(messages(0)) == (1, 299)
         assert len(csys.template_list) == len(csys.message_table) == 300

@@ -247,6 +247,33 @@ class TestCli:
         assert "Phase profile diff" in diff
         assert "execute" in diff
 
+    def test_stats_shows_how_rounds_resolved(self, tmp_path, capsys):
+        from repro.batch import clear_cache
+        from repro.core import Address
+        from repro.scenario import Burst, load_scenario
+
+        spec, _workload, _grid = load_scenario(self.SCENARIO)
+        dest = Address.short(0x2, 5)
+        scenario = tmp_path / "two_payloads.json"
+        scenario.write_text(json.dumps({
+            "system": spec.to_dict(),
+            "workload": (
+                Burst("m", dest, b"\x01\x02", count=3)
+                + Burst("m", dest, b"\x03\x04", count=3, at_s=1e-3)
+            ).to_dict(),
+        }))
+        out = tmp_path / "batch.jsonl"
+        clear_cache()   # one plan, then an overlay: from a cold table
+        assert main([
+            "trace", str(scenario), "--backend", "batch", "-o", str(out),
+        ]) == 0
+        capsys.readouterr()
+        assert main(["stats", str(out)]) == 0
+        assert (
+            "rounds: 1 planned (tlm.plan_round_calls), 1 overlaid on a "
+            "message shape's plan (tlm.shape_hits)"
+        ) in capsys.readouterr().out
+
     def test_stats_json(self, tmp_path, capsys):
         fast, _ = self.trace_to(tmp_path, "fast")
         capsys.readouterr()
