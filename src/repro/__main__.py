@@ -408,12 +408,9 @@ def _cmd_campaign_run(args) -> int:
             profile=session.profiler.to_dict(),
         )
         if args.trace_out:
-            from repro.obs.tracer import canonical_line
+            from repro.obs.tracer import write_records
 
-            with open(args.trace_out, "w") as handle:
-                for record in records:
-                    handle.write(canonical_line(record))
-                    handle.write("\n")
+            write_records(args.trace_out, records)
             print(f"wrote {len(records)} trace record(s) to "
                   f"{args.trace_out}")
         if args.chrome:
@@ -589,15 +586,7 @@ def _cmd_fuzz(args) -> int:
 def _cmd_lint(args) -> int:
     from repro.lint import cli as lint_cli
 
-    forwarded = []
-    if args.path is not None:
-        forwarded.append(args.path)
-    if args.select is not None:
-        forwarded.extend(["--select", args.select])
-    if args.list_passes:
-        forwarded.append("--list")
-    forwarded.extend(["--format", args.format])
-    return lint_cli.main(forwarded)
+    return lint_cli.run(args)
 
 
 def _cmd_reliability(args) -> int:
@@ -1086,7 +1075,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="findings output format (default: text)",
     )
     lint_cmd.add_argument(
-        "--list", dest="list_passes", action="store_true",
+        "--list", action="store_true",
         help="list registered passes and exit",
     )
     return parser

@@ -63,6 +63,7 @@ from typing import (
     Callable,
     Dict,
     List,
+    Mapping,
     Optional,
     Sequence,
     Set,
@@ -88,6 +89,7 @@ from repro.campaign.trial import (
     patch_document,
 )
 from repro.core.errors import ConfigurationError
+from repro.core.schema import take_keys
 from repro.faults.primitives import FaultSpec, normalize_faults
 from repro.obs.state import OBS
 from repro.scenario.runner import BACKENDS, check_timeouts
@@ -158,7 +160,9 @@ class Campaign:
         )
         grid = None if self.grid is None else as_grid(self.grid)
         points = [{}] if grid is None else grid.points()
-        spec_fields = set(SystemSpec._KEYS) - {"nodes"}
+        spec_fields = {
+            f.name for f in dataclasses.fields(SystemSpec)
+        } - {"nodes"}
         workload_factory = self._workload_is_factory()
         faults_factory = self._faults_is_factory()
         if not workload_factory and not isinstance(self.workload, Workload):
@@ -575,21 +579,14 @@ class Campaign:
             ),
         }
 
-    _KEYS = frozenset({
-        "name", "system", "workload", "faults", "grid", "backend",
-        "timeout_s", "seed", "wall_timeout_s", "retry",
-    })
-
     @classmethod
-    def from_dict(cls, data: Dict, lenient: bool = False) -> "Campaign":
-        if lenient:
-            data = {k: v for k, v in data.items() if k in cls._KEYS}
-        else:
-            unknown = set(data) - cls._KEYS
-            if unknown:
-                raise ConfigurationError(
-                    f"unknown Campaign key(s): {', '.join(sorted(unknown))}"
-                )
+    def from_dict(
+        cls, data: Mapping[str, Any], lenient: bool = False
+    ) -> "Campaign":
+        # The document is the fields, with ``spec`` written as
+        # ``system``.
+        allowed = {f.name for f in dataclasses.fields(cls)} - {"spec"}
+        data = take_keys(data, allowed | {"system"}, "Campaign", lenient)
         for required in ("system", "workload"):
             if required not in data:
                 raise ConfigurationError(

@@ -37,7 +37,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.core.addresses import Address
 from repro.core.errors import ConfigurationError, TransientTrialError
@@ -117,11 +117,3 @@ class Chaos(Workload):
             dest=Address.short(target.short_prefix, 0),
             payload=self.payload,
         )
-
-    def _params(self) -> Dict:
-        return {
-            "behavior": self.behavior,
-            "token": self.token,
-            "hang_s": self.hang_s,
-            "payload": bytes(self.payload).hex(),
-        }

@@ -47,7 +47,7 @@ from repro.core.errors import (
     TransientTrialError,
     WallClockTimeout,
 )
-from repro.core.schema import REPORT_SCHEMA_VERSION
+from repro.core.schema import REPORT_SCHEMA_VERSION, Document
 
 if TYPE_CHECKING:
     from repro.campaign.trial import Trial
@@ -75,7 +75,7 @@ def traceback_digest(exc: BaseException) -> str:
 
 
 @dataclass(frozen=True)
-class TrialFailure:
+class TrialFailure(Document):
     """One trial's structured failure outcome (JSON-round-trippable)."""
 
     outcome: str                 # "error" | "timeout" | "crashed"
@@ -92,39 +92,6 @@ class TrialFailure:
                 f"failure outcome must be one of {FAILURE_OUTCOMES}, "
                 f"not {self.outcome!r}"
             )
-
-    def to_dict(self) -> Dict:
-        return {
-            "outcome": self.outcome,
-            "error_type": self.error_type,
-            "message": self.message,
-            "traceback_digest": self.traceback_digest,
-            "attempts": self.attempts,
-            "quarantined": self.quarantined,
-            "transient": self.transient,
-        }
-
-    _KEYS = frozenset({
-        "outcome", "error_type", "message", "traceback_digest",
-        "attempts", "quarantined", "transient",
-    })
-
-    @classmethod
-    def from_dict(cls, data: Dict, lenient: bool = False) -> "TrialFailure":
-        if lenient:
-            data = {k: v for k, v in data.items() if k in cls._KEYS}
-        else:
-            unknown = set(data) - cls._KEYS
-            if unknown:
-                raise ConfigurationError(
-                    "unknown TrialFailure key(s): "
-                    + ", ".join(sorted(unknown))
-                )
-        if "outcome" not in data:
-            raise ConfigurationError(
-                "a TrialFailure document needs an 'outcome'"
-            )
-        return cls(**data)
 
     def summary(self) -> str:
         label = self.outcome
@@ -192,7 +159,7 @@ def record_is_quarantined(record: Dict) -> bool:
 
 
 @dataclass(frozen=True)
-class RetryPolicy:
+class RetryPolicy(Document):
     """Bounded retries with exponential backoff, plus quarantine.
 
     ``max_attempts`` caps total attempts for retryable failures; the
@@ -255,34 +222,6 @@ class RetryPolicy:
         ):
             return replace(failure, quarantined=True)
         return failure
-
-    def to_dict(self) -> Dict:
-        return {
-            "max_attempts": self.max_attempts,
-            "backoff_s": self.backoff_s,
-            "backoff_factor": self.backoff_factor,
-            "retry_transient": self.retry_transient,
-            "retry_crashed": self.retry_crashed,
-            "retry_timeout": self.retry_timeout,
-        }
-
-    _KEYS = frozenset({
-        "max_attempts", "backoff_s", "backoff_factor",
-        "retry_transient", "retry_crashed", "retry_timeout",
-    })
-
-    @classmethod
-    def from_dict(cls, data: Dict, lenient: bool = False) -> "RetryPolicy":
-        if lenient:
-            data = {k: v for k, v in data.items() if k in cls._KEYS}
-        else:
-            unknown = set(data) - cls._KEYS
-            if unknown:
-                raise ConfigurationError(
-                    "unknown RetryPolicy key(s): "
-                    + ", ".join(sorted(unknown))
-                )
-        return cls(**data)
 
 
 def normalize_retry(retry: Any) -> Optional[RetryPolicy]:

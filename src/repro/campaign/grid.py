@@ -30,11 +30,13 @@ documents — see :meth:`repro.campaign.Campaign.trials`.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Mapping, Tuple, Union
 
 from repro.core.errors import ConfigurationError
+from repro.core.schema import take_keys
 
 GRID_KINDS = ("product", "zip", "chain", "cross")
 
@@ -193,11 +195,10 @@ class Grid:
             raise ConfigurationError(
                 f"grid kind must be one of {GRID_KINDS}, not {kind!r}"
             )
-        unknown = set(data) - {"kind", "axes", "parts"}
-        if unknown:
-            raise ConfigurationError(
-                f"unknown Grid key(s): {', '.join(sorted(unknown))}"
-            )
+        data = take_keys(
+            data, {f.name for f in dataclasses.fields(cls)}, "Grid",
+            lenient=False,
+        )
         if kind == "zip":
             return Grid.zip(**dict(data.get("axes", {})))
         if kind == "product":

@@ -53,11 +53,12 @@ keys, and they differ from batch-written ones only in ``backend``.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Tuple
 
 from repro.core.errors import ConfigurationError
 from repro.core.schema import (
@@ -65,6 +66,7 @@ from repro.core.schema import (
     Encoded,
     canonical_json,
     splice_json,
+    take_keys,
 )
 
 if TYPE_CHECKING:
@@ -150,7 +152,13 @@ class Trial:
         }
 
     @classmethod
-    def from_dict(cls, data: Dict) -> "Trial":
+    def from_dict(cls, data: Mapping[str, Any]) -> "Trial":
+        # The document is the fields, each ``*_doc`` written without
+        # its suffix; ``spec_json`` is derived from ``spec_doc``.
+        allowed = {
+            f.name.removesuffix("_doc") for f in dataclasses.fields(cls)
+        } - {"spec_json"}
+        data = take_keys(data, allowed, "Trial", lenient=False)
         return cls(
             index=data["index"],
             params=data["params"],

@@ -25,6 +25,7 @@ from typing import Container, Optional, Tuple
 
 from repro.core import constants
 from repro.core.errors import AddressError
+from repro.core.schema import Document
 
 BROADCAST_PREFIX = constants.BROADCAST_PREFIX_VALUE
 FULL_ADDR_MARKER = constants.FULL_ADDR_MARKER_VALUE
@@ -62,12 +63,13 @@ class FullPrefix(int):
 
 
 @dataclass(frozen=True)
-class Address:
+class Address(Document):
     """A resolved MBus destination.
 
     Exactly one of ``short_prefix`` / ``full_prefix`` must be given.
     ``fu_id`` addresses the functional unit (or, for broadcast, names
-    the broadcast channel).
+    the broadcast channel).  A workload document carries it as its
+    fields (:class:`~repro.core.schema.Document`).
     """
 
     fu_id: int = 0

@@ -26,7 +26,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.schema import REPORT_SCHEMA_VERSION
+from repro.core.schema import REPORT_SCHEMA_VERSION, Document
 from repro.faults.primitives import PS_PER_S, FaultSpec
 
 #: Outcome classifications, roughly ordered by severity.
@@ -42,7 +42,7 @@ OUTCOMES = (
 
 
 @dataclass(frozen=True)
-class FaultOutcome:
+class FaultOutcome(Document):
     """What one fault primitive did to the run."""
 
     fault_index: int
@@ -51,20 +51,15 @@ class FaultOutcome:
     transaction_index: Optional[int]
     classification: str
 
-    # lint: disable=schema -- one-way analytic report; records are re-derived from runs, never loaded back
-    def to_dict(self) -> Dict:
-        return {
-            "fault_index": self.fault_index,
-            "kind": self.kind,
-            "at_s": self.at_s,
-            "transaction_index": self.transaction_index,
-            "classification": self.classification,
-        }
 
 
 @dataclass
-class ReliabilityReport:
-    """Recovery statistics for one (possibly faulted) run."""
+class ReliabilityReport(Document):
+    """Recovery statistics for one (possibly faulted) run.
+
+    Its document is its fields, stamped with ``schema_version`` and
+    carrying the two derived rates.
+    """
 
     n_faults: int
     scheduled_injections: int
@@ -88,6 +83,11 @@ class ReliabilityReport:
     bus_idle: bool = True
     outcomes: List[FaultOutcome] = field(default_factory=list)
 
+    schema_version = REPORT_SCHEMA_VERSION
+    derived_keys = (
+        "schema_version", "recovery_rate", "mean_retransmission_latency_s",
+    )
+
     @property
     def recovery_rate(self) -> float:
         """Fraction of intended deliveries that arrived intact."""
@@ -107,32 +107,6 @@ class ReliabilityReport:
     def outcome_counts(self) -> Dict[str, int]:
         counts = Counter(o.classification for o in self.outcomes)
         return {k: counts[k] for k in OUTCOMES if counts[k]}
-
-    # lint: disable=schema -- one-way analytic report; records are re-derived from runs, never loaded back
-    def to_dict(self) -> Dict:
-        return {
-            "schema_version": REPORT_SCHEMA_VERSION,
-            "n_faults": self.n_faults,
-            "scheduled_injections": self.scheduled_injections,
-            "performed_injections": self.performed_injections,
-            "injection_counts": dict(self.injection_counts),
-            "edges_injected": self.edges_injected,
-            "edges_dropped": self.edges_dropped,
-            "expected_deliveries": self.expected_deliveries,
-            "intact_deliveries": self.intact_deliveries,
-            "corrupted_deliveries": self.corrupted_deliveries,
-            "lost_deliveries": self.lost_deliveries,
-            "recovery_rate": self.recovery_rate,
-            "n_transactions": self.n_transactions,
-            "failed_transactions": self.failed_transactions,
-            "general_errors": self.general_errors,
-            "interjections": self.interjections,
-            "retransmissions": self.retransmissions,
-            "retransmission_latencies_s": list(self.retransmission_latencies_s),
-            "mean_retransmission_latency_s": self.mean_retransmission_latency_s,
-            "bus_idle": self.bus_idle,
-            "outcomes": [o.to_dict() for o in self.outcomes],
-        }
 
     def summary(self) -> str:
         lines = [

@@ -1,4 +1,5 @@
-"""The ``python -m repro lint`` entry point.
+"""The ``python -m repro lint`` command (its options are declared in
+:func:`repro.__main__.build_parser`).
 
 Exit codes (the CI contract): 0 — no findings; 1 — findings
 reported; 2 — usage error (unknown pass, bad path).
@@ -9,7 +10,6 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import List, Optional
 
 from repro.lint.framework import (
     available_passes,
@@ -19,44 +19,8 @@ from repro.lint.framework import (
 )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro lint",
-        description=(
-            "AST-based determinism & invariant linter over the repro "
-            "sources"
-        ),
-        epilog="exit codes: 0 clean, 1 findings reported, 2 usage error",
-    )
-    parser.add_argument(
-        "path",
-        nargs="?",
-        default=None,
-        help="package root to lint (default: the installed repro "
-             "package)",
-    )
-    parser.add_argument(
-        "--select",
-        metavar="PASS[,PASS...]",
-        default=None,
-        help="run only the named passes (default: all)",
-    )
-    parser.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="findings output format (default: text)",
-    )
-    parser.add_argument(
-        "--list",
-        action="store_true",
-        help="list registered passes and exit",
-    )
-    return parser
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+def run(args: argparse.Namespace) -> int:
+    """Lint as the parsed options say; returns the exit code."""
     passes = available_passes()
     if args.list:
         for name in sorted(passes):

@@ -23,11 +23,11 @@ from repro.obs.profiler import diff_profiles, format_profile
 from repro.obs.state import observe
 from repro.obs.tracer import (
     TraceDoc,
-    canonical_line,
     chrome_trace,
     load_trace,
     trace_records,
     validate_trace,
+    write_records,
 )
 
 
@@ -64,10 +64,7 @@ def cmd_trace(args) -> int:
         profile=profile,
     )
     n_spans = sum(1 for r in records if r.get("type") == "span")
-    with open(args.output, "w") as handle:
-        for record in records:
-            handle.write(canonical_line(record))
-            handle.write("\n")
+    write_records(args.output, records)
     print(
         f"recorded {n_spans} span(s) over {report.n_transactions} "
         f"transaction(s) [{report.backend} backend]"

@@ -239,7 +239,12 @@ def write_trace(
     profile: Optional[Dict] = None,
 ) -> int:
     """Write a trace JSONL file; returns the number of records."""
-    records = trace_records(tracer, meta, metrics, profile)
+    return write_records(path, trace_records(tracer, meta, metrics, profile))
+
+
+def write_records(path: str, records: List[Dict]) -> int:
+    """Write trace records as JSONL, one canonical line each; returns
+    the number of records."""
     with open(path, "w") as handle:
         for record in records:
             handle.write(canonical_line(record))

@@ -32,18 +32,18 @@ traffic — can live in one JSON document.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import operator
 import random
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Optional, Tuple, Union
 
 from repro.core.addresses import Address
+from repro.core.errors import ConfigurationError
+from repro.core.schema import Document, Kinds
 
 if TYPE_CHECKING:
     from repro.scenario.spec import SystemSpec
-from repro.core.errors import ConfigurationError
 
 
 # ----------------------------------------------------------------------
@@ -71,34 +71,21 @@ class InterruptEvent:
 ScheduleEvent = Union[PostEvent, InterruptEvent]
 
 
-def _address_to_dict(dest: Address) -> Dict:
-    return {
-        "short_prefix": dest.short_prefix,
-        "full_prefix": dest.full_prefix,
-        "fu_id": dest.fu_id,
-    }
-
-
-def _address_from_dict(data: Dict) -> Address:
-    return Address(
-        fu_id=data.get("fu_id", 0),
-        short_prefix=data.get("short_prefix"),
-        full_prefix=data.get("full_prefix"),
-    )
-
-
 # ----------------------------------------------------------------------
 # Workload base and registry.
 # ----------------------------------------------------------------------
-class Workload:
+class Workload(Document):
     """Base class: a declarative traffic description.
 
-    Subclasses implement :meth:`_events` (unsorted event generation)
-    and :meth:`_params` (JSON-friendly constructor arguments); the
-    base class provides sorting, composition and serialisation.
+    A subclass is a frozen dataclass with a ``kind`` that implements
+    :meth:`_events` (unsorted event generation) and is registered with
+    :func:`register_workload_kind`; its document is its fields plus
+    its ``kind`` (:class:`~repro.core.schema.Document`).  The base
+    class provides sorting and composition.
     """
 
     kind: str = ""
+    derived_keys = ("kind",)
 
     def compile(self, spec: "SystemSpec") -> Tuple[ScheduleEvent, ...]:
         """The deterministic, time-sorted schedule for ``spec``."""
@@ -109,9 +96,6 @@ class Workload:
     def _events(self, spec):
         raise NotImplementedError
 
-    def _params(self) -> Dict:
-        raise NotImplementedError
-
     def __add__(self, other: "Workload") -> "Workload":
         if not isinstance(other, Workload):
             return NotImplemented
@@ -119,20 +103,16 @@ class Workload:
         theirs = other.parts if isinstance(other, Combined) else (other,)
         return Combined(parts=mine + theirs)
 
-    def to_dict(self) -> Dict:
-        return {"kind": self.kind, **self._params()}
+
+_WORKLOAD_KINDS = Kinds("workload", Workload)
+
+#: Register an out-of-tree :class:`Workload` subclass (e.g. the
+#: campaign layer's chaos drill workload) for
+#: :func:`workload_from_dict`; a class decorator.
+register_workload_kind = _WORKLOAD_KINDS.register
 
 
-def _message_params(
-    dest: Address, payload: bytes, priority: bool
-) -> Dict:
-    return {
-        "dest": _address_to_dict(dest),
-        "payload": bytes(payload).hex(),
-        "priority": priority,
-    }
-
-
+@register_workload_kind
 @dataclass(frozen=True)
 class OneShot(Workload):
     """One message from ``source`` to ``dest`` at ``at_s``."""
@@ -153,14 +133,8 @@ class OneShot(Workload):
             priority=self.priority,
         )
 
-    def _params(self) -> Dict:
-        return {
-            "source": self.source,
-            "at_s": self.at_s,
-            **_message_params(self.dest, self.payload, self.priority),
-        }
 
-
+@register_workload_kind
 @dataclass(frozen=True)
 class Burst(Workload):
     """``count`` copies posted back to back (saturating traffic).
@@ -196,16 +170,8 @@ class Burst(Workload):
             priority=self.priority,
         )
 
-    def _params(self) -> Dict:
-        return {
-            "source": self.source,
-            "count": self.count,
-            "at_s": self.at_s,
-            "gap_s": self.gap_s,
-            **_message_params(self.dest, self.payload, self.priority),
-        }
 
-
+@register_workload_kind
 @dataclass(frozen=True)
 class Periodic(Workload):
     """``count`` messages at a fixed ``period_s`` starting at ``start_s``."""
@@ -229,16 +195,8 @@ class Periodic(Workload):
                 priority=self.priority,
             )
 
-    def _params(self) -> Dict:
-        return {
-            "source": self.source,
-            "period_s": self.period_s,
-            "count": self.count,
-            "start_s": self.start_s,
-            **_message_params(self.dest, self.payload, self.priority),
-        }
 
-
+@register_workload_kind
 @dataclass(frozen=True)
 class RandomTraffic(Workload):
     """Seeded pseudo-random traffic over the spec's short-addressed nodes.
@@ -289,19 +247,8 @@ class RandomTraffic(Workload):
                 priority=rng.random() < self.priority_fraction,
             )
 
-    def _params(self) -> Dict:
-        return {
-            "seed": self.seed,
-            "count": self.count,
-            "mean_gap_s": self.mean_gap_s,
-            "start_s": self.start_s,
-            "min_bytes": self.min_bytes,
-            "max_bytes": self.max_bytes,
-            "sources": list(self.sources) if self.sources else None,
-            "priority_fraction": self.priority_fraction,
-        }
 
-
+@register_workload_kind
 @dataclass(frozen=True)
 class Broadcast(Workload):
     """A broadcast on ``channel`` (Section 4.6) at ``at_s``."""
@@ -322,16 +269,8 @@ class Broadcast(Workload):
             priority=self.priority,
         )
 
-    def _params(self) -> Dict:
-        return {
-            "source": self.source,
-            "channel": self.channel,
-            "payload": bytes(self.payload).hex(),
-            "at_s": self.at_s,
-            "priority": self.priority,
-        }
 
-
+@register_workload_kind
 @dataclass(frozen=True)
 class Interrupt(Workload):
     """Assert ``node``'s always-on interrupt wire at ``at_s``."""
@@ -343,10 +282,8 @@ class Interrupt(Workload):
     def _events(self, spec):
         yield InterruptEvent(at_s=self.at_s, node=self.node)
 
-    def _params(self) -> Dict:
-        return {"node": self.node, "at_s": self.at_s}
 
-
+@register_workload_kind
 @dataclass(frozen=True)
 class Combined(Workload):
     """Several workloads merged into one schedule (built by ``+``)."""
@@ -358,44 +295,8 @@ class Combined(Workload):
         for part in self.parts:
             yield from part.compile(spec)
 
-    def _params(self) -> Dict:
-        return {"parts": [part.to_dict() for part in self.parts]}
 
-
-# ----------------------------------------------------------------------
-# Deserialisation.
-# ----------------------------------------------------------------------
-_WORKLOAD_KINDS: Dict[str, type] = {
-    cls.kind: cls
-    for cls in (
-        OneShot, Burst, Periodic, RandomTraffic, Broadcast, Interrupt,
-        Combined,
-    )
-}
-
-
-def register_workload_kind(cls: type) -> type:
-    """Register an out-of-tree :class:`Workload` subclass for
-    :func:`workload_from_dict` dispatch (e.g. the campaign layer's
-    chaos drill workload).  Returns ``cls`` so it can be used as a
-    decorator.  Re-registering the same class is a no-op; claiming an
-    existing kind with a different class is an error."""
-    if not (isinstance(cls, type) and issubclass(cls, Workload) and cls.kind):
-        raise ConfigurationError(
-            "register_workload_kind needs a Workload subclass with a "
-            f"non-empty 'kind', got {cls!r}"
-        )
-    existing = _WORKLOAD_KINDS.get(cls.kind)
-    if existing is not None and existing is not cls:
-        raise ConfigurationError(
-            f"workload kind {cls.kind!r} is already registered to "
-            f"{existing.__name__}"
-        )
-    _WORKLOAD_KINDS[cls.kind] = cls
-    return cls
-
-
-def workload_from_dict(data: Dict, lenient: bool = False) -> Workload:
+def workload_from_dict(data: Any, lenient: bool = False) -> Workload:
     """Rebuild a workload from :meth:`Workload.to_dict` output.
 
     ``lenient=True`` drops unknown parameters instead of failing, so
@@ -403,33 +304,4 @@ def workload_from_dict(data: Dict, lenient: bool = False) -> Workload:
     an unknown *kind* is always an error, because there is nothing to
     fall back to.
     """
-    data = dict(data)
-    kind = data.pop("kind", None)
-    cls = _WORKLOAD_KINDS.get(kind)
-    if cls is None:
-        raise ConfigurationError(
-            f"unknown workload kind {kind!r}; expected one of "
-            f"{sorted(_WORKLOAD_KINDS)}"
-        )
-    if lenient:
-        known = {f.name for f in dataclasses.fields(cls)}
-        data = {k: v for k, v in data.items() if k in known}
-    if cls is Combined:
-        return Combined(
-            parts=tuple(
-                workload_from_dict(part, lenient=lenient)
-                for part in data["parts"]
-            )
-        )
-    if "dest" in data:
-        data["dest"] = _address_from_dict(data["dest"])
-    if "payload" in data:
-        data["payload"] = bytes.fromhex(data["payload"])
-    if "sources" in data and data["sources"] is not None:
-        data["sources"] = tuple(data["sources"])
-    try:
-        return cls(**data)
-    except TypeError as exc:
-        raise ConfigurationError(
-            f"bad {kind} workload parameters: {exc}"
-        ) from None
+    return _WORKLOAD_KINDS.decode(data, lenient)

@@ -32,14 +32,15 @@ resumes it exactly like ``campaign run`` resumes after SIGTERM.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Mapping, Optional
 
 from repro.campaign.campaign import EXECUTORS
 from repro.campaign.trial import canonical_json
 from repro.core.errors import ConfigurationError
-from repro.core.schema import REPORT_SCHEMA_VERSION
+from repro.core.schema import REPORT_SCHEMA_VERSION, Document, take_keys
 from repro.scenario.runner import check_timeouts
 
 #: URL prefix every route lives under; bump on breaking route changes.
@@ -57,8 +58,13 @@ DEFAULT_CLIENT = "anonymous"
 
 
 @dataclass(frozen=True)
-class SubmitOptions:
-    """Execution policy for one submitted campaign."""
+class SubmitOptions(Document):
+    """Execution policy for one submitted campaign.
+
+    Checked when built, so a malformed submission is refused with a
+    400 instead of failing in the pool after its 202.  ``workers`` is
+    a request: the server starts at most one pool worker per CPU.
+    """
 
     executor: str = "serial"
     workers: Optional[int] = None
@@ -72,42 +78,22 @@ class SubmitOptions:
                 f"options.executor must be one of {EXECUTORS}, "
                 f"not {self.executor!r}"
             )
-        check_timeouts(**{"options.wall_timeout_s": self.wall_timeout_s})
-
-    def to_dict(self) -> Dict:
-        return {
-            "executor": self.executor,
-            "workers": self.workers,
-            "wall_timeout_s": self.wall_timeout_s,
-            "retry_failed": self.retry_failed,
-            "retry_quarantined": self.retry_quarantined,
-        }
-
-    _KEYS = frozenset({
-        "executor", "workers", "wall_timeout_s", "retry_failed",
-        "retry_quarantined",
-    })
-
-    @classmethod
-    def from_dict(
-        cls, data: Dict, lenient: bool = False
-    ) -> "SubmitOptions":
-        if lenient:
-            data = {k: v for k, v in data.items() if k in cls._KEYS}
-        else:
-            unknown = set(data) - cls._KEYS
-            if unknown:
+        if self.workers is not None and (
+            isinstance(self.workers, bool)
+            or not isinstance(self.workers, int)
+            or self.workers < 1
+        ):
+            raise ConfigurationError(
+                "options.workers must be a positive integer, "
+                f"not {self.workers!r}"
+            )
+        for name in ("retry_failed", "retry_quarantined"):
+            if not isinstance(getattr(self, name), bool):
                 raise ConfigurationError(
-                    "unknown SubmitOptions key(s): "
-                    f"{', '.join(sorted(unknown))}"
+                    f"options.{name} must be true or false, "
+                    f"not {getattr(self, name)!r}"
                 )
-        return cls(
-            executor=data.get("executor", "serial"),
-            workers=data.get("workers"),
-            wall_timeout_s=data.get("wall_timeout_s"),
-            retry_failed=bool(data.get("retry_failed", False)),
-            retry_quarantined=bool(data.get("retry_quarantined", False)),
-        )
+        check_timeouts(**{"options.wall_timeout_s": self.wall_timeout_s})
 
 
 @dataclass(frozen=True)
@@ -150,51 +136,38 @@ class SubmitRequest:
             "client": self.client,
         }
 
-    _KEYS = frozenset({
-        "schema_version", "campaign", "options", "client",
-    })
-
     @classmethod
     def from_dict(
-        cls, data: Dict, lenient: bool = False
+        cls, data: Mapping[str, Any], lenient: bool = False
     ) -> "SubmitRequest":
-        if not isinstance(data, dict):
-            raise ConfigurationError(
-                "a submission body must be a JSON object"
-            )
-        if lenient:
-            data = {k: v for k, v in data.items() if k in cls._KEYS}
-        else:
-            unknown = set(data) - cls._KEYS
-            if unknown:
-                raise ConfigurationError(
-                    "unknown SubmitRequest key(s): "
-                    f"{', '.join(sorted(unknown))}"
-                )
+        allowed = {f.name for f in dataclasses.fields(cls)}
+        data = take_keys(
+            data, allowed | {"schema_version"}, "SubmitRequest", lenient
+        )
         if "campaign" not in data:
             raise ConfigurationError(
                 "a submission needs a 'campaign' key"
             )
-        options_doc = data.get("options") or {}
-        if not isinstance(options_doc, dict):
-            raise ConfigurationError(
-                "'options' must be a JSON object"
-            )
-        client = data.get("client") or DEFAULT_CLIENT
         return cls(
             campaign=data["campaign"],
-            options=SubmitOptions.from_dict(options_doc, lenient=lenient),
-            client=client,
+            options=SubmitOptions.from_dict(
+                data.get("options") or {}, lenient=lenient
+            ),
+            client=data.get("client") or DEFAULT_CLIENT,
         )
 
 
 @dataclass(frozen=True)
-class JobStatus:
-    """The observable state of one job (``GET /v1/campaigns/{id}``)."""
+class JobStatus(Document):
+    """The observable state of one job (``GET /v1/campaigns/{id}``).
+
+    Its document is its fields, stamped with ``schema_version`` and
+    carrying ``terminal`` for clients; both are derived again on load.
+    """
 
     job_id: str
-    client: str
     state: str
+    client: str = DEFAULT_CLIENT
     name: str = ""
     #: Trials the campaign compiled to (0 until known).
     n_trials: int = 0
@@ -214,6 +187,9 @@ class JobStatus:
     #: Terminal error message ("" unless ``state == "failed"``).
     error: str = ""
 
+    schema_version = REPORT_SCHEMA_VERSION
+    derived_keys = ("schema_version", "terminal")
+
     def __post_init__(self) -> None:
         if self.state not in JOB_STATES:
             raise ConfigurationError(
@@ -229,60 +205,6 @@ class JobStatus:
     def ok(self) -> bool:
         """Terminal success with no failed trials."""
         return self.state == "done" and self.failed == 0
-
-    def to_dict(self) -> Dict:
-        return {
-            "schema_version": REPORT_SCHEMA_VERSION,
-            "job_id": self.job_id,
-            "client": self.client,
-            "state": self.state,
-            "name": self.name,
-            "n_trials": self.n_trials,
-            "done": self.done,
-            "cached": self.cached,
-            "executed": self.executed,
-            "failed": self.failed,
-            "outcomes": dict(self.outcomes),
-            "resumptions": self.resumptions,
-            "error": self.error,
-            "terminal": self.terminal,
-        }
-
-    _KEYS = frozenset({
-        "schema_version", "job_id", "client", "state", "name",
-        "n_trials", "done", "cached", "executed", "failed", "outcomes",
-        "resumptions", "error", "terminal",
-    })
-
-    @classmethod
-    def from_dict(cls, data: Dict, lenient: bool = False) -> "JobStatus":
-        if lenient:
-            data = {k: v for k, v in data.items() if k in cls._KEYS}
-        else:
-            unknown = set(data) - cls._KEYS
-            if unknown:
-                raise ConfigurationError(
-                    f"unknown JobStatus key(s): {', '.join(sorted(unknown))}"
-                )
-        for required in ("job_id", "state"):
-            if required not in data:
-                raise ConfigurationError(
-                    f"a job status document needs a {required!r} key"
-                )
-        return cls(
-            job_id=data["job_id"],
-            client=data.get("client", DEFAULT_CLIENT),
-            state=data["state"],
-            name=data.get("name", ""),
-            n_trials=int(data.get("n_trials", 0)),
-            done=int(data.get("done", 0)),
-            cached=int(data.get("cached", 0)),
-            executed=int(data.get("executed", 0)),
-            failed=int(data.get("failed", 0)),
-            outcomes=dict(data.get("outcomes") or {}),
-            resumptions=int(data.get("resumptions", 0)),
-            error=data.get("error", ""),
-        )
 
     def summary(self) -> str:
         """One status line (the ``campaign watch`` rendering)."""

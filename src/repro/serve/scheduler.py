@@ -40,6 +40,7 @@ subscriber.
 from __future__ import annotations
 
 import asyncio
+import os
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -506,9 +507,12 @@ class Scheduler:
                 result.outcome, total,
             )
 
+        cpus = os.cpu_count() or 1
         return campaign.run(
             executor=options.executor,
-            workers=options.workers,
+            # A request, not a command: one request must not fork a
+            # worker per trial.
+            workers=min(options.workers or cpus, cpus),
             store=self.results_store,
             resume=True,
             wall_timeout_s=options.wall_timeout_s,

@@ -137,6 +137,15 @@ class TestHTTPSurface:
                 })
             assert exc.value.status == 400
             assert "options.wall_timeout_s" in str(exc.value)
+            # Option types are checked at submit, not in the pool.
+            for options in ({"workers": "2"}, {"retry_failed": "false"}):
+                with pytest.raises(ServeError) as exc:
+                    client._request("POST", "/v1/campaigns", body={
+                        "campaign": campaign_doc(),
+                        "options": {"executor": "process", **options},
+                    })
+                assert exc.value.status == 400
+                assert f"options.{next(iter(options))}" in str(exc.value)
             assert live.scheduler.jobs() == []
 
     def test_unknown_job_is_404(self):

@@ -1,7 +1,5 @@
 """Unit tests for the declarative topology specs (repro.scenario.spec)."""
 
-import json
-
 import pytest
 
 from repro.core import Address
@@ -22,33 +20,6 @@ def three_chip_spec(**overrides) -> SystemSpec:
 
 
 class TestRoundTrip:
-    def test_dict_round_trip_is_exact(self):
-        spec = three_chip_spec()
-        assert SystemSpec.from_dict(spec.to_dict()) == spec
-
-    def test_json_round_trip_is_exact(self):
-        spec = three_chip_spec(
-            clock_hz=1e6,
-            node_delay_ps=7_000,
-            max_message_bytes=2048,
-            arbitration_anchor="sensor",
-        )
-        payload = json.dumps(spec.to_dict())
-        assert SystemSpec.from_dict(json.loads(payload)) == spec
-
-    def test_node_options_survive_round_trip(self):
-        node = NodeSpec(
-            "odd",
-            full_prefix=0x12345,
-            broadcast_channels=frozenset({0, 3}),
-            power_gated=True,
-            auto_sleep=False,
-            rx_buffer_bytes=4096,
-            memory_words=64,
-            node_delay_ps=9_000,
-        )
-        assert NodeSpec.from_dict(node.to_dict()) == node
-
     def test_broadcast_channels_list_is_coerced(self):
         node = NodeSpec("n", short_prefix=0x2, broadcast_channels=[0, 1])
         assert node.broadcast_channels == frozenset({0, 1})

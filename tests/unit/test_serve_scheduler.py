@@ -8,7 +8,7 @@ import os
 import pytest
 
 from repro import obs
-from repro.campaign import Campaign, Grid
+from repro.campaign import Campaign, Grid, ResultSet
 from repro.core import Address
 from repro.core.errors import ConfigurationError
 from repro.scenario import Burst, NodeSpec, SystemSpec
@@ -176,6 +176,26 @@ class TestSubmission:
 
 
 class TestExecution:
+    def test_pool_workers_capped_at_cpu_count(self, monkeypatch):
+        """A submission asking for a million workers gets at most one
+        per CPU.  ``Campaign.run`` is stubbed, so no process starts."""
+        received = {}
+
+        def fake_run(campaign, **kwargs):
+            received.update(kwargs)
+            return ResultSet([], executor=kwargs["executor"], planned=0)
+
+        monkeypatch.setattr(Campaign, "run", fake_run)
+        scheduler = Scheduler()
+        huge = SubmitRequest(
+            campaign=campaign_doc(),
+            options=SubmitOptions(executor="process", workers=10**6),
+        )
+        job, _ = scheduler.submit(huge)
+        run_to_terminal(scheduler, job)
+        assert received["executor"] == "process"
+        assert received["workers"] == (os.cpu_count() or 1)
+
     def test_runs_to_done_with_accounting(self):
         scheduler = Scheduler()
         job, _ = scheduler.submit(request())

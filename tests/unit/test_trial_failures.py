@@ -1,7 +1,5 @@
 """Failure-as-data vocabulary: TrialFailure, classification, retry."""
 
-import json
-
 import pytest
 
 from repro.campaign import (
@@ -64,18 +62,6 @@ class TestClassification:
 
 
 class TestTrialFailureDocument:
-    def test_roundtrip(self):
-        failure = TrialFailure(
-            outcome="error", error_type="ValueError", message="m",
-            traceback_digest="abcd", attempts=3, quarantined=True,
-            transient=True,
-        )
-        assert TrialFailure.from_dict(failure.to_dict()) == failure
-        # And through actual JSON bytes.
-        assert TrialFailure.from_dict(
-            json.loads(json.dumps(failure.to_dict()))
-        ) == failure
-
     def test_invalid_outcome_rejected(self):
         with pytest.raises(ConfigurationError, match="outcome"):
             TrialFailure(outcome="ok")
