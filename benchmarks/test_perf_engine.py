@@ -14,9 +14,23 @@ engine's, and from a cold cache it plans at most one round in ten (a
 information; it measures ≈20x on a 2-vCPU VM (19–21x over three
 runs) and shrinks whenever the edge engine alone gets faster.  The
 session smoke guard in ``conftest.py`` checks the same counts.
+
+The edge engine itself is held to the events it fires.  A transfer
+that no node drives (a *runaway*, started by a glitch) is advanced in
+whole cycles, and only its decision points fire events: on
+``test_edge_golden.py``'s 16-trial glitch grid at most 100,000 of its
+278,679 events fire, and each of its three runaways fires at most
+10,000 of its ~71,000.  A transfer with a transmitter elides nothing, and
+CI's fuzz-smoke corpus holds a fault scenario that elides cycles.
 """
 
+import importlib.util
+import os
 import time
+
+from repro.campaign.trial import run_trial_document
+from repro.diffcheck.generators import generate_scenarios
+from repro.obs import observe
 
 REPEATS = 5
 
@@ -61,3 +75,82 @@ def test_fast_path_scales_with_queue_depth(report, burst_runner):
     )
     # O(1) events per transaction, independent of queue depth.
     assert per_txn_big <= per_txn_small + 1
+
+
+#: test_edge_golden.py's glitch grid: every event it processes, at most
+#: how many of them fire, and at most how many one runaway fires.
+GRID_EVENTS = 278_679
+GRID_FIRED = 100_000
+RUNAWAY_FIRED = 10_000
+
+
+def _edge_golden():
+    """tests/integration/test_edge_golden.py, which defines the grid."""
+    path = os.path.join(
+        os.path.dirname(__file__), "..", "tests", "integration",
+        "test_edge_golden.py",
+    )
+    spec = importlib.util.spec_from_file_location("edge_golden", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _events_elided(run_once):
+    """``(result, events elided)`` of ``run_once()`` with metrics on."""
+    with observe(trace=False, profile=False) as session:
+        result = run_once()
+    counters = session.metrics.to_dict()["counters"]
+    return result, counters.get("sim.events_elided", 0)
+
+
+def test_runaways_fire_only_their_decision_points(report):
+    rows = []
+    for trial in _edge_golden()._fault_grid_trials():
+        record, elided = _events_elided(
+            lambda: run_trial_document(trial.to_dict())[1]
+        )
+        events = record["report"]["events_processed"]
+        rows.append((trial.params, events, events - elided))
+    events = sum(row[1] for row in rows)
+    fired = sum(row[2] for row in rows)
+    runaways = [row for row in rows if row[1] > 50_000]
+    report(
+        f"edge glitch grid: {fired} of {events} events fired; runaways "
+        + ", ".join(f"{row[2]} of {row[1]}" for row in runaways)
+    )
+    assert events == GRID_EVENTS
+    assert fired <= GRID_FIRED
+    assert len(runaways) == 3
+    assert all(row[2] <= RUNAWAY_FIRED for row in runaways), runaways
+
+
+def test_driven_transfers_elide_nothing(burst_runner):
+    from repro.scenario import run
+
+    golden = _edge_golden()
+    for spec, workload in (
+        (burst_runner["spec"](), burst_runner["workload"]()),
+        (golden._mixed_spec(), golden._mixed_workload()),
+    ):
+        report, elided = _events_elided(
+            lambda: run(spec, workload, backend="edge")
+        )
+        assert report.n_transactions and elided == 0, spec.name
+
+
+def test_fuzz_smoke_corpus_reaches_elision():
+    """CI's fuzz-smoke job (``repro fuzz --count 60 --seed 1``) runs
+    the elided path: one of its fault scenarios elides cycles."""
+    from repro.diffcheck.checks import _run_scenario
+
+    corpus = generate_scenarios(60, seed=1)
+    faulty = [s for s in corpus if s["faults"] is not None]
+    assert faulty
+    for scenario in faulty:
+        _, elided = _events_elided(lambda: _run_scenario(scenario, "edge"))
+        if elided:
+            return
+    raise AssertionError(
+        f"none of the corpus's {len(faulty)} fault scenarios elides a cycle"
+    )

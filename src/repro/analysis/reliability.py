@@ -87,8 +87,17 @@ def glitch_faults(
     """Seeded EMI covering the workload window.
 
     Single-edge glitches by default: they corrupt whatever latch edge
-    they straddle without saturating interjection detectors, so every
-    point's cost stays near the clean run's (no watchdog runaways).
+    they straddle without saturating interjection detectors.  At high
+    rates a glitch can also start a transfer that no node drives (a
+    runaway), which lasts until a receive buffer overruns or the
+    watchdog fires.  On the recovery topology at 16 kHz, three of the
+    four glitch seeds that faults-pool and ``test_edge_golden.py``
+    fix start one: two run 8,211 cycles until every node's 1 kB
+    buffer overruns (``RX_ABORT``), and one, addressed to no node,
+    runs 8,236 cycles into the watchdog.  Each such trial processes
+    about 71,000 events against about 4,900 for a clean one, but the
+    edge engine advances the runaway's quiescent cycles in bulk, so
+    only 5,300-5,900 of them fire.
     """
     return FaultSpec(
         faults=(

@@ -13,7 +13,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core import constants
 from repro.core.addresses import Address
-from repro.core.bus_controller import TxOutcome
+from repro.core.bus_controller import MemberEngine, TxOutcome
 from repro.core.errors import BusLockedError, ConfigurationError, ProtocolError
 from repro.core.mediator import MediatorReport
 from repro.core.messages import ControlCode, Message, ReceivedMessage
@@ -68,6 +68,98 @@ def effective_anchor(config: NodeConfig) -> Optional[str]:
     return None if config.is_mediator else config.name
 
 
+class QuietRing:
+    """The ring check of cycle elision, and the bulk update it allows.
+
+    A transfer is *quiescent* when no node drives DATA and every node
+    only forwards CLK and latches.  Each such clock cycle is the same
+    ``2 * (n + 1)`` events on an ``n``-node ring (per edge, the
+    mediator's toggle and one apply per CLK segment), so the mediator
+    may advance it in arithmetic (:meth:`MediatorLogic._elide_cycles`).
+    :meth:`MBusSystem.build` makes one per edge-mode system, after
+    wiring the rings and before attaching a tracer.
+    """
+
+    def __init__(
+        self,
+        nodes: Sequence[MBusNode],
+        mediator_node: MBusNode,
+        data_segments: Sequence[Net],
+        clk_segments: Sequence[Net],
+    ) -> None:
+        self._nodes = tuple(nodes)
+        self._engines = tuple(node.engine for node in nodes)
+        self._detectors = tuple(node.detector for node in nodes)
+        self._member_clks = tuple(
+            node.clk_ctl for node in nodes if node is not mediator_node
+        )
+        self._clk_segments = tuple(clk_segments)
+        self._nets = tuple(data_segments) + self._clk_segments
+        # The listeners build() attached: a tracer or a probe added
+        # later makes a new tuple, and that net's edges then step.
+        self._listeners = tuple(net._listeners for net in self._nets)
+        self.events_per_cycle = 2 * (len(self._nodes) + 1)
+        # The engine that failed the last check (see blocked()).
+        self._blocker: Optional[MemberEngine] = None
+
+    def blocked(self) -> bool:
+        """True while the engine that failed the last check still
+        does: during a normal transfer the transmitter, so the check
+        at each rising edge costs one call until the transfer ends."""
+        blocker = self._blocker
+        return blocker is not None and not blocker.quiet_cycles(1)
+
+    def quiet_cycles(self, limit: int) -> int:
+        """Whole clock cycles, at most ``limit``, that the ring can
+        advance before its first decision point; 0 unless the transfer
+        is quiescent at this rising edge.
+
+        Quiescent: every engine is a passive listener
+        (:meth:`MemberEngine.quiet_cycles`, which also bounds the
+        count), every node is :attr:`~MBusNode.settled`, every DATA
+        line controller and every member's CLK line controller
+        forwards, no ring net has a queued set, a fault injector's
+        class or a listener ``build()`` did not attach, and no
+        interjection detector counts a DATA edge.  (With no set queued
+        and CLK-in low at the rising edge, the previous falling edge
+        crossed the ring within half a period, as each elided one
+        will.)
+        """
+        for engine in self._engines:
+            limit = engine.quiet_cycles(limit)
+            if not limit:
+                self._blocker = engine
+                return 0
+        self._blocker = None
+        for node in self._nodes:
+            if not node.settled or not node.data_ctl.forwarding:
+                return 0
+        for ctl in self._member_clks:
+            if not ctl.forwarding:
+                return 0
+        for net, listeners in zip(self._nets, self._listeners):
+            if (
+                net._pending is not None
+                or net._listeners is not listeners
+                or net.__class__ is not Net
+            ):
+                return 0
+        for detector in self._detectors:
+            if detector.count:
+                return 0
+        return limit
+
+    def advance_cycles(self, cycles: int) -> None:
+        """Apply ``cycles`` cycles that :meth:`quiet_cycles` allowed:
+        each engine's edges and latches, and two transitions per cycle
+        on every CLK segment (which is what the line controllers'
+        forward and drive counts read)."""
+        for engine in self._engines:
+            engine.advance_cycles(cycles)
+        for net in self._clk_segments:
+            net.transitions += 2 * cycles
+
+
 @dataclass(slots=True)
 class TransactionResult:
     """One completed bus transaction, as recorded by the system."""
@@ -114,9 +206,13 @@ class MBusSystem:
     Two simulation backends are available via ``mode``:
 
     * ``"edge"`` (default) — the edge-accurate engine: every CLK/DATA
-      transition of both rings is simulated.  Authoritative for
-      waveform-level behaviour (tracing, interjection timing,
-      glitches) and the golden reference for everything else.
+      transition of both rings is simulated, except that a clock
+      cycle of a transfer no node drives may be advanced in
+      arithmetic (:class:`QuietRing`).  Such a cycle still counts its
+      events and transitions, and a traced run steps every edge.
+      Authoritative for waveform-level behaviour (tracing,
+      interjection timing, glitches) and the golden reference for
+      everything else.
     * ``"fast"`` — the transaction-level engine
       (:mod:`repro.sim.fastpath`): each bus round is computed in
       closed form, yielding the same :class:`TransactionResult`
@@ -231,6 +327,9 @@ class MBusSystem:
         self._mediator_node.attach_mediator_logic(
             n_nodes_hint=lambda: len(self.nodes),
             on_complete=self._on_mediator_complete,
+        )
+        self._mediator_node.mediator.quiet_ring = QuietRing(
+            self.nodes, self._mediator_node, data_segments, clk_segments
         )
         if self.tracer is not None:
             self.tracer.watch_all(data_segments + clk_segments)

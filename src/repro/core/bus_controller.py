@@ -319,6 +319,57 @@ class MemberEngine:
             self.rising += 1
             self._on_rising(self.rising)
 
+    # ------------------------------------------------------------------
+    # Cycle elision: whole clock cycles of a transfer no node drives.
+    # ------------------------------------------------------------------
+    def quiet_cycles(self, limit: int) -> int:
+        """Clock cycles, at most ``limit``, that this engine can take as
+        a passive listener before its next decision; 0 when it has one
+        now.
+
+        Passive means in the transfer phase as a forwarder or receiver
+        (no transmitter or requester role, no deferred line action, no
+        interjection pending or requested).  Such an engine only counts
+        edges and, while collecting, latches its DATA-in level at each
+        rising edge.  Its decisions are the latch that completes the
+        address, and a receiver's latch of the byte that would overrun
+        its buffer.
+        """
+        role = self.role
+        if (
+            self.phase is not Phase.TRANSFER
+            or role is Role.TX
+            or role is Role.REQUESTER
+            or role is Role.PRIO_REQUESTER
+            or self._deferred_line_actions
+            or self._i_requested
+            or self._interject_pending_reason is not None
+        ):
+            return 0
+        if not self._collecting:
+            return limit
+        if self._matched is None:
+            decision = (
+                constants.FULL_ADDR_BITS
+                if self._full_address_mode
+                else constants.SHORT_ADDR_BITS
+            )
+        else:
+            decision = self._matched.n_bits + 8 * (
+                self.config.rx_buffer_bytes + 1
+            )
+        return max(0, min(limit, decision - 1 - len(self._rx_bits)))
+
+    def advance_cycles(self, cycles: int) -> None:
+        """Apply ``cycles`` whole clock cycles that
+        :meth:`quiet_cycles` allowed: their edges, and while collecting
+        one latch of the unchanged DATA-in level per cycle."""
+        self.rising += cycles
+        self.falling += cycles
+        if self._collecting:
+            self._rx_bits += [self.data_in.value] * cycles
+            self.stats.bits_latched += cycles
+
     def on_data_falling_idle(self) -> None:
         """DATA-in fell while the bus was idle: someone is arbitrating."""
         self.observe_transaction_start()

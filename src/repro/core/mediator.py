@@ -17,14 +17,16 @@ Responsibilities implemented here:
   interjection sequence — toggling DATA while CLK is held high (4.9);
 * impose a maximum message length via a runaway-message counter
   (Section 7), configurable over the broadcast configuration channel;
-* clock the two-cycle control sequence and return the bus to idle.
+* clock the two-cycle control sequence and return the bus to idle;
+* advance a quiescent transfer, one no node drives, by whole cycles
+  (:meth:`MediatorLogic._elide_cycles`).
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import TYPE_CHECKING, Callable, List, Optional
 
 from repro.core import constants
 from repro.core.errors import BusLockedError
@@ -32,6 +34,9 @@ from repro.core.interjection import InterjectionDetector
 from repro.core.wire_controller import LineController
 from repro.sim.scheduler import Simulator
 from repro.sim.signals import EdgeType, Net
+
+if TYPE_CHECKING:
+    from repro.core.bus import QuietRing
 
 
 class MediatorPhase(enum.Enum):
@@ -107,6 +112,9 @@ class MediatorLogic:
         #: through arbitration and delegates the no-winner check to
         #: the anchor node.
         self.external_anchor = False
+        #: The ring check of cycle elision, set by MBusSystem.build()
+        #: (None: every cycle steps edge by edge).
+        self.quiet_ring: Optional["QuietRing"] = None
 
         self._rising = 0
         self._start_ps = 0
@@ -220,6 +228,9 @@ class MediatorLogic:
             if self.clk_in.value != 0:
                 self._start_interjection(general=False)
                 return
+            ring = self.quiet_ring
+            if ring is not None and self._elide_cycles(ring):
+                return
             self.clk_ctl.drive(1)
             self.stats.clock_edges_generated += 1
             self._rising += 1
@@ -236,6 +247,36 @@ class MediatorLogic:
                 self._forward_data_pending = False
                 self.data_ctl.forward()
             self._schedule_clock_toggle(1)
+
+    def _elide_cycles(self, ring: "QuietRing") -> int:
+        """Advance whole cycles of a quiescent transfer in arithmetic.
+
+        Called at each rising edge the mediator is about to drive.
+        When the mediator has nothing deferred and ``ring`` finds the
+        transfer quiescent, the cycles before the first decision point
+        (the watchdog limit, a receiver's next decision, and whatever
+        :meth:`Simulator.elide` stops short of) are applied in bulk,
+        and the rising edge that follows them is scheduled.  Returns
+        the cycles advanced; 0 means this edge steps as usual.
+        """
+        if self._forward_data_pending or not self._rising or ring.blocked():
+            return 0
+        limit = self._watchdog_limit_cycles() - self._rising
+        if limit <= 0:
+            return 0
+        period = 2 * self.timing.half_period_ps
+        cycles = ring.quiet_cycles(limit)
+        if cycles:
+            cycles = self.sim.elide(period, ring.events_per_cycle, cycles)
+        if not cycles:
+            return 0
+        ring.advance_cycles(cycles)
+        self._rising += cycles
+        self.stats.clock_edges_generated += 2 * cycles
+        self._clock_event = self.sim.schedule(
+            period * cycles, self._clock_toggle_high
+        )
+        return cycles
 
     def _after_rising(self, r: int) -> None:
         if r == 1 and not self.external_anchor:

@@ -283,6 +283,18 @@ class MBusNode:
             self.layer_domain.power_off("fault:power-loss")
 
     @property
+    def settled(self) -> bool:
+        """True when a CLK edge only reaches the engine: the bus domain
+        is powered, neither wakeup sequencer is armed and no null pulse
+        is being driven (read by the ring check of cycle elision)."""
+        return (
+            self.bus_domain.is_on
+            and not self._bus_seq.armed
+            and not self._layer_seq.armed
+            and not self._null_pulse_active
+        )
+
+    @property
     def is_fully_awake(self) -> bool:
         return self.bus_domain.is_on and self.layer_domain.is_on
 

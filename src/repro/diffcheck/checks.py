@@ -13,6 +13,10 @@ backend:
 * **fault-free no-op** — attaching an *empty* fault spec must not
   change the answer (the injection machinery may observe, never
   disturb);
+* **trace transparency** — a traced edge run (which steps every edge)
+  gives the report and error class of the untraced one (which may
+  advance a quiescent transfer in whole cycles): the per-edge oracle
+  of cycle elision;
 * **conservation** — in a fault-free run, every delivered payload was
   posted by the workload, and no posted message is delivered more
   times than nodes that could receive it (faulty runs legitimately
@@ -77,12 +81,14 @@ def diff_reports(edge: RunReport, fast: RunReport) -> List[str]:
     return divergences
 
 
-def _run_scenario(scenario: Dict, backend: str, faults=None) -> RunReport:
+def _run_scenario(
+    scenario: Dict, backend: str, faults=None, trace: bool = False
+) -> RunReport:
     spec = SystemSpec.from_dict(scenario["system"])
     workload = workload_from_dict(scenario["workload"])
     if faults is None and scenario.get("faults") is not None:
         faults = FaultSpec.from_dict(scenario["faults"])
-    return run(spec, workload, backend=backend, faults=faults)
+    return run(spec, workload, backend=backend, faults=faults, trace=trace)
 
 
 def _observe(scenario: Dict, backend: str, faults=None):
@@ -115,6 +121,54 @@ def check_replay_determinism(scenario: Dict, backend: str) -> List[str]:
     return [
         f"replay non-determinism on {backend!r}: {d}"
         for d in _diff_observations(first, second)
+    ]
+
+
+def _report_doc(report: RunReport) -> Dict:
+    """A report's document without its wall-clock fields."""
+    doc = report.to_dict()
+    doc.pop("wall_s")
+    doc.pop("wall_throughput_tps")
+    return doc
+
+
+def check_trace_transparency(scenario: Dict) -> List[str]:
+    """A traced edge run must give the untraced run's report, minus
+    the wall-clock fields (``events_processed`` included), or raise
+    the same error class.
+
+    Tracing adds a listener to every ring net, so the traced run steps
+    every edge while the untraced one may advance a quiescent transfer
+    in whole cycles; this is the per-edge oracle for that shortcut.
+    An untraced run that elided nothing stepped every edge too, so the
+    traced run, which can cost far more (it records every transition),
+    is made only when the untraced one elided or raised.
+    """
+    outcomes = []
+    for trace in (False, True):
+        try:
+            report = _run_scenario(scenario, "edge", trace=trace)
+        except Exception as exc:   # any failure class is an observation
+            outcomes.append(("err", type(exc).__name__))
+        else:
+            if not trace and not report.system.sim.events_elided:
+                return []
+            outcomes.append(("ok", _report_doc(report)))
+    untraced, traced = outcomes
+    if untraced == traced:
+        return []
+    if untraced[0] == traced[0] == "ok":
+        fields = sorted(
+            key for key in untraced[1]
+            if untraced[1][key] != traced[1].get(key)
+        )
+        return [
+            "traced and untraced edge reports differ in "
+            + ", ".join(fields)
+        ]
+    says = [value if kind == "err" else "a report" for kind, value in outcomes]
+    return [
+        f"the traced edge run gives {says[1]}, the untraced one {says[0]}"
     ]
 
 

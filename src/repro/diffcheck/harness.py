@@ -31,6 +31,7 @@ from repro.diffcheck.checks import (
     check_conservation,
     check_fault_free_noop,
     check_replay_determinism,
+    check_trace_transparency,
     diff_reports,
     _run_scenario,
 )
@@ -101,7 +102,9 @@ def examine_scenario(
     challenger against the reference (``backends[0]``), conservation,
     and (with ``invariants=True``) replay determinism and the
     empty-fault-spec no-op.  Faulty scenarios force the edge engine,
-    so they get replay determinism only.
+    so they get replay determinism and trace transparency (a traced
+    run steps every edge, the untraced one may advance quiescent
+    cycles in bulk).
     """
     backends = tuple(backends)
     if not backends:
@@ -132,6 +135,7 @@ def examine_scenario(
             divergences += check_fault_free_noop(scenario, backends[0])
     else:
         divergences += check_replay_determinism(scenario, "edge")
+        divergences += check_trace_transparency(scenario)
     return divergences
 
 

@@ -7,10 +7,12 @@ deterministic JSONL trace file (plus an optional Chrome
 ``trace_event`` JSON for chrome://tracing / Perfetto).
 
 ``stats`` is the offline half: load one recorded trace and print its
-phase profile and how its rounds resolved (planned, or overlaid on a
-message shape's plan), or load several (e.g. the same scenario traced on
-``edge``, ``fast`` and ``batch``) and print a side-by-side phase
-diff — the backend-comparison workflow EXPERIMENTS.md walks through.
+phase profile, how its rounds resolved (planned, or overlaid on a
+message shape's plan) and how many edge-engine events fired or were
+elided in whole quiescent cycles, or load several (e.g. the same
+scenario traced on ``edge``, ``fast`` and ``batch``) and print a
+side-by-side phase diff — the backend-comparison workflow
+EXPERIMENTS.md walks through.
 """
 
 from __future__ import annotations
@@ -127,6 +129,13 @@ def cmd_stats(args) -> int:
                 "(tlm.plan_round_calls), "
                 f"{counters.get('tlm.shape_hits', 0)} overlaid on a "
                 "message shape's plan (tlm.shape_hits)"
+            )
+        if "sim.events_elided" in counters:
+            print(
+                f"  events: {counters.get('sim.events_fired', 0)} fired, "
+                f"{counters['sim.events_elided']} elided in "
+                f"{counters.get('sim.cycles_elided', 0)} whole clock "
+                "cycles (sim.events_elided)"
             )
     if problems:
         for problem in problems:

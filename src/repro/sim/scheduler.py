@@ -35,6 +35,19 @@ counts in ``_cancelled``.  Hence::
 
 Both are O(1) and exact at any moment: inside a callback, between
 runs, and after the loop raised.
+
+Eliding periodic events
+-----------------------
+A callback inside :meth:`Simulator.run` may ask :meth:`Simulator.elide`
+to account for whole periods of a pattern it knows repeats unchanged
+(the edge engine's clock cycles while no node drives the ring).  The
+elided events are counted as pushed and fired without touching the
+heap: ``_seq`` grows by their number, so ``events_processed`` and the
+sequence numbers of later entries are those of the stepped run.  A
+grant stops short of the earliest queued entry, the run's ``until``
+horizon and its ``max_events`` budget, so the run raises, stops and
+interleaves exactly where the stepped run would.  Outside ``run()``
+nothing is elided, and :meth:`Simulator.step` fires one event.
 """
 
 from __future__ import annotations
@@ -52,8 +65,9 @@ US = 1_000_000
 MS = 1_000_000_000
 S = 1_000_000_000_000
 
-#: The wall-clock deadline is polled once per this many events.
-_WALL_CHECK_EVERY = 256
+#: The event budget and the wall-clock deadline are checked once per
+#: this many events (and at the event that exhausts the budget).
+_CHECK_EVERY = 256
 
 
 class SimulationError(RuntimeError):
@@ -122,6 +136,13 @@ class Simulator:
         # the queue length give events_processed and pending().
         self._cancelled = 0
         self._reaped = 0
+        # Set while run() loops, for elide(): the events_processed
+        # past which the run raises (None outside run()), the count at
+        # which the loop next checks it, and the run's horizon.
+        self._limit: Optional[int] = None
+        self._check_at = 0
+        self._horizon: Optional[int] = None
+        self._events_elided = 0
 
     @property
     def now(self) -> int:
@@ -130,8 +151,18 @@ class Simulator:
 
     @property
     def events_processed(self) -> int:
-        """Total number of events that have fired."""
+        """Total number of events that have fired.
+
+        Events :meth:`elide` accounted for count as fired, so the
+        count is the one a run that stepped every event reaches.
+        """
         return self._seq - len(self._queue) - self._reaped
+
+    @property
+    def events_elided(self) -> int:
+        """How many of :attr:`events_processed` :meth:`elide` accounted
+        for without firing them."""
+        return self._events_elided
 
     def schedule(self, delay: int, fn: Callable[[], None]) -> Event:
         """Schedule ``fn`` to run ``delay`` picoseconds from now."""
@@ -170,6 +201,42 @@ class Simulator:
             return True
         return False
 
+    def elide(self, period: int, events_per_period: int, periods: int) -> int:
+        """Account for up to ``periods`` repeats of a periodic pattern
+        without firing them, and return how many were granted, ``k``.
+
+        The event now firing is the first of the ``events_per_period *
+        k`` events over ``[now, now + k * period)``, and one of their
+        pushes is the caller's own schedule of the event at ``now + k *
+        period`` that follows them; the caller applies their effect in
+        bulk.  The grant is 0 outside :meth:`run`, and it stops short
+        of the earliest queued entry, the run's ``until`` horizon and
+        its ``max_events`` budget (see the module docstring).
+        """
+        if self._limit is None or periods <= 0:
+            return 0
+        now = self._now
+        if self._queue:
+            periods = min(periods, (self._queue[0][0] - now) // period)
+        if self._horizon is not None:
+            periods = min(periods, (self._horizon + 1 - now) // period)
+        # The elided events move the loop's next budget check as many
+        # events on; it must still come no later than the budget's
+        # last event, ``_limit + 1``.
+        periods = min(
+            periods, (self._limit + 2 - self._check_at) // events_per_period
+        )
+        if periods <= 0:
+            return 0
+        elided = events_per_period * periods - 1
+        self._seq += elided
+        self._events_elided += elided
+        self._check_at += elided
+        if OBS.enabled:
+            OBS.metrics.inc("sim.events_elided", elided)
+            OBS.metrics.inc("sim.cycles_elided", periods)
+        return periods
+
     def run(
         self,
         until: Optional[int] = None,
@@ -187,21 +254,28 @@ class Simulator:
         :class:`SimulationError` rather than hanging the test suite.
 
         ``wall_deadline`` is an absolute :func:`time.perf_counter`
-        instant; the loop polls it every 256 events and raises
+        instant; the loop polls it every 256 fired events and raises
         :class:`~repro.core.errors.WallClockTimeout` once passed.  The
         check is cooperative — a single long-running callback is not
         preempted — which is exactly what campaign executors need: the
         realistic hang is a simulation that keeps making progress, and
         hard preemption belongs to the process executor's worker kill.
         """
+        processed, elided = self.events_processed, self._events_elided
         try:
             self._run_loop(until, max_events, wall_deadline)
         finally:
+            self._limit = None
             # One guard check per run() call (not per event): the
             # scheduler's contribution to the metrics plane is the
             # event count it already maintains.
             if OBS.enabled:
                 OBS.metrics.inc("sim.run_calls")
+                OBS.metrics.inc(
+                    "sim.events_fired",
+                    self.events_processed - processed
+                    - (self._events_elided - elided),
+                )
                 OBS.metrics.set("sim.events_processed",
                                 self.events_processed)
                 OBS.metrics.set("sim.now_ps", self._now)
@@ -215,14 +289,17 @@ class Simulator:
         # The hot loop: one heap pop and one callback per event.  The
         # event budget and the wall clock are checked only when
         # ``fired`` reaches ``checkpoint``, so an event pays one
-        # compare for both.
+        # compare for both.  A check reads events_processed, which
+        # counts what elide() accounted for; elide() keeps that check
+        # from passing the budget's last event.
         queue = self._queue
         pop = heapq.heappop
-        check_wall = wall_deadline is not None
+        start = self.events_processed
+        self._limit = limit = start + max_events
+        self._horizon = until
         fired = 0
-        checkpoint = max_events + 1
-        if check_wall:
-            checkpoint = min(checkpoint, _WALL_CHECK_EVERY)
+        checkpoint = min(max_events + 1, _CHECK_EVERY)
+        self._check_at = start + checkpoint
         while queue:
             if until is not None and queue[0][0] > until:
                 break
@@ -236,18 +313,24 @@ class Simulator:
             fn()
             fired += 1
             if fired >= checkpoint:
-                if fired > max_events:
+                done = self._seq - len(queue) - self._reaped
+                if done > limit:
                     raise SimulationError(
                         f"exceeded {max_events} events; likely oscillation"
                     )
-                if time.perf_counter() > wall_deadline:
+                if (
+                    wall_deadline is not None
+                    and time.perf_counter() > wall_deadline
+                ):
                     from repro.core.errors import WallClockTimeout
 
                     raise WallClockTimeout(
                         f"simulation exceeded its wall-clock budget "
-                        f"after {fired} events at t={self._now} ps"
+                        f"after {done - start} events at t={self._now} ps"
                     )
-                checkpoint = min(max_events + 1, fired + _WALL_CHECK_EVERY)
+                gap = min(limit + 1 - done, _CHECK_EVERY)
+                checkpoint = fired + gap
+                self._check_at = done + gap
         if until is not None and until > self._now:
             self._now = until
 

@@ -18,12 +18,14 @@ from repro.diffcheck import (
     check_conservation,
     check_fault_free_noop,
     check_replay_determinism,
+    check_trace_transparency,
     examine_scenario,
     fuzz,
     generate_scenario,
     load_repro,
     replay_repro,
 )
+from repro.diffcheck import checks
 from repro.diffcheck.checks import _run_scenario
 from repro.scenario import Broadcast, Burst, NodeSpec, SystemSpec
 
@@ -268,6 +270,27 @@ class TestInvariants:
             assert problems == [
                 f"delivered payload {forged.payload.hex()} was never posted"
             ]
+
+    def test_trace_transparency_on_a_glitch_storm(self, monkeypatch):
+        # A 16 kHz storm from CI's fuzz-smoke corpus: it starts a
+        # runaway that the untraced run advances in whole cycles.
+        scenario = generate_scenario(1_000_012)
+        assert scenario["faults"]["faults"][0]["rate_hz"] == 16_000
+        assert check_trace_transparency(scenario) == []
+        run_scenario = checks._run_scenario
+
+        def one_more_traced_event(scenario, backend, faults=None,
+                                  trace=False):
+            report = run_scenario(scenario, backend, faults, trace)
+            report.events_processed += trace
+            return report
+
+        monkeypatch.setattr(checks, "_run_scenario", one_more_traced_event)
+        divergence = (
+            "traced and untraced edge reports differ in events_processed"
+        )
+        assert check_trace_transparency(scenario) == [divergence]
+        assert divergence in examine_scenario(scenario)
 
     def test_faulty_scenarios_replay_deterministically(self):
         # Find a generated faulty scenario and pin its determinism.

@@ -15,6 +15,7 @@ The PR's acceptance bar lives here:
 """
 
 import json
+import re
 
 import pytest
 
@@ -273,6 +274,51 @@ class TestCli:
             "rounds: 1 planned (tlm.plan_round_calls), 1 overlaid on a "
             "message shape's plan (tlm.shape_hits)"
         ) in capsys.readouterr().out
+
+    def test_stats_shows_elided_events(self, tmp_path, capsys):
+        # Two DATA edges start a runaway (see test_cycle_elision.py),
+        # whose quiescent cycles the edge engine advances in bulk.
+        from repro.faults import FaultSpec, WireGlitch
+        from repro.scenario import NodeSpec, OneShot, SystemSpec
+
+        spec = SystemSpec(
+            clock_hz=400_000,
+            nodes=(
+                NodeSpec("m", short_prefix=0x1, is_mediator=True),
+                NodeSpec("a", short_prefix=0x2),
+                NodeSpec("b", short_prefix=0x3),
+            ),
+        )
+        scenario = tmp_path / "runaway.json"
+        scenario.write_text(json.dumps({
+            "system": spec.to_dict(),
+            "workload": OneShot(
+                "m", Address.short(0x2, 5), b"\x01", at_s=0.05
+            ).to_dict(),
+        }))
+        faults = tmp_path / "faults.json"
+        faults.write_text(json.dumps(FaultSpec(faults=(
+            WireGlitch("a", at_s=10e-6, edges=1),
+            WireGlitch("b", at_s=14.4e-6, edges=1),
+        )).to_dict()))
+        out = tmp_path / "edge.jsonl"
+        assert main([
+            "trace", str(scenario), "--backend", "edge",
+            "--faults", str(faults), "-o", str(out),
+        ]) == 0
+        capsys.readouterr()
+        assert main(["stats", str(out)]) == 0
+        line = re.search(
+            r"events: (\d+) fired, (\d+) elided in (\d+) whole clock "
+            r"cycles \(sim\.events_elided\)",
+            capsys.readouterr().out,
+        )
+        assert line is not None
+        fired, elided, cycles = map(int, line.groups())
+        assert cycles > 8_000 and elided > 60_000
+        assert main(["stats", str(out), "--json"]) == 0
+        metrics = json.loads(capsys.readouterr().out)[0]["metrics"]
+        assert fired + elided == metrics["gauges"]["sim.events_processed"]
 
     def test_stats_json(self, tmp_path, capsys):
         fast, _ = self.trace_to(tmp_path, "fast")

@@ -292,3 +292,121 @@ class TestTimeNeverRewinds:
         assert sim.now == 100
         sim.advance(25)
         assert sim.now == 125
+
+
+class Ticker:
+    """A counter ticking once per ``PERIOD`` until ``stop`` ticks, by
+    firing each tick or, with ``elide``, asking
+    :meth:`Simulator.elide` for as many whole periods as it grants.
+    An elided span ends with the tick it schedules, so the last tick,
+    which schedules none, always fires."""
+
+    PERIOD = 10
+
+    def __init__(self, sim, stop, elide):
+        self.sim = sim
+        self.stop = stop
+        self.elide = elide
+        self.count = 0
+        sim.schedule(self.PERIOD, self.tick)
+
+    def tick(self):
+        periods = 1
+        if self.elide:
+            periods = self.sim.elide(
+                self.PERIOD, 1, self.stop - self.count - 1
+            ) or 1
+        self.count += periods
+        if self.count < self.stop:
+            self.sim.schedule(periods * self.PERIOD, self.tick)
+
+    def state(self):
+        sim = self.sim
+        return (self.count, sim.now, sim.events_processed, sim.pending(),
+                sim._seq)
+
+
+def ticker_twins(stop=1000):
+    return [Ticker(Simulator(), stop, elide) for elide in (False, True)]
+
+
+class TestElide:
+    """An elided period counts as fired: every counter reads what the
+    run that fires each event reads, wherever the run stops."""
+
+    def test_elided_ticks_count_as_fired(self):
+        from repro.obs import observe
+
+        stepped, elided = ticker_twins()
+        counters = []
+        for ticker in (stepped, elided):
+            with observe(trace=False, profile=False) as session:
+                ticker.sim.run()
+            counters.append(session.metrics.to_dict()["counters"])
+        assert stepped.state() == elided.state()
+        assert elided.sim.events_processed == 1000
+        assert counters[0]["sim.events_fired"] == 1000
+        assert "sim.events_elided" not in counters[0]
+        # The first tick is granted 999 periods, whose other 998
+        # events never fire; the last tick always fires.
+        assert counters[1]["sim.events_fired"] == 2
+        assert counters[1]["sim.events_elided"] == 998
+
+    def test_nothing_is_elided_outside_run(self):
+        sim = Simulator()
+        assert sim.elide(10, 1, 100) == 0
+        ticker = Ticker(sim, 100, elide=True)
+        for fired in range(1, 11):
+            assert sim.step()
+            assert sim.events_processed == fired == ticker.count
+
+    def test_stops_short_of_the_next_queued_entry(self):
+        seen = []
+        for ticker in ticker_twins():
+            sim = ticker.sim
+            for at in (55, 60, 61, 999, 5_000):
+                sim.schedule_at(at, lambda t=ticker: seen.append(t.state()))
+            sim.run()
+        assert seen[:5] == seen[5:]
+
+    @pytest.mark.parametrize("horizons", [
+        (5, 9, 10, 11, 100, 5_000, 20_000),
+        (1_234, 9_990, 9_999, 10_000),
+    ])
+    def test_stops_short_of_the_horizon(self, horizons):
+        stepped, elided = ticker_twins()
+        for until in horizons:
+            for ticker in (stepped, elided):
+                ticker.sim.run(until=until)
+            assert stepped.state() == elided.state(), until
+
+    @pytest.mark.parametrize("max_events", [1, 2, 255, 256, 257, 700, 999])
+    def test_budget_trips_at_the_stepped_event(self, max_events):
+        outcomes = []
+        for ticker in ticker_twins():
+            with pytest.raises(SimulationError):
+                ticker.sim.run(max_events=max_events)
+            outcomes.append(ticker.state())
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][2] == max_events + 1
+
+    def test_a_budget_the_run_fits_is_not_tripped(self):
+        for max_events in (1000, 1001):
+            for ticker in ticker_twins():
+                ticker.sim.run(max_events=max_events)
+                assert ticker.count == 1000
+
+    def test_metrics_count_each_grant_once(self):
+        from repro.obs import observe
+
+        _, elided = ticker_twins()
+        elided.sim.schedule_at(5_005, lambda: None)
+        with observe(trace=False, profile=False) as session:
+            elided.sim.run()
+        counters = session.metrics.to_dict()["counters"]
+        # Two grants of 499 ticks: up to the entry at 5,005, then up
+        # to the last tick.  Fired: the two ticks that asked, the tick
+        # after the entry, the entry and the last tick.
+        assert counters["sim.cycles_elided"] == 2 * 499
+        assert counters["sim.events_elided"] == 2 * 498
+        assert counters["sim.events_fired"] == 5
