@@ -96,8 +96,9 @@ def glitch_faults(
     buffer overruns (``RX_ABORT``), and one, addressed to no node,
     runs 8,236 cycles into the watchdog.  Each such trial processes
     about 71,000 events against about 4,900 for a clean one, but the
-    edge engine advances the runaway's quiescent cycles in bulk, so
-    only 5,300-5,900 of them fire.
+    edge engine advances a transfer's cycles in bulk, whether no node
+    or one transmitter drives it, so only 1,000-1,900 of them fire
+    (about 700 of a clean trial's).
     """
     return FaultSpec(
         faults=(

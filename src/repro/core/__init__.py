@@ -7,8 +7,9 @@ Two complementary models live here:
   shoot-through rings is simulated, including arbitration, priority
   arbitration, hierarchical wakeup, interjection and control — the
   behaviour shown in Figures 3, 5, 6 and 7 of the paper.  (The clock
-  cycles of a transfer no node drives are advanced in bulk, counting
-  the same events; see :class:`~repro.core.bus.QuietRing`.)
+  cycles of a transfer that no node or one transmitter drives are
+  advanced in bulk, counting the same events; see
+  :class:`~repro.core.bus.QuietRing`.)
 * An **analytic transaction model**
   (:mod:`repro.core.transaction`) implementing the paper's closed
   forms — 19/43 + 8·n cycle counts and the per-message energy formula

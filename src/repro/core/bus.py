@@ -9,11 +9,13 @@ transaction the mediator completes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from operator import ne
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core import constants
 from repro.core.addresses import Address
-from repro.core.bus_controller import MemberEngine, TxOutcome
+from repro.core.bus_controller import MemberEngine, Role, TxOutcome
 from repro.core.errors import BusLockedError, ConfigurationError, ProtocolError
 from repro.core.mediator import MediatorReport
 from repro.core.messages import ControlCode, Message, ReceivedMessage
@@ -71,11 +73,15 @@ def effective_anchor(config: NodeConfig) -> Optional[str]:
 class QuietRing:
     """The ring check of cycle elision, and the bulk update it allows.
 
-    A transfer is *quiescent* when no node drives DATA and every node
-    only forwards CLK and latches.  Each such clock cycle is the same
-    ``2 * (n + 1)`` events on an ``n``-node ring (per edge, the
-    mediator's toggle and one apply per CLK segment), so the mediator
-    may advance it in arithmetic (:meth:`MediatorLogic._elide_cycles`).
+    A clock cycle of a transfer is decided in advance when no node
+    drives DATA (a *quiet* transfer, such as a glitch-started runaway)
+    or exactly one transmitter does and every other node only forwards
+    and latches (a *driven* one).  On an ``n``-node ring a quiet cycle
+    is ``2 * (n + 1)`` events (per edge, the mediator's toggle and one
+    apply per CLK segment); a driven one adds the transmitter's apply
+    and, when its bit changes level, one forwarded apply on each of
+    the other ``n - 1`` DATA segments.  The mediator may then advance
+    whole cycles in arithmetic (:meth:`MediatorLogic._elide_cycles`).
     :meth:`MBusSystem.build` makes one per edge-mode system, after
     wiring the rings and before attaching a tracer.
     """
@@ -90,74 +96,197 @@ class QuietRing:
         self._nodes = tuple(nodes)
         self._engines = tuple(node.engine for node in nodes)
         self._detectors = tuple(node.detector for node in nodes)
+        self._min_threshold = min(d.threshold for d in self._detectors)
+        self._mediator_index = self._nodes.index(mediator_node)
         self._member_clks = tuple(
             node.clk_ctl for node in nodes if node is not mediator_node
         )
+        self._data_segments = tuple(data_segments)
         self._clk_segments = tuple(clk_segments)
-        self._nets = tuple(data_segments) + self._clk_segments
+        self._nets = self._data_segments + self._clk_segments
         # The listeners build() attached: a tracer or a probe added
         # later makes a new tuple, and that net's edges then step.
         self._listeners = tuple(net._listeners for net in self._nets)
-        self.events_per_cycle = 2 * (len(self._nodes) + 1)
-        # The engine that failed the last check (see blocked()).
-        self._blocker: Optional[MemberEngine] = None
+        self._quiet_events = 2 * (len(self._nodes) + 1)
+        self._forwarders = len(self._nodes) - 1
+        # Set by a check that passed: the transmitter (None: quiet)
+        # and, for a driven span, which detectors count its DATA edge
+        # until the rising edge, and the span's level changes.
+        self._transmitter: Optional[MemberEngine] = None
+        self._late: Tuple[bool, ...] = ()
+        self._toggles = 0
+        # The test that failed the last check, retested first (see
+        # blocked()); None when the last check passed or no cheap
+        # retest exists.
+        self._blocker: Optional[Callable[[], bool]] = None
+
+    @property
+    def events_per_cycle(self) -> int:
+        """The most events one cycle of the last allowed span fires."""
+        if self._transmitter is None:
+            return self._quiet_events
+        return self._quiet_events + 1 + self._forwarders
 
     def blocked(self) -> bool:
-        """True while the engine that failed the last check still
-        does: during a normal transfer the transmitter, so the check
-        at each rising edge costs one call until the transfer ends."""
+        """True while the test that failed the last check still fails.
+        During arbitration and control that is an engine's, and during
+        a traced run a net's, so a refused check costs one call."""
         blocker = self._blocker
-        return blocker is not None and not blocker.quiet_cycles(1)
+        return blocker is not None and blocker()
 
-    def quiet_cycles(self, limit: int) -> int:
+    def _refuse(self, blocker: Optional[Callable[[], bool]] = None) -> int:
+        self._blocker = blocker
+        return 0
+
+    def quiet_cycles(self, limit: int, half_period: int) -> int:
         """Whole clock cycles, at most ``limit``, that the ring can
         advance before its first decision point; 0 unless the transfer
-        is quiescent at this rising edge.
+        is quiet or driven at this rising edge.
 
-        Quiescent: every engine is a passive listener
-        (:meth:`MemberEngine.quiet_cycles`, which also bounds the
-        count), every node is :attr:`~MBusNode.settled`, every DATA
-        line controller and every member's CLK line controller
-        forwards, no ring net has a queued set, a fault injector's
-        class or a listener ``build()`` did not attach, and no
-        interjection detector counts a DATA edge.  (With no set queued
-        and CLK-in low at the rising edge, the previous falling edge
-        crossed the ring within half a period, as each elided one
-        will.)
+        Every engine must pass :meth:`MemberEngine.quiet_cycles`
+        (which also bounds the count), and at most one may be a
+        transmitter; every node must be :attr:`~MBusNode.settled`;
+        every DATA line controller but the transmitter's, and every
+        member's CLK line controller, must forward; no ring net may
+        have a queued set, a listener ``build()`` did not attach, or a
+        fault state that is not :attr:`~repro.sim.signals.Net.neutral`.
+        (With no set queued and CLK-in low at the rising edge, the
+        previous falling edge crossed the ring within half a period,
+        as each elided one will.)  A driven transfer also needs every
+        engine at the transmitter's rising count, every DATA segment
+        at the transmitter's current bit, every detector's threshold
+        at 2 or more, and the bit's edge to cross the ring within half
+        a period without tying a CLK edge (:meth:`_late_detectors`).
         """
+        transmitter = None
         for engine in self._engines:
             limit = engine.quiet_cycles(limit)
             if not limit:
-                self._blocker = engine
-                return 0
-        self._blocker = None
+                return self._refuse(partial(_decides, engine))
+            if engine.role is Role.TX:
+                if transmitter is not None:
+                    return self._refuse()
+                transmitter = engine
+        tx_ctl = None if transmitter is None else transmitter.data_ctl
         for node in self._nodes:
-            if not node.settled or not node.data_ctl.forwarding:
-                return 0
+            if not node.settled:
+                return self._refuse(partial(_unsettled, node))
+            if node.data_ctl.forwarding is (node.data_ctl is tx_ctl):
+                return self._refuse()
         for ctl in self._member_clks:
             if not ctl.forwarding:
-                return 0
+                return self._refuse()
         for net, listeners in zip(self._nets, self._listeners):
-            if (
-                net._pending is not None
-                or net._listeners is not listeners
-                or net.__class__ is not Net
-            ):
-                return 0
-        for detector in self._detectors:
-            if detector.count:
-                return 0
+            if _stepping(net, listeners):
+                return self._refuse(partial(_stepping, net, listeners))
+        if transmitter is not None:
+            if self._min_threshold < 2:
+                return self._refuse()
+            rising = transmitter.rising
+            bit = transmitter.driven_bits(0)[0]
+            for engine in self._engines:
+                if engine.rising != rising:
+                    return self._refuse()
+            for net in self._data_segments:
+                if net._value != bit:
+                    return self._refuse()
+            late = self._late_detectors(
+                self._engines.index(transmitter), half_period
+            )
+            if late is None:
+                return self._refuse()
+            self._late = late
+        self._transmitter = transmitter
+        self._blocker = None
         return limit
 
+    def _late_detectors(
+        self, tx_index: int, half_period: int
+    ) -> Optional[Tuple[bool, ...]]:
+        """Per node, whether the DATA edge the transmitter drives at a
+        falling edge reaches the node after that CLK edge does, so its
+        detector still counts it at the next rising edge; None unless
+        the edge crosses the ring within half a period and ties no
+        CLK edge.  Offsets are from the mediator's falling toggle,
+        through the line controllers' current delays."""
+        nodes = self._nodes
+        n = len(nodes)
+        clk = [0] * n
+        at = nodes[self._mediator_index].clk_ctl.drive_delay_ps
+        for step in range(1, n + 1):
+            index = (self._mediator_index + step) % n
+            clk[index] = at
+            at += nodes[index].clk_ctl.forward_delay_ps
+        data = [0] * n
+        at = clk[tx_index] + nodes[tx_index].data_ctl.drive_delay_ps
+        for step in range(1, n + 1):
+            index = (tx_index + step) % n
+            data[index] = at
+            at += nodes[index].data_ctl.forward_delay_ps
+        if data[tx_index] >= half_period:
+            return None
+        if any(d == c for d, c in zip(data, clk)):
+            return None
+        return tuple(d > c for d, c in zip(data, clk))
+
+    def events(self, cycles: int) -> int:
+        """The events ``cycles`` whole cycles of the span the last
+        check allowed fire (the count :meth:`Simulator.elide` takes)."""
+        transmitter = self._transmitter
+        if transmitter is None:
+            return self._quiet_events * cycles
+        bits = transmitter.driven_bits(cycles)
+        self._toggles = sum(map(ne, bits, bits[1:]))
+        return (
+            (self._quiet_events + 1) * cycles
+            + self._forwarders * self._toggles
+        )
+
     def advance_cycles(self, cycles: int) -> None:
-        """Apply ``cycles`` cycles that :meth:`quiet_cycles` allowed:
-        each engine's edges and latches, and two transitions per cycle
-        on every CLK segment (which is what the line controllers'
-        forward and drive counts read)."""
-        for engine in self._engines:
-            engine.advance_cycles(cycles)
+        """Apply ``cycles`` cycles that :meth:`quiet_cycles` allowed and
+        :meth:`events` counted: each engine's edges, drives and
+        latches, two transitions per cycle on every CLK segment, a
+        driven bit's level changes on every DATA segment (which is
+        what the line controllers' forward and drive counts read),
+        and each detector's count at the rising edge that follows."""
         for net in self._clk_segments:
-            net.transitions += 2 * cycles
+            net.advance(0, 2 * cycles)
+        transmitter = self._transmitter
+        if transmitter is None:
+            for engine in self._engines:
+                engine.advance_cycles(cycles)
+            for detector in self._detectors:
+                detector.count = 0
+            return
+        bits = transmitter.driven_bits(cycles)
+        level = bits[-1]
+        for engine in self._engines:
+            engine.advance_cycles(cycles, bits[:-1])
+        transmitter.data_ctl.driven_value = level
+        toggles = self._toggles
+        for net in self._data_segments:
+            net.advance(level, toggles)
+        changed = level != bits[-2]
+        for detector, late in zip(self._detectors, self._late):
+            detector.count = 1 if changed and late else 0
+
+
+def _decides(engine: MemberEngine) -> bool:
+    return not engine.quiet_cycles(1)
+
+
+def _unsettled(node: MBusNode) -> bool:
+    return not node.settled
+
+
+def _stepping(net: Net, listeners: tuple) -> bool:
+    """True while ``net`` has a queued set, a listener besides
+    ``listeners`` or an open fault window."""
+    return (
+        net._pending is not None
+        or net._listeners is not listeners
+        or not net.neutral
+    )
 
 
 @dataclass(slots=True)
@@ -207,8 +336,8 @@ class MBusSystem:
 
     * ``"edge"`` (default) — the edge-accurate engine: every CLK/DATA
       transition of both rings is simulated, except that a clock
-      cycle of a transfer no node drives may be advanced in
-      arithmetic (:class:`QuietRing`).  Such a cycle still counts its
+      cycle of a transfer that no node or one transmitter drives may
+      be advanced in arithmetic (:class:`QuietRing`).  Such a cycle still counts its
       events and transitions, and a traced run steps every edge.
       Authoritative for waveform-level behaviour (tracing,
       interjection timing, glitches) and the golden reference for

@@ -25,7 +25,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, List, Optional
+from typing import Callable, Deque, List, Optional, Sequence
 
 from repro.core import constants
 from repro.core.addresses import Address
@@ -320,25 +320,26 @@ class MemberEngine:
             self._on_rising(self.rising)
 
     # ------------------------------------------------------------------
-    # Cycle elision: whole clock cycles of a transfer no node drives.
+    # Cycle elision: whole clock cycles of a transfer.
     # ------------------------------------------------------------------
     def quiet_cycles(self, limit: int) -> int:
-        """Clock cycles, at most ``limit``, that this engine can take as
-        a passive listener before its next decision; 0 when it has one
-        now.
+        """Clock cycles, at most ``limit``, that this engine can take
+        before its next decision; 0 when it has one now.
 
-        Passive means in the transfer phase as a forwarder or receiver
-        (no transmitter or requester role, no deferred line action, no
-        interjection pending or requested).  Such an engine only counts
-        edges and, while collecting, latches its DATA-in level at each
-        rising edge.  Its decisions are the latch that completes the
+        The engine must be in the transfer phase with no requester
+        role, no deferred line action and no interjection pending or
+        requested.  A forwarder or receiver then only counts edges
+        and, while collecting, latches its DATA-in level at each
+        rising edge; its decisions are the latch that completes the
         address, and a receiver's latch of the byte that would overrun
-        its buffer.
+        its buffer.  A transmitter that has seen one more falling edge
+        than rising edges only drives its next bit at each falling
+        edge; its decision is the latch of its final bit (its end of
+        message).
         """
         role = self.role
         if (
             self.phase is not Phase.TRANSFER
-            or role is Role.TX
             or role is Role.REQUESTER
             or role is Role.PRIO_REQUESTER
             or self._deferred_line_actions
@@ -346,6 +347,11 @@ class MemberEngine:
             or self._interject_pending_reason is not None
         ):
             return 0
+        if role is Role.TX:
+            if self.falling != self.rising + 1:
+                return 0
+            decision = len(self._tx_stream) + 3 - self.falling
+            return max(0, min(limit, decision))
         if not self._collecting:
             return limit
         if self._matched is None:
@@ -360,14 +366,29 @@ class MemberEngine:
             )
         return max(0, min(limit, decision - 1 - len(self._rx_bits)))
 
-    def advance_cycles(self, cycles: int) -> None:
+    def driven_bits(self, cycles: int) -> tuple:
+        """A transmitter's bit on DATA now (driven at its last falling
+        edge, ``f``, as bit ``f - 4``), then the ``cycles`` bits it
+        drives at its next falling edges."""
+        start = self.falling - 4
+        return self._tx_stream[start:start + cycles + 1]
+
+    def advance_cycles(
+        self, cycles: int, bits: Optional[Sequence[int]] = None
+    ) -> None:
         """Apply ``cycles`` whole clock cycles that
-        :meth:`quiet_cycles` allowed: their edges, and while collecting
-        one latch of the unchanged DATA-in level per cycle."""
+        :meth:`quiet_cycles` allowed: their edges, a transmitter's
+        drives, and while collecting the latch of each of ``bits``
+        (of the unchanged DATA-in level when None)."""
         self.rising += cycles
         self.falling += cycles
-        if self._collecting:
-            self._rx_bits += [self.data_in.value] * cycles
+        if self.role is Role.TX:
+            self._tx_bits_driven += cycles
+            self.stats.bits_driven += cycles
+        elif self._collecting:
+            if bits is None:
+                bits = [self.data_in.value] * cycles
+            self._rx_bits += bits
             self.stats.bits_latched += cycles
 
     def on_data_falling_idle(self) -> None:

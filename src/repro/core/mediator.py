@@ -18,8 +18,8 @@ Responsibilities implemented here:
 * impose a maximum message length via a runaway-message counter
   (Section 7), configurable over the broadcast configuration channel;
 * clock the two-cycle control sequence and return the bus to idle;
-* advance a quiescent transfer, one no node drives, by whole cycles
-  (:meth:`MediatorLogic._elide_cycles`).
+* advance a transfer that no node or exactly one transmitter drives
+  by whole cycles (:meth:`MediatorLogic._elide_cycles`).
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from typing import TYPE_CHECKING, Callable, List, Optional
 
 from repro.core import constants
 from repro.core.errors import BusLockedError
-from repro.core.interjection import InterjectionDetector
 from repro.core.wire_controller import LineController
 from repro.sim.scheduler import Simulator
 from repro.sim.signals import EdgeType, Net
@@ -131,12 +130,6 @@ class MediatorLogic:
         self._forward_data_pending = False
         self._member_start_pending = False
 
-        self._detector = InterjectionDetector(
-            data_in,
-            clk_in,
-            threshold=timing.interjection_threshold,
-            on_detect=self._on_own_detector,
-        )
         data_in.on_edge(self._on_data_edge)
 
     # ------------------------------------------------------------------
@@ -249,12 +242,13 @@ class MediatorLogic:
             self._schedule_clock_toggle(1)
 
     def _elide_cycles(self, ring: "QuietRing") -> int:
-        """Advance whole cycles of a quiescent transfer in arithmetic.
+        """Advance whole cycles of a quiet or driven transfer in
+        arithmetic.
 
         Called at each rising edge the mediator is about to drive.
-        When the mediator has nothing deferred and ``ring`` finds the
-        transfer quiescent, the cycles before the first decision point
-        (the watchdog limit, a receiver's next decision, and whatever
+        When the mediator has nothing deferred and ``ring`` allows the
+        transfer's next cycles, those before the first decision point
+        (the watchdog limit, an engine's next decision, and whatever
         :meth:`Simulator.elide` stops short of) are applied in bulk,
         and the rising edge that follows them is scheduled.  Returns
         the cycles advanced; 0 means this edge steps as usual.
@@ -264,17 +258,19 @@ class MediatorLogic:
         limit = self._watchdog_limit_cycles() - self._rising
         if limit <= 0:
             return 0
-        period = 2 * self.timing.half_period_ps
-        cycles = ring.quiet_cycles(limit)
+        half = self.timing.half_period_ps
+        cycles = ring.quiet_cycles(limit, half)
         if cycles:
-            cycles = self.sim.elide(period, ring.events_per_cycle, cycles)
+            cycles = self.sim.elide(
+                2 * half, ring.events_per_cycle, cycles, ring.events
+            )
         if not cycles:
             return 0
         ring.advance_cycles(cycles)
         self._rising += cycles
         self.stats.clock_edges_generated += 2 * cycles
         self._clock_event = self.sim.schedule(
-            period * cycles, self._clock_toggle_high
+            2 * half * cycles, self._clock_toggle_high
         )
         return cycles
 
@@ -352,8 +348,9 @@ class MediatorLogic:
         interval = 2 * self.timing.ring_delay_ps(max(self.n_nodes_hint(), 2))
         self._toggle_event = self.sim.schedule(interval, self._toggle_data)
 
-    def _on_own_detector(self) -> None:
-        """Our own detector fired: the toggles circulated the ring."""
+    def on_interjection_detected(self) -> None:
+        """The node's interjection detector fired (after its member
+        engine heard of it): the toggles circulated the ring."""
         if self.phase is not MediatorPhase.INTERJECT:
             return
         if self._toggle_event is not None:

@@ -332,7 +332,11 @@ class MBusNode:
         self.engine.on_clk_edge(edge)
 
     def _on_interjection_detected(self) -> None:
+        # One detector per node: on the mediator's node it serves the
+        # member engine first, then the mediator logic.
         self.engine.on_interjection_detected()
+        if self.mediator is not None:
+            self.mediator.on_interjection_detected()
 
     # ------------------------------------------------------------------
     # Engine hooks.

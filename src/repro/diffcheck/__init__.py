@@ -36,7 +36,7 @@ from repro.diffcheck.checks import (
     check_conservation,
     check_fault_free_noop,
     check_replay_determinism,
-    check_trace_transparency,
+    check_elision_transparency,
     diff_reports,
     wake_counts,
 )
@@ -75,7 +75,7 @@ __all__ = [
     "check_conservation",
     "check_fault_free_noop",
     "check_replay_determinism",
-    "check_trace_transparency",
+    "check_elision_transparency",
     "diff_reports",
     "examine_scenario",
     "fuzz",

@@ -13,10 +13,9 @@ backend:
 * **fault-free no-op** — attaching an *empty* fault spec must not
   change the answer (the injection machinery may observe, never
   disturb);
-* **trace transparency** — a traced edge run (which steps every edge)
-  gives the report and error class of the untraced one (which may
-  advance a quiescent transfer in whole cycles): the per-edge oracle
-  of cycle elision;
+* **elision transparency** — an edge run made to step every edge
+  gives the report and error class of one that may advance a
+  transfer in whole cycles: the per-edge oracle of cycle elision;
 * **conservation** — in a fault-free run, every delivered payload was
   posted by the workload, and no posted message is delivered more
   times than nodes that could receive it (faulty runs legitimately
@@ -82,13 +81,13 @@ def diff_reports(edge: RunReport, fast: RunReport) -> List[str]:
 
 
 def _run_scenario(
-    scenario: Dict, backend: str, faults=None, trace: bool = False
+    scenario: Dict, backend: str, faults=None, setup=None
 ) -> RunReport:
     spec = SystemSpec.from_dict(scenario["system"])
     workload = workload_from_dict(scenario["workload"])
     if faults is None and scenario.get("faults") is not None:
         faults = FaultSpec.from_dict(scenario["faults"])
-    return run(spec, workload, backend=backend, faults=faults, trace=trace)
+    return run(spec, workload, backend=backend, faults=faults, setup=setup)
 
 
 def _observe(scenario: Dict, backend: str, faults=None):
@@ -113,15 +112,22 @@ def _diff_observations(first, second) -> List[str]:
     return [f"one run raises {raised}, the other answers"]
 
 
-def check_replay_determinism(scenario: Dict, backend: str) -> List[str]:
-    """Two runs of one scenario on one backend must project
-    identically — including raising the same error, if any."""
+def _replay_outcomes(scenario: Dict, backend: str):
+    """``(first outcome, divergences)`` of
+    :func:`check_replay_determinism`, so a caller can reuse the first
+    run (see :func:`_observe`)."""
     first = _observe(scenario, backend)
     second = _observe(scenario, backend)
-    return [
+    return first, [
         f"replay non-determinism on {backend!r}: {d}"
         for d in _diff_observations(first, second)
     ]
+
+
+def check_replay_determinism(scenario: Dict, backend: str) -> List[str]:
+    """Two runs of one scenario on one backend must project
+    identically — including raising the same error, if any."""
+    return _replay_outcomes(scenario, backend)[1]
 
 
 def _report_doc(report: RunReport) -> Dict:
@@ -132,43 +138,60 @@ def _report_doc(report: RunReport) -> Dict:
     return doc
 
 
-def check_trace_transparency(scenario: Dict) -> List[str]:
-    """A traced edge run must give the untraced run's report, minus
-    the wall-clock fields (``events_processed`` included), or raise
-    the same error class.
+def _ignore(net, edge) -> None:
+    """A ring-net listener that does nothing."""
 
-    Tracing adds a listener to every ring net, so the traced run steps
-    every edge while the untraced one may advance a quiescent transfer
-    in whole cycles; this is the per-edge oracle for that shortcut.
-    An untraced run that elided nothing stepped every edge too, so the
-    traced run, which can cost far more (it records every transition),
-    is made only when the untraced one elided or raised.
+
+def _step_every_edge(system) -> None:
+    """A ``setup`` hook that makes an edge run step every edge: a
+    listener ``build()`` did not attach makes the ring check refuse
+    every cycle, as a tracer does, at the cost of one call per edge of
+    one net and without recording anything."""
+    system.nodes[0].dout.on_edge(_ignore)
+
+
+def check_elision_transparency(scenario: Dict, eliding=None) -> List[str]:
+    """An edge run that steps every edge (:func:`_step_every_edge`)
+    must give the report of one that may advance a transfer in whole
+    cycles, minus the wall-clock fields (``events_processed``
+    included), or raise the same error class: the per-edge oracle of
+    cycle elision.
+
+    ``eliding`` is that run's outcome if the caller has it (see
+    :func:`_observe`); otherwise it is run here.  A run that elided
+    nothing stepped every edge itself, so the stepped twin runs only
+    when it elided or raised.
     """
-    outcomes = []
-    for trace in (False, True):
-        try:
-            report = _run_scenario(scenario, "edge", trace=trace)
-        except Exception as exc:   # any failure class is an observation
-            outcomes.append(("err", type(exc).__name__))
-        else:
-            if not trace and not report.system.sim.events_elided:
-                return []
-            outcomes.append(("ok", _report_doc(report)))
-    untraced, traced = outcomes
-    if untraced == traced:
+    if eliding is None:
+        eliding = _observe(scenario, "edge")
+    kind, value = eliding
+    if kind == "ok":
+        if not value.system.sim.events_elided:
+            return []
+        eliding = ("ok", _report_doc(value))
+    try:
+        stepped = ("ok", _report_doc(
+            _run_scenario(scenario, "edge", setup=_step_every_edge)
+        ))
+    except Exception as exc:   # any failure class is an observation
+        stepped = ("err", type(exc).__name__)
+    if eliding == stepped:
         return []
-    if untraced[0] == traced[0] == "ok":
+    if eliding[0] == stepped[0] == "ok":
         fields = sorted(
-            key for key in untraced[1]
-            if untraced[1][key] != traced[1].get(key)
+            key for key in eliding[1]
+            if eliding[1][key] != stepped[1].get(key)
         )
         return [
-            "traced and untraced edge reports differ in "
+            "stepped and eliding edge reports differ in "
             + ", ".join(fields)
         ]
-    says = [value if kind == "err" else "a report" for kind, value in outcomes]
+    says = [
+        value if kind == "err" else "a report"
+        for kind, value in (eliding, stepped)
+    ]
     return [
-        f"the traced edge run gives {says[1]}, the untraced one {says[0]}"
+        f"the stepped edge run gives {says[1]}, the eliding one {says[0]}"
     ]
 
 

@@ -25,8 +25,7 @@ The generated space deliberately mirrors the paper's experiments:
 range, one-shot / burst / periodic / seeded-random / broadcast
 traffic with contending sources, and the fault primitives from
 :mod:`repro.faults.primitives` at bounded rates, plus faults-pool's
-16 kHz DATA glitch storm, which reaches the edge engine's quiescent
-transfers.
+16 kHz DATA glitch storm, which starts transfers that no node drives.
 """
 
 from __future__ import annotations

@@ -29,10 +29,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.diffcheck.checks import (
     check_bitbang_feasibility,
     check_conservation,
+    check_elision_transparency,
     check_fault_free_noop,
     check_replay_determinism,
-    check_trace_transparency,
     diff_reports,
+    _replay_outcomes,
     _run_scenario,
 )
 from repro.diffcheck.generators import generate_scenarios, scenario_key
@@ -46,26 +47,21 @@ DEFAULT_BACKENDS: Tuple[str, ...] = ("edge", "fast")
 
 def _run_matrix(
     scenario: Dict, backends: Sequence[str]
-) -> Tuple[Dict[str, object], List[str]]:
+) -> Tuple[Dict[str, Tuple[str, object]], List[str]]:
     """Run a clean scenario on every backend in the matrix.
 
-    Returns ``(reports, divergences)`` — ``reports`` maps backend
-    name to its :class:`RunReport` (absent when that backend raised).
+    Returns ``(outcomes, divergences)`` — ``outcomes`` maps backend
+    name to ``("ok", RunReport)`` or ``("err", exception type name)``.
     Each challenger is compared to the reference (``backends[0]``):
     symmetric same-type errors are consistent; asymmetric outcomes
     are divergences.
     """
-    outcomes = {}
+    outcomes: Dict[str, Tuple[str, object]] = {}
     for backend in backends:
         try:
             outcomes[backend] = ("ok", _run_scenario(scenario, backend))
         except Exception as exc:   # any failure class is data here
             outcomes[backend] = ("err", type(exc).__name__)
-    reports = {
-        backend: value
-        for backend, (kind, value) in outcomes.items()
-        if kind == "ok"
-    }
     reference = backends[0]
     ref_kind, ref_value = outcomes[reference]
     divergences: List[str] = []
@@ -88,7 +84,7 @@ def _run_matrix(
         divergences.append(
             f"{raised} backend raises {detail} but {answered} answers"
         )
-    return reports, divergences
+    return outcomes, divergences
 
 
 def examine_scenario(
@@ -102,9 +98,9 @@ def examine_scenario(
     challenger against the reference (``backends[0]``), conservation,
     and (with ``invariants=True``) replay determinism and the
     empty-fault-spec no-op.  Faulty scenarios force the edge engine,
-    so they get replay determinism and trace transparency (a traced
-    run steps every edge, the untraced one may advance quiescent
-    cycles in bulk).
+    so they get replay determinism.  Every scenario whose edge run
+    elided cycles (or raised) also gets elision transparency: a run
+    that steps every edge must agree with it.
     """
     backends = tuple(backends)
     if not backends:
@@ -112,8 +108,13 @@ def examine_scenario(
     divergences = list(check_bitbang_feasibility(scenario))
     if scenario.get("faults") is None:
         reference = backends[0]
-        reports, errors = _run_matrix(scenario, backends)
+        outcomes, errors = _run_matrix(scenario, backends)
         divergences += errors
+        reports = {
+            backend: value
+            for backend, (kind, value) in outcomes.items()
+            if kind == "ok"
+        }
         ref_report = reports.get(reference)
         for backend in backends[1:]:
             challenger = reports.get(backend)
@@ -127,6 +128,10 @@ def examine_scenario(
             divergences += pair
         if ref_report is not None:
             divergences += check_conservation(scenario, ref_report)
+        if "edge" in outcomes:
+            divergences += check_elision_transparency(
+                scenario, outcomes["edge"]
+            )
         if invariants:
             for backend in backends[1:]:
                 divergences += check_replay_determinism(
@@ -134,8 +139,9 @@ def examine_scenario(
                 )
             divergences += check_fault_free_noop(scenario, backends[0])
     else:
-        divergences += check_replay_determinism(scenario, "edge")
-        divergences += check_trace_transparency(scenario)
+        edge, replay = _replay_outcomes(scenario, "edge")
+        divergences += replay
+        divergences += check_elision_transparency(scenario, edge)
     return divergences
 
 

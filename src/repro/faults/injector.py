@@ -16,7 +16,11 @@ net in a fault-free run) keep the original class and the original
 code path, byte for byte.  ``_fire_pending`` looks ``_apply`` up on
 the instance when the entry fires, not when it is queued, so an apply
 already queued at the swap is filtered by the fault state too.
-``finalize()`` restores the classes and empties the registry.
+``finalize()`` restores the classes and empties the registry.  Between
+windows a bound net stays bound, so its shadow keeps the drivers'
+level through a glitch; its state is then ``neutral`` and the edge
+engine's cycle elision treats it as a plain net (``advance`` moves the
+shadow with the level).
 
 The registry keeps a strong reference to each faulted net, so an
 ``id()`` key can never be reused while its entry is live.
@@ -76,6 +80,23 @@ class FaultableNet(Net):
     """
 
     __slots__ = ()
+
+    @property
+    def neutral(self) -> bool:  # type: ignore[override]
+        """True between windows: nothing forced, inverted or dropped,
+        so an apply acts as on a plain :class:`Net` and only moves the
+        shadow with it."""
+        state = _STATE[id(self)]
+        return (
+            state.forced is None
+            and not state.inverted
+            and not state.drop_remaining
+        )
+
+    def advance(self, value: int, transitions: int) -> None:
+        Net.advance(self, value, transitions)
+        if transitions:
+            _STATE[id(self)].shadow = value
 
     def _apply(self, value: int) -> None:
         state = _STATE[id(self)]

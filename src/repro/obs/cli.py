@@ -9,7 +9,7 @@ deterministic JSONL trace file (plus an optional Chrome
 ``stats`` is the offline half: load one recorded trace and print its
 phase profile, how its rounds resolved (planned, or overlaid on a
 message shape's plan) and how many edge-engine events fired or were
-elided in whole quiescent cycles, or load several (e.g. the same
+elided in whole clock cycles, or load several (e.g. the same
 scenario traced on ``edge``, ``fast`` and ``batch``) and print a
 side-by-side phase diff — the backend-comparison workflow
 EXPERIMENTS.md walks through.

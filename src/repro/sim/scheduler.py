@@ -39,15 +39,16 @@ runs, and after the loop raised.
 Eliding periodic events
 -----------------------
 A callback inside :meth:`Simulator.run` may ask :meth:`Simulator.elide`
-to account for whole periods of a pattern it knows repeats unchanged
-(the edge engine's clock cycles while no node drives the ring).  The
-elided events are counted as pushed and fired without touching the
-heap: ``_seq`` grows by their number, so ``events_processed`` and the
-sequence numbers of later entries are those of the stepped run.  A
-grant stops short of the earliest queued entry, the run's ``until``
-horizon and its ``max_events`` budget, so the run raises, stops and
-interleaves exactly where the stepped run would.  Outside ``run()``
-nothing is elided, and :meth:`Simulator.step` fires one event.
+to account for whole periods of a pattern it knows (the edge engine's
+clock cycles of a transfer, whose event count per cycle depends on
+whether the driven bit changes level).  The elided events are counted
+as pushed and fired without touching the heap: ``_seq`` grows by
+their number, so ``events_processed`` and the sequence numbers of
+later entries are those of the stepped run.  A grant stops short of
+the earliest queued entry, the run's ``until`` horizon and its
+``max_events`` budget, so the run raises, stops and interleaves
+exactly where the stepped run would.  Outside ``run()`` nothing is
+elided, and :meth:`Simulator.step` fires one event.
 """
 
 from __future__ import annotations
@@ -201,17 +202,25 @@ class Simulator:
             return True
         return False
 
-    def elide(self, period: int, events_per_period: int, periods: int) -> int:
+    def elide(
+        self,
+        period: int,
+        events_per_period: int,
+        periods: int,
+        events: Optional[Callable[[int], int]] = None,
+    ) -> int:
         """Account for up to ``periods`` repeats of a periodic pattern
         without firing them, and return how many were granted, ``k``.
 
-        The event now firing is the first of the ``events_per_period *
-        k`` events over ``[now, now + k * period)``, and one of their
-        pushes is the caller's own schedule of the event at ``now + k *
-        period`` that follows them; the caller applies their effect in
-        bulk.  The grant is 0 outside :meth:`run`, and it stops short
-        of the earliest queued entry, the run's ``until`` horizon and
-        its ``max_events`` budget (see the module docstring).
+        The event now firing is the first of the ``events(k)`` events
+        over ``[now, now + k * period)`` (``events_per_period * k``
+        when ``events`` is None; otherwise ``events_per_period`` is
+        the most any one period fires), and one of their pushes is the
+        caller's own schedule of the event at ``now + k * period``
+        that follows them; the caller applies their effect in bulk.
+        The grant is 0 outside :meth:`run`, and it stops short of the
+        earliest queued entry, the run's ``until`` horizon and its
+        ``max_events`` budget (see the module docstring).
         """
         if self._limit is None or periods <= 0:
             return 0
@@ -222,13 +231,17 @@ class Simulator:
             periods = min(periods, (self._horizon + 1 - now) // period)
         # The elided events move the loop's next budget check as many
         # events on; it must still come no later than the budget's
-        # last event, ``_limit + 1``.
-        periods = min(
-            periods, (self._limit + 2 - self._check_at) // events_per_period
-        )
+        # last event, ``_limit + 1``.  That event must fire, not be
+        # elided, so that a run raises at its time.
+        done = self._seq - len(self._queue) - self._reaped
+        room = min(self._limit + 2 - self._check_at, self._limit + 1 - done)
+        periods = min(periods, room // events_per_period)
         if periods <= 0:
             return 0
-        elided = events_per_period * periods - 1
+        if events is None:
+            elided = events_per_period * periods - 1
+        else:
+            elided = events(periods) - 1
         self._seq += elided
         self._events_elided += elided
         self._check_at += elided

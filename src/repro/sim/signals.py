@@ -116,10 +116,21 @@ class Net:
         #: instead of listening to every edge of its output.
         self.transitions = 0
 
+    #: True when an apply only changes the level and notifies the
+    #: listeners (a fault injector's net overrides it).
+    neutral = True
+
     @property
     def value(self) -> int:
         """Current logic level (0 or 1)."""
         return self._value
+
+    def advance(self, value: int, transitions: int) -> None:
+        """Account for ``transitions`` applies that changed the level,
+        ending at ``value``, without notifying listeners: the bulk
+        update of cycle elision, which applies their effect itself."""
+        self._value = value
+        self.transitions += transitions
 
     def on_edge(self, fn: EdgeCallback) -> None:
         """Register ``fn`` to be called on every transition.

@@ -1,16 +1,18 @@
-"""Cycle elision: a quiescent transfer advanced in whole cycles must
-equal the run that steps every edge.
+"""Cycle elision: a transfer advanced in whole cycles must equal the
+run that steps every edge.
 
 A glitch can start a transfer that no node drives (a *runaway*): the
 ring clocks the idle DATA level into every receiver until a buffer
-overruns or the mediator's watchdog fires.  The edge engine advances
-the cycles of such a transfer in arithmetic (``QuietRing`` and
-``Simulator.elide``) unless a ring net carries a listener that
-``build()`` did not attach, so a traced run steps every edge.  Each
-test here pits an untraced run against its traced twin at a boundary
-where the shortcut has to stop: a decision point of the ring, a
-horizon, the event budget, a single ``step()``, a probe, or a fault
-window.
+overruns or the mediator's watchdog fires.  In a normal transfer one
+transmitter drives its bits and every other node forwards and latches
+them.  The edge engine advances the cycles of either in arithmetic
+(``QuietRing`` and ``Simulator.elide``) unless a ring net carries a
+listener that ``build()`` did not attach, so a traced run steps every
+edge.  Each test here pits an untraced run against its traced twin at
+a boundary where the shortcut has to stop: a decision point of the
+ring, a horizon, the event budget, a single ``step()``, a probe, a
+fault window, or a cycle too short for the transmitter's bit to cross
+the ring.
 """
 
 import pytest
@@ -23,9 +25,11 @@ from repro.faults import (
     DropEdge,
     FaultInjector,
     FaultSpec,
+    NodePowerLoss,
     StuckAt,
     WireGlitch,
 )
+from repro.faults.injector import _STATE
 from repro.faults.primitives import PS_PER_S
 from repro.obs import observe
 from repro.scenario import NodeSpec, OneShot, SystemSpec, run
@@ -98,16 +102,29 @@ def transparent_run(spec, faults, **kwargs):
     return plain, elided
 
 
-def live_system(spec, faults, trace=False):
-    """A built, armed system with the follow-up post scheduled, to be
-    driven through ``system.sim`` directly."""
+#: ``(at_s, action(system))`` pairs: the follow-up post.
+FOLLOW_UP = (
+    (POST_AT_S, lambda system: system.post("a", Address.short(0x3, 1),
+                                           PAYLOAD)),
+)
+
+
+def live_system(spec, faults, trace=False, actions=FOLLOW_UP):
+    """A built, armed system with ``actions`` scheduled, to be driven
+    through ``system.sim`` directly."""
     system = spec.build(mode="edge", trace=trace)
     FaultInjector(system, faults, spec).arm()
-    system.sim.schedule_at(
-        int(POST_AT_S * PS_PER_S),
-        lambda: system.post("a", Address.short(0x3, 1), PAYLOAD),
-    )
+    for at_s, action in actions:
+        system.sim.schedule_at(
+            int(at_s * PS_PER_S), lambda act=action: act(system)
+        )
     return system
+
+
+def _shadow(net):
+    """The driver level a fault injector keeps for ``net``, if any."""
+    fault_state = _STATE.get(id(net))
+    return None if fault_state is None else fault_state.shadow
 
 
 def state(system):
@@ -131,18 +148,27 @@ def state(system):
                 node.engine.rising,
                 node.engine.falling,
                 tuple(node.engine._rx_bits),
+                node.engine._tx_bits_driven,
                 node.engine.stats,
                 node.detector.count,
+                node.data_ctl.forwarding,
+                node.data_ctl.driven_value,
                 node.dout.value,
                 node.dout.transitions,
+                _shadow(node.dout),
                 node.clkout.value,
                 node.clkout.transitions,
+                _shadow(node.clkout),
             )
             for node in system.nodes
         ],
         system.wire_activity(),
         system.power_domain_report(),
-        len(system.transactions),
+        [
+            (txn.ok, txn.control, txn.tx_node, txn.clock_cycles,
+             txn.rx_deliveries, txn.end_ps)
+            for txn in system.transactions
+        ],
     )
 
 
@@ -382,6 +408,288 @@ class TestFaultWindows:
     def test_fault_during_a_runaway(self, fault):
         _, elided = transparent_run(runaway_spec(), runaway_faults(fault))
         assert elided > 0
+
+
+#: Driven transfers go out at 10 us on a 400 kHz ring (2.5 us a
+#: cycle), so an 8-byte transfer spans about 20 to 215 us.
+DRIVEN_AT_S = 10e-6
+DRIVEN_PAYLOAD = bytes.fromhex("a55a0ff0c33c9669")
+
+
+def driven_spec(clock_hz=400_000, a=None, c=None, **overrides):
+    """The mediator, a member on broadcast channels 0 and 1, a gated
+    member with a full prefix on channel 1, and a plain member."""
+    return SystemSpec(
+        name="driven",
+        clock_hz=clock_hz,
+        nodes=(
+            NodeSpec("m", short_prefix=0x1, is_mediator=True),
+            a or NodeSpec("a", short_prefix=0x2,
+                          broadcast_channels=frozenset({0, 1})),
+            NodeSpec("b", short_prefix=0x3, full_prefix=0x12345,
+                     power_gated=True, broadcast_channels=frozenset({1})),
+            c or NodeSpec("c", short_prefix=0x4),
+        ),
+        **overrides,
+    )
+
+
+def _post(source, dest, payload=DRIVEN_PAYLOAD, priority=False):
+    return lambda system: system.post(source, dest, payload, priority)
+
+
+def _interject(name):
+    return lambda system: system.node(name).request_interjection()
+
+
+A_TO_C = ((DRIVEN_AT_S, _post("a", Address.short(0x4))),)
+M_TO_A = ((DRIVEN_AT_S, _post("m", Address.short(0x2))),)
+
+#: name -> (spec, timed actions, faults of the scenario itself).
+DRIVEN = {
+    "mediator-transmits": (driven_spec(), M_TO_A, ()),
+    "member-transmits": (driven_spec(), A_TO_C, ()),
+    "full-address": (
+        driven_spec(),
+        ((DRIVEN_AT_S, _post("c", Address.full(0x12345))),), (),
+    ),
+    "broadcast": (
+        driven_spec(), ((DRIVEN_AT_S, _post("c", Address.broadcast(1))),),
+        (),
+    ),
+    "priority-contest": (
+        driven_spec(),
+        A_TO_C + ((DRIVEN_AT_S,
+                   _post("c", Address.short(0x2), priority=True)),),
+        (),
+    ),
+    "anchor": (
+        driven_spec(arbitration_anchor="c"),
+        ((DRIVEN_AT_S, _post("a", Address.short(0x3))),), (),
+    ),
+    # A detector that fires on one DATA edge ends a at arbitration; at
+    # 2 the mediator's own member still gets its transfer through.
+    "threshold-1": (
+        driven_spec(c=NodeSpec("c", short_prefix=0x4, rx_buffer_bytes=16),
+                    interjection_threshold=1),
+        A_TO_C, (),
+    ),
+    "threshold-2": (
+        driven_spec(interjection_threshold=2), M_TO_A, (),
+    ),
+    # c asks to interject 20 cycles in; the minimum-progress rule
+    # holds it until a has sent four payload bytes.
+    "third-party": (
+        driven_spec(),
+        ((DRIVEN_AT_S, _post("a", Address.short(0x3), bytes(16))),
+         (60e-6, _interject("c"))),
+        (),
+    ),
+    # The ring goes quiet when a browns out; c's buffer ends the
+    # runaway that follows.
+    "transmitter-power-loss": (
+        driven_spec(c=NodeSpec("c", short_prefix=0x4, rx_buffer_bytes=16)),
+        A_TO_C, (NodePowerLoss("a", at_s=120e-6, duration_s=40e-6),),
+    ),
+    "receiver-overrun": (
+        driven_spec(c=NodeSpec("c", short_prefix=0x4, rx_buffer_bytes=4)),
+        A_TO_C, (),
+    ),
+}
+
+#: Fault windows of two to three cycles from 80 us, inside every
+#: scenario's driven transfer (b's DATA-out feeds c, m's feeds a), and
+#: skew for the whole run.
+DRIVEN_FAULTS = {
+    "clean": (),
+    "stuck": (StuckAt("b", at_s=80e-6, duration_s=6e-6, value=1,
+                      wire="data"),),
+    "drop": (DropEdge("m", at_s=80e-6, count=1, duration_s=6e-6,
+                      wire="data"),),
+    "flip": (BitFlip("b", at_s=80e-6, duration_s=6e-6, wire="data"),),
+    "drift": (ClockDrift("m", ppm=250.0), ClockDrift("a", ppm=-400.0)),
+}
+
+
+def _driven_horizons():
+    """Ps horizons through the transfer at strides of 0.15 to 7.8
+    cycles, so spans stop at every phase of a cycle."""
+    horizons, at = [], 5_000_000
+    strides = (1_100_000, 2_500_000, 7_700_000, 19_300_000, 370_000)
+    while at < 300_000_000:
+        horizons.append(at)
+        at += strides[len(horizons) % len(strides)]
+    return horizons
+
+
+DRIVEN_HORIZONS = _driven_horizons()
+
+
+def driven_twins(scenario, fault, extra=()):
+    """An untraced and a traced system of one driven scenario."""
+    spec, actions, faults = DRIVEN[scenario]
+    faults = FaultSpec(faults=faults + DRIVEN_FAULTS[fault] + extra)
+    return [
+        live_system(spec, faults, trace, actions) for trace in (False, True)
+    ]
+
+
+@pytest.mark.parametrize("fault", sorted(DRIVEN_FAULTS))
+@pytest.mark.parametrize("scenario", sorted(DRIVEN))
+class TestDrivenSpans:
+    """A transfer with one transmitter advances in whole cycles up to
+    each decision point: an untraced run must match its traced twin,
+    which steps every edge, wherever a horizon or the event budget
+    stops it."""
+
+    def test_horizons_through_a_driven_transfer(self, scenario, fault):
+        plain, traced = driven_twins(scenario, fault)
+        for horizon in DRIVEN_HORIZONS:
+            for system in (plain, traced):
+                system.sim.run(until=horizon)
+            assert state(plain) == state(traced), horizon
+        for system in (plain, traced):
+            system.sim.run()
+        assert state(plain) == state(traced)
+        assert traced.sim.events_elided == 0
+        assert plain.transactions
+
+    def test_one_cycle_spans(self, scenario, fault):
+        # A horizon just before each rising toggle ends every span
+        # after one cycle, so each cycle's bulk update is compared,
+        # detector counts and all, before the next edge resets them.
+        plain, traced = driven_twins(scenario, fault)
+        probe = driven_twins(scenario, fault)[1]
+        probe.sim.run(until=DRIVEN_HORIZONS[-1])
+        drive_ps = probe.timing.drive_delay_ps
+        toggles = [
+            edge.time - drive_ps
+            for edge in probe.tracer.edges_of("m.dout.clk")
+            if edge.value == 1
+        ]
+        for toggle in toggles:
+            for system in (plain, traced):
+                system.sim.run(until=toggle - 1)
+            assert state(plain) == state(traced), toggle
+        if fault == "clean" and scenario != "threshold-1":
+            assert plain.sim.events_elided > 0
+
+    def test_budgets_through_a_driven_transfer(self, scenario, fault):
+        plain, traced = driven_twins(scenario, fault)
+        plain.sim.run()
+        total = plain.sim.events_processed
+        # A transfer elides unless a detector fires on one DATA edge.
+        if fault == "clean":
+            elides = scenario != "threshold-1"
+            assert bool(plain.sim.events_elided) == elides
+        step = total // 9
+        for max_events in list(range(step, total, step)) + [
+            total - 1, total, total + 1,
+        ]:
+            outcomes = []
+            for system in driven_twins(scenario, fault):
+                try:
+                    system.sim.run(max_events=max_events)
+                except SimulationError:
+                    outcomes.append(("raised", state(system)))
+                else:
+                    outcomes.append(("ran", state(system)))
+            assert outcomes[0] == outcomes[1], max_events
+            assert outcomes[0][0] == (
+                "raised" if max_events < total else "ran"
+            )
+
+
+class TestDrivenTiming:
+    """A driven cycle elides only when the bit's DATA edge crosses the
+    ring within half a period and reaches no node together with its
+    CLK edge; otherwise the transfer steps, and still matches."""
+
+    CASES = {
+        # At 10 MHz c's bit reaches c's own DATA-in 52 ns after the
+        # falling toggle, past the 50 ns half period.
+        "slow-ring": (driven_spec(clock_hz=10e6), "c", 0x2),
+        # a forwards CLK 1 ns after an edge, as fast as it drives DATA,
+        # so both edges reach b at once.
+        "tied-edges": (
+            driven_spec(a=NodeSpec("a", short_prefix=0x2,
+                                   node_delay_ps=1_000)),
+            "a", 0x4,
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_transfer_steps(self, case):
+        spec, source, prefix = self.CASES[case]
+        post = ((DRIVEN_AT_S, _post(source, Address.short(prefix))),)
+        systems = [
+            live_system(spec, FaultSpec(), trace, post)
+            for trace in (False, True)
+        ]
+        plain, traced = systems
+        step = plain.timing.half_period_ps // 5 + 1
+        for horizon in range(int(DRIVEN_AT_S * PS_PER_S),
+                             int(DRIVEN_AT_S * PS_PER_S) + 200 * step, step):
+            for system in systems:
+                system.sim.run(until=horizon)
+            assert state(plain) == state(traced), horizon
+        for system in systems:
+            system.sim.run()
+        assert state(plain) == state(traced)
+        assert plain.transactions[0].ok
+        assert plain.sim.events_elided == 0
+
+
+class TestClosedWindows:
+    """A net whose fault window has closed is neutral again: cycles
+    after it elide as on a net no window touched.  Its fault state
+    stays bound, so it keeps the drivers' level through a glitch."""
+
+    CLOSED_BY_5_US = [
+        StuckAt("a", at_s=2e-6, duration_s=3e-6, value=1, wire="data"),
+        DropEdge("b", at_s=2e-6, count=1, duration_s=3e-6, wire="data"),
+    ]
+
+    @pytest.mark.parametrize("window", CLOSED_BY_5_US,
+                             ids=lambda fault: fault.kind)
+    def test_window_closed_before_a_runaway(self, window):
+        _, elided = transparent_run(runaway_spec(), runaway_faults(window))
+        _, untouched = observed_run(runaway_spec(), runaway_faults())
+        assert elided == untouched > 0
+
+    @pytest.mark.parametrize("window", CLOSED_BY_5_US,
+                             ids=lambda fault: fault.kind)
+    def test_window_closed_before_a_driven_transfer(self, window):
+        plain, traced = driven_twins("member-transmits", "clean", (window,))
+        untouched, _ = driven_twins("member-transmits", "clean")
+        for system in (plain, traced, untouched):
+            system.sim.run()
+        assert state(plain) == state(traced)
+        assert plain.sim.events_elided == untouched.sim.events_elided > 0
+
+    def test_glitch_between_two_windows_on_one_net(self):
+        # b forwards a's bits to c.  The glitch at 60 us flips b's
+        # DATA-out against what b forwards; the flip window from
+        # 100 us must invert the forwarded level, not the glitched one.
+        glitch_ps = 60_000_000
+        faults = (
+            StuckAt("b", at_s=40e-6, duration_s=3e-6, value=1, wire="data"),
+            WireGlitch("b", at_s=glitch_ps / PS_PER_S, wire="data", edges=1),
+            BitFlip("b", at_s=100e-6, duration_s=5e-6, wire="data"),
+        )
+        plain, traced = driven_twins("member-transmits", "clean", faults)
+        for horizon in sorted(DRIVEN_HORIZONS + [glitch_ps + 100]):
+            for system in (plain, traced):
+                system.sim.run(until=horizon)
+            assert state(plain) == state(traced), horizon
+            if horizon == glitch_ps + 100:
+                b = plain.node("b")
+                assert b.dout.value != b.din.value
+                assert _shadow(b.dout) == b.din.value
+        for system in (plain, traced):
+            system.sim.run()
+        assert state(plain) == state(traced)
+        assert plain.sim.events_elided > 0
 
 
 class TestGoldenGrid:

@@ -18,7 +18,7 @@ from repro.diffcheck import (
     check_conservation,
     check_fault_free_noop,
     check_replay_determinism,
-    check_trace_transparency,
+    check_elision_transparency,
     examine_scenario,
     fuzz,
     generate_scenario,
@@ -271,26 +271,49 @@ class TestInvariants:
                 f"delivered payload {forged.payload.hex()} was never posted"
             ]
 
-    def test_trace_transparency_on_a_glitch_storm(self, monkeypatch):
+    def test_elision_transparency_on_a_glitch_storm(self, monkeypatch):
         # A 16 kHz storm from CI's fuzz-smoke corpus: it starts a
-        # runaway that the untraced run advances in whole cycles.
+        # runaway that the eliding run advances in whole cycles.
         scenario = generate_scenario(1_000_012)
         assert scenario["faults"]["faults"][0]["rate_hz"] == 16_000
-        assert check_trace_transparency(scenario) == []
+        assert check_elision_transparency(scenario) == []
         run_scenario = checks._run_scenario
 
-        def one_more_traced_event(scenario, backend, faults=None,
-                                  trace=False):
-            report = run_scenario(scenario, backend, faults, trace)
-            report.events_processed += trace
+        def one_more_stepped_event(scenario, backend, faults=None,
+                                   setup=None):
+            report = run_scenario(scenario, backend, faults, setup)
+            report.events_processed += setup is not None
             return report
 
-        monkeypatch.setattr(checks, "_run_scenario", one_more_traced_event)
+        monkeypatch.setattr(checks, "_run_scenario", one_more_stepped_event)
         divergence = (
-            "traced and untraced edge reports differ in events_processed"
+            "stepped and eliding edge reports differ in events_processed"
         )
-        assert check_trace_transparency(scenario) == [divergence]
+        assert check_elision_transparency(scenario) == [divergence]
         assert divergence in examine_scenario(scenario)
+
+    def test_elision_transparency_on_a_clean_scenario(self, monkeypatch):
+        # A fault-free scenario's edge run elides its driven transfers,
+        # so the oracle runs on it too, reusing the matrix's edge run.
+        scenario = burst_scenario()
+        assert examine_scenario(scenario) == []
+        run_scenario = checks._run_scenario
+        stepped = []
+
+        def one_more_stepped_event(scenario, backend, faults=None,
+                                   setup=None):
+            report = run_scenario(scenario, backend, faults, setup)
+            if setup is not None:
+                stepped.append(report.system.sim.events_elided)
+                report.events_processed += 1
+            return report
+
+        monkeypatch.setattr(checks, "_run_scenario", one_more_stepped_event)
+        divergences = examine_scenario(scenario, invariants=False)
+        assert divergences == [
+            "stepped and eliding edge reports differ in events_processed"
+        ]
+        assert stepped == [0]
 
     def test_faulty_scenarios_replay_deterministically(self):
         # Find a generated faulty scenario and pin its determinism.

@@ -303,16 +303,17 @@ class Ticker:
 
     PERIOD = 10
 
-    def __init__(self, sim, stop, elide):
+    def __init__(self, sim, stop, elide, first=1):
         self.sim = sim
         self.stop = stop
         self.elide = elide
+        self.first = first
         self.count = 0
         sim.schedule(self.PERIOD, self.tick)
 
     def tick(self):
         periods = 1
-        if self.elide:
+        if self.elide and self.count + 1 >= self.first:
             periods = self.sim.elide(
                 self.PERIOD, 1, self.stop - self.count - 1
             ) or 1
@@ -326,8 +327,12 @@ class Ticker:
                 sim._seq)
 
 
-def ticker_twins(stop=1000):
-    return [Ticker(Simulator(), stop, elide) for elide in (False, True)]
+def ticker_twins(stop=1000, first=1):
+    """A ticker that fires every tick and one that asks for grants
+    from tick ``first`` on."""
+    return [
+        Ticker(Simulator(), stop, elide, first) for elide in (False, True)
+    ]
 
 
 class TestElide:
@@ -384,6 +389,20 @@ class TestElide:
     def test_budget_trips_at_the_stepped_event(self, max_events):
         outcomes = []
         for ticker in ticker_twins():
+            with pytest.raises(SimulationError):
+                ticker.sim.run(max_events=max_events)
+            outcomes.append(ticker.state())
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][2] == max_events + 1
+
+    @pytest.mark.parametrize("max_events", [300, 700, 999])
+    def test_budget_event_fires_after_a_grant_at_a_check(self, max_events):
+        # The loop checks the budget after the 256th event, the first
+        # tick that asks for a grant.  The grant must stop short of the
+        # budget's last event, so that event fires and the run raises
+        # at its time, not at the time of the tick that asked.
+        outcomes = []
+        for ticker in ticker_twins(first=256):
             with pytest.raises(SimulationError):
                 ticker.sim.run(max_events=max_events)
             outcomes.append(ticker.state())
