@@ -111,26 +111,31 @@ class QuietRing:
         self._forwarders = len(self._nodes) - 1
         # Set by a check that passed: the transmitter (None: quiet)
         # and, for a driven span, which detectors count its DATA edge
-        # until the rising edge, and the span's level changes.
+        # until the rising edge.
         self._transmitter: Optional[MemberEngine] = None
         self._late: Tuple[bool, ...] = ()
-        self._toggles = 0
         # The test that failed the last check, retested first (see
         # blocked()); None when the last check passed or no cheap
         # retest exists.
         self._blocker: Optional[Callable[[], bool]] = None
 
     @property
-    def events_per_cycle(self) -> int:
+    def most_per_cycle(self) -> int:
         """The most events one cycle of the last allowed span fires."""
         if self._transmitter is None:
             return self._quiet_events
         return self._quiet_events + 1 + self._forwarders
 
     def blocked(self) -> bool:
-        """True while the test that failed the last check still fails.
-        During arbitration and control that is an engine's, and during
-        a traced run a net's, so a refused check costs one call."""
+        """True while the test that failed the last check still fails,
+        so that check need not run again.  That test is an engine's
+        during arbitration and control, a net's during a traced run,
+        and the transmitter's role while the detectors' thresholds or
+        the ring's timing refuse its transfer; each refused rising
+        edge then costs one call.  A check refused by a test that may
+        pass at the next edge (two transmitters, a controller's mode,
+        a count or a DATA level out of step) records none and runs in
+        full."""
         blocker = self._blocker
         return blocker is not None and blocker()
 
@@ -180,8 +185,14 @@ class QuietRing:
             if _stepping(net, listeners):
                 return self._refuse(partial(_stepping, net, listeners))
         if transmitter is not None:
-            if self._min_threshold < 2:
-                return self._refuse()
+            # The thresholds are fixed, and so are the delays and the
+            # half period once arm() applied any drift: these refuse
+            # every cycle for as long as this engine transmits.
+            late = self._late_detectors(
+                self._engines.index(transmitter), half_period
+            )
+            if self._min_threshold < 2 or late is None:
+                return self._refuse(partial(_transmits, transmitter))
             rising = transmitter.rising
             bit = transmitter.driven_bits(0)[0]
             for engine in self._engines:
@@ -190,11 +201,6 @@ class QuietRing:
             for net in self._data_segments:
                 if net._value != bit:
                     return self._refuse()
-            late = self._late_detectors(
-                self._engines.index(transmitter), half_period
-            )
-            if late is None:
-                return self._refuse()
             self._late = late
         self._transmitter = transmitter
         self._blocker = None
@@ -235,11 +241,11 @@ class QuietRing:
         transmitter = self._transmitter
         if transmitter is None:
             return self._quiet_events * cycles
-        bits = transmitter.driven_bits(cycles)
-        self._toggles = sum(map(ne, bits, bits[1:]))
         return (
             (self._quiet_events + 1) * cycles
-            + self._forwarders * self._toggles
+            + self._forwarders * _level_changes(
+                transmitter.driven_bits(cycles)
+            )
         )
 
     def advance_cycles(self, cycles: int) -> None:
@@ -263,7 +269,7 @@ class QuietRing:
         for engine in self._engines:
             engine.advance_cycles(cycles, bits[:-1])
         transmitter.data_ctl.driven_value = level
-        toggles = self._toggles
+        toggles = _level_changes(bits)
         for net in self._data_segments:
             net.advance(level, toggles)
         changed = level != bits[-2]
@@ -275,8 +281,16 @@ def _decides(engine: MemberEngine) -> bool:
     return not engine.quiet_cycles(1)
 
 
+def _transmits(engine: MemberEngine) -> bool:
+    return engine.role is Role.TX
+
+
 def _unsettled(node: MBusNode) -> bool:
     return not node.settled
+
+
+def _level_changes(bits: Sequence[int]) -> int:
+    return sum(map(ne, bits, bits[1:]))
 
 
 def _stepping(net: Net, listeners: tuple) -> bool:

@@ -262,7 +262,7 @@ class MediatorLogic:
         cycles = ring.quiet_cycles(limit, half)
         if cycles:
             cycles = self.sim.elide(
-                2 * half, ring.events_per_cycle, cycles, ring.events
+                2 * half, ring.most_per_cycle, cycles, ring.events
             )
         if not cycles:
             return 0

@@ -205,17 +205,16 @@ class Simulator:
     def elide(
         self,
         period: int,
-        events_per_period: int,
+        most_per_period: int,
         periods: int,
-        events: Optional[Callable[[int], int]] = None,
+        events: Callable[[int], int],
     ) -> int:
         """Account for up to ``periods`` repeats of a periodic pattern
         without firing them, and return how many were granted, ``k``.
 
         The event now firing is the first of the ``events(k)`` events
-        over ``[now, now + k * period)`` (``events_per_period * k``
-        when ``events`` is None; otherwise ``events_per_period`` is
-        the most any one period fires), and one of their pushes is the
+        over ``[now, now + k * period)``, of which no one period fires
+        more than ``most_per_period``, and one of their pushes is the
         caller's own schedule of the event at ``now + k * period``
         that follows them; the caller applies their effect in bulk.
         The grant is 0 outside :meth:`run`, and it stops short of the
@@ -235,13 +234,10 @@ class Simulator:
         # elided, so that a run raises at its time.
         done = self._seq - len(self._queue) - self._reaped
         room = min(self._limit + 2 - self._check_at, self._limit + 1 - done)
-        periods = min(periods, room // events_per_period)
+        periods = min(periods, room // most_per_period)
         if periods <= 0:
             return 0
-        if events is None:
-            elided = events_per_period * periods - 1
-        else:
-            elided = events(periods) - 1
+        elided = events(periods) - 1
         self._seq += elided
         self._events_elided += elided
         self._check_at += elided

@@ -18,6 +18,7 @@ the ring.
 import pytest
 
 from repro.core import Address
+from repro.core.bus import QuietRing
 from repro.core.bus_controller import Role
 from repro.faults import (
     BitFlip,
@@ -638,6 +639,29 @@ class TestDrivenTiming:
         assert state(plain) == state(traced)
         assert plain.transactions[0].ok
         assert plain.sim.events_elided == 0
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_refused_transfer_checks_the_ring_twice(self, case,
+                                                   monkeypatch):
+        # The timing refuses the transfer for as long as its
+        # transmitter transmits, so the ring is checked in full when
+        # the arbitration's decisions are done and the refusal is
+        # found; every later rising edge retests the transmitter only.
+        checks = []
+        check = QuietRing.quiet_cycles
+
+        def counted(ring, *args):
+            checks.append(ring)
+            return check(ring, *args)
+
+        monkeypatch.setattr(QuietRing, "quiet_cycles", counted)
+        spec, source, prefix = self.CASES[case]
+        post = ((DRIVEN_AT_S, _post(source, Address.short(prefix))),)
+        system = live_system(spec, FaultSpec(), False, post)
+        system.sim.run()
+        assert system.transactions[0].ok
+        assert system.mediator.mediator._rising == 75
+        assert len(checks) <= 2
 
 
 class TestClosedWindows:

@@ -302,6 +302,8 @@ class Ticker:
     which schedules none, always fires."""
 
     PERIOD = 10
+    #: The most events one period fires.
+    MOST = 1
 
     def __init__(self, sim, stop, elide, first=1):
         self.sim = sim
@@ -312,14 +314,28 @@ class Ticker:
         sim.schedule(self.PERIOD, self.tick)
 
     def tick(self):
-        periods = 1
+        granted = 0
         if self.elide and self.count + 1 >= self.first:
-            periods = self.sim.elide(
-                self.PERIOD, 1, self.stop - self.count - 1
-            ) or 1
-        self.count += periods
+            granted = self.sim.elide(
+                self.PERIOD, self.MOST, self.stop - self.count - 1,
+                self.events,
+            )
+        if granted:
+            self.skip(granted)
+        else:
+            self.step()
         if self.count < self.stop:
-            self.sim.schedule(periods * self.PERIOD, self.tick)
+            self.sim.schedule((granted or 1) * self.PERIOD, self.tick)
+
+    def events(self, periods):
+        """The events of the next ``periods`` periods."""
+        return periods
+
+    def step(self):
+        self.count += 1
+
+    def skip(self, periods):
+        self.count += periods
 
     def state(self):
         sim = self.sim
@@ -327,12 +343,48 @@ class Ticker:
                 sim._seq)
 
 
-def ticker_twins(stop=1000, first=1):
+class EchoTicker(Ticker):
+    """A ticker whose every third tick also fires an echo half a
+    period later, so a period fires one event or two."""
+
+    MOST = 2
+
+    def __init__(self, sim, stop, elide, first=1):
+        self.echoes = 0
+        super().__init__(sim, stop, elide, first)
+
+    def echoes_in(self, periods):
+        """Echoes of the ticks from the next one, ``count + 1``, on."""
+        return (self.count + periods) // 3 - self.count // 3
+
+    def events(self, periods):
+        return periods + self.echoes_in(periods)
+
+    def step(self):
+        self.count += 1
+        if self.count % 3 == 0:
+            self.sim.schedule(self.PERIOD // 2, self.echo)
+
+    def skip(self, periods):
+        self.echoes += self.echoes_in(periods)
+        self.count += periods
+
+    def echo(self):
+        self.echoes += 1
+
+    def state(self):
+        return super().state() + (self.echoes,)
+
+
+def ticker_twins(stop=1000, first=1, kind=Ticker):
     """A ticker that fires every tick and one that asks for grants
     from tick ``first`` on."""
     return [
-        Ticker(Simulator(), stop, elide, first) for elide in (False, True)
+        kind(Simulator(), stop, elide, first) for elide in (False, True)
     ]
+
+
+KINDS = [Ticker, EchoTicker]
 
 
 class TestElide:
@@ -357,17 +409,27 @@ class TestElide:
         assert counters[1]["sim.events_fired"] == 2
         assert counters[1]["sim.events_elided"] == 998
 
+    def test_a_varying_period_counts_each_event(self):
+        stepped, elided = ticker_twins(kind=EchoTicker)
+        for ticker in (stepped, elided):
+            ticker.sim.run()
+        assert stepped.state() == elided.state()
+        assert elided.echoes == 333
+        assert elided.sim.events_processed == 1333
+        assert elided.sim.events_elided == 1331
+
     def test_nothing_is_elided_outside_run(self):
         sim = Simulator()
-        assert sim.elide(10, 1, 100) == 0
+        assert sim.elide(10, 1, 100, lambda periods: periods) == 0
         ticker = Ticker(sim, 100, elide=True)
         for fired in range(1, 11):
             assert sim.step()
             assert sim.events_processed == fired == ticker.count
 
-    def test_stops_short_of_the_next_queued_entry(self):
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_stops_short_of_the_next_queued_entry(self, kind):
         seen = []
-        for ticker in ticker_twins():
+        for ticker in ticker_twins(kind=kind):
             sim = ticker.sim
             for at in (55, 60, 61, 999, 5_000):
                 sim.schedule_at(at, lambda t=ticker: seen.append(t.state()))
@@ -378,17 +440,19 @@ class TestElide:
         (5, 9, 10, 11, 100, 5_000, 20_000),
         (1_234, 9_990, 9_999, 10_000),
     ])
-    def test_stops_short_of_the_horizon(self, horizons):
-        stepped, elided = ticker_twins()
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_stops_short_of_the_horizon(self, horizons, kind):
+        stepped, elided = ticker_twins(kind=kind)
         for until in horizons:
             for ticker in (stepped, elided):
                 ticker.sim.run(until=until)
             assert stepped.state() == elided.state(), until
 
     @pytest.mark.parametrize("max_events", [1, 2, 255, 256, 257, 700, 999])
-    def test_budget_trips_at_the_stepped_event(self, max_events):
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_budget_trips_at_the_stepped_event(self, max_events, kind):
         outcomes = []
-        for ticker in ticker_twins():
+        for ticker in ticker_twins(kind=kind):
             with pytest.raises(SimulationError):
                 ticker.sim.run(max_events=max_events)
             outcomes.append(ticker.state())
