@@ -16,11 +16,14 @@ either engine.  Instead this module lowers
   sorted parallel ``(t_ps, position, kind, payload-ref)`` arrays with
   every distinct :class:`~repro.core.messages.Message` interned once.
 
-Spec validation is the core's own: each node becomes a
-:class:`~repro.core.node.NodeConfig` (its constructor checks), then
-the ring goes through :func:`~repro.core.bus.check_prefixes` and
-:func:`~repro.core.bus.effective_anchor`, exactly as
-``SystemSpec.build`` does, so a bad spec fails with the same
+Spec validation is the core's own: each node lowers through
+:meth:`~repro.scenario.spec.NodeSpec.config` to its
+:class:`~repro.core.node.NodeConfig`, whose constructor checks it,
+then the ring goes through
+:func:`~repro.core.bus.check_prefixes` and
+:func:`~repro.core.bus.effective_anchor`, the checks
+``SystemSpec.build`` meets in :class:`~repro.core.bus.MBusSystem`,
+so a bad spec fails with the same
 :class:`~repro.core.errors.ConfigurationError` on every tier.
 """
 
@@ -33,7 +36,6 @@ from repro.core.addresses import Address
 from repro.core.bus import check_prefixes, effective_anchor
 from repro.core.errors import ConfigurationError
 from repro.core.messages import Message
-from repro.core.node import NodeConfig
 from repro.core.tlm_engine import (
     MAX_TEMPLATES,
     RoundContext,
@@ -56,7 +58,8 @@ class CompiledSystem:
     Everything the executor touches per event is indexed by ring
     position: the interned node names (for report assembly), the
     gating flags, and the planner-facing :class:`RingTopology`, whose
-    ``nodes`` hold every per-node fact.  Instances also carry the
+    ``nodes`` are the nodes' :class:`~repro.core.node.NodeConfig`
+    records in ring order.  Instances also carry the
     mutable round ``templates`` table, so a spec compiled once per
     campaign shares warm templates across every trial that uses it.
 
@@ -90,14 +93,7 @@ class CompiledSystem:
     def __init__(self, spec: SystemSpec) -> None:
         spec.validate()
         self.spec = spec
-        configs = [
-            NodeConfig(
-                name=node.name,
-                is_mediator=node.is_mediator,
-                **node.config_kwargs(),
-            )
-            for node in spec.nodes
-        ]
+        configs = [node.config() for node in spec.nodes]
         check_prefixes(configs)
         order, self.topology = lower_ring(configs, spec.timing())
         self.n = len(order)

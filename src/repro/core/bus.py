@@ -407,27 +407,27 @@ class MBusSystem:
         ``short_prefix``) or standalone (no prefixes): pass
         ``short_prefix=None, full_prefix=None``.
         """
-        if self._mediator_node is not None:
-            raise ConfigurationError("an MBus system has exactly one mediator")
-        config = NodeConfig(name=name, is_mediator=True, **kwargs)
-        node = self._add(config)
-        self._mediator_node = node
-        return node
+        return self.add(NodeConfig(name=name, is_mediator=True, **kwargs))
 
     def add_node(self, name: str, **kwargs: Any) -> MBusNode:
         """Add a member node.  Ring position follows insertion order,
         which determines topological arbitration priority (4.3)."""
-        config = NodeConfig(name=name, **kwargs)
-        return self._add(config)
+        return self.add(NodeConfig(name=name, **kwargs))
 
-    def _add(self, config: NodeConfig) -> MBusNode:
+    def add(self, config: NodeConfig) -> MBusNode:
+        """Add the node ``config`` describes, next in ring order; it is
+        the mediator when ``config.is_mediator``."""
         if self._built:
             raise ConfigurationError("cannot add nodes after the system is built")
         if config.name in self._by_name:
             raise ConfigurationError(f"duplicate node name {config.name!r}")
+        if config.is_mediator and self._mediator_node is not None:
+            raise ConfigurationError("an MBus system has exactly one mediator")
         node = MBusNode(self.sim, self.timing, config)
         self.nodes.append(node)
         self._by_name[config.name] = node
+        if config.is_mediator:
+            self._mediator_node = node
         return node
 
     def build(self) -> "MBusSystem":

@@ -24,8 +24,8 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, Deque, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Deque, List, Optional, Sequence
 
 from repro.core import constants
 from repro.core.addresses import Address
@@ -36,9 +36,10 @@ from repro.core.messages import (
     ReceivedMessage,
     bits_to_bytes,
 )
-from repro.core.wire_controller import LineController
-from repro.sim.scheduler import Simulator
-from repro.sim.signals import EdgeType, Net
+from repro.sim.signals import EdgeType
+
+if TYPE_CHECKING:
+    from repro.core.node import MBusNode
 
 
 class Phase(enum.Enum):
@@ -74,33 +75,6 @@ class TxOutcome:
     bytes_sent: int = 0
 
 
-@dataclass
-class EngineHooks:
-    """Callbacks the node shell wires into the engine."""
-
-    on_tx_done: Callable[[TxOutcome], None]
-    on_rx_done: Callable[[ReceivedMessage], None]
-    on_address_match: Callable[[Address], None]       # arm layer wakeup
-    on_transaction_end: Callable[[ControlCode], None]
-    is_powered: Callable[[], bool]                    # bus domain state
-    #: Mediator-member nodes cannot hold their own CLK; they ask the
-    #: co-located mediator logic to run the interjection sequence.
-    request_mediator_interjection: Optional[Callable[[], None]] = None
-
-
-@dataclass
-class EngineConfig:
-    """Per-node protocol configuration."""
-
-    name: str
-    short_prefix: Optional[int] = None
-    full_prefix: Optional[int] = None
-    broadcast_channels: frozenset = frozenset({0})
-    rx_buffer_bytes: int = constants.MIN_MAX_MESSAGE_BYTES
-    ack_policy: Callable[[bytes], bool] = None        # None -> always ACK
-    is_mediator_member: bool = False                  # wins arbitration by fiat
-
-
 class MemberEngine:
     """Protocol FSM for one member node.
 
@@ -108,23 +82,22 @@ class MemberEngine:
     edges on its CLK-in pad, values on its DATA-in pad, and the
     interjection detector, and it actuates the node's two
     :class:`~repro.core.wire_controller.LineController` instances.
+    It is built from its attached node: it reads the node's
+    :class:`~repro.core.node.NodeConfig` (prefixes, broadcast
+    channels, receive buffer, ACK policy) and its bus domain's power
+    state as they are at each use, so a prefix that enumeration
+    assigns is matched from then on, and it reports to the node's
+    handlers.
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        config: EngineConfig,
-        data_ctl: LineController,
-        clk_ctl: LineController,
-        data_in: Net,
-        hooks: EngineHooks,
-    ):
-        self.sim = sim
-        self.config = config
-        self.data_ctl = data_ctl
-        self.clk_ctl = clk_ctl
-        self.data_in = data_in
-        self.hooks = hooks
+    def __init__(self, node: MBusNode):
+        self.node = node
+        self.sim = node.sim
+        self.config = node.config
+        self.bus_domain = node.bus_domain
+        self.data_ctl = node.data_ctl
+        self.clk_ctl = node.clk_ctl
+        self.data_in = node.din
 
         self.phase = Phase.IDLE
         self.role = Role.NONE
@@ -202,7 +175,7 @@ class MemberEngine:
         long as the mediator has not begun clocking — in hardware the
         request window stays open until the arbitration latch.
         """
-        if not self.pending or not self.hooks.is_powered():
+        if not self.pending or not self.bus_domain.is_on:
             return False
         joinable = (
             self.phase is Phase.ARBITRATION
@@ -216,7 +189,7 @@ class MemberEngine:
             return False
         self.role = Role.REQUESTER
         self._tx_message = self.pending[0]
-        if not (self.config.is_mediator_member and self.mediator_drives_request):
+        if not (self.config.is_mediator and self.mediator_drives_request):
             self.data_ctl.drive(0)
         self.stats.bus_requests += 1
         return True
@@ -403,7 +376,7 @@ class MemberEngine:
         # Everyone resumes forwarding both lines so the mediator's
         # DATA toggles and the control bits can circulate.  On the
         # mediator node the co-located mediator logic owns the lines.
-        if not self.config.is_mediator_member:
+        if not self.config.is_mediator:
             self.clk_ctl.forward()
             self.data_ctl.forward()
         if self.role is Role.RX:
@@ -428,7 +401,7 @@ class MemberEngine:
         # #(4+i)).
         if self._deferred_line_actions:
             self._run_deferred_line_actions()
-        if not self.hooks.is_powered():
+        if not self.bus_domain.is_on:
             return
         if (
             f == 1
@@ -493,11 +466,11 @@ class MemberEngine:
             return
         if self.role is not Role.REQUESTER:
             return
-        if not self.hooks.is_powered():
+        if not self.bus_domain.is_on:
             self.role = Role.NONE
             return
         won = (
-            (self.config.is_mediator_member and self.mediator_drives_request)
+            (self.config.is_mediator and self.mediator_drives_request)
             or self.is_arbitration_anchor
             or self.data_in.value == 1
         )
@@ -557,7 +530,7 @@ class MemberEngine:
                 self._hold_clock()
                 self.stats.eom_interjections += 1
             return
-        if not self.hooks.is_powered():
+        if not self.bus_domain.is_on:
             return
         # Third-party interjections (a forwarder with a latency-
         # sensitive message) are serviced even when not collecting.
@@ -608,7 +581,7 @@ class MemberEngine:
             self.role = Role.RX
             self._matched = address
             self.stats.address_matches += 1
-            self.hooks.on_address_match(address)
+            self.node._on_address_match(address)
         else:
             self.role = Role.IGNORE
             self._collecting = False
@@ -640,9 +613,8 @@ class MemberEngine:
 
     def _hold_clock(self) -> None:
         """Request an interjection: stop forwarding CLK (hold high)."""
-        if self.config.is_mediator_member:
-            if self.hooks.request_mediator_interjection is not None:
-                self.hooks.request_mediator_interjection()
+        if self.config.is_mediator:
+            self.node._request_mediator_interjection()
         else:
             self.clk_ctl.hold()
 
@@ -664,7 +636,7 @@ class MemberEngine:
     # Control phase (two bits + return to idle).
     # ------------------------------------------------------------------
     def _control_falling(self, slot: int) -> None:
-        if not self.hooks.is_powered():
+        if not self.bus_domain.is_on:
             return
         if self._anchor_general:
             # Anchor-raised general error: the anchor drives the
@@ -686,7 +658,7 @@ class MemberEngine:
             if self.role is Role.RX:
                 self.data_ctl.drive(self._ack_bit())
         elif slot == 3:
-            if not self.config.is_mediator_member:
+            if not self.config.is_mediator:
                 self.data_ctl.forward()
 
     def _ack_bit(self) -> int:
@@ -716,7 +688,7 @@ class MemberEngine:
         if self._matched is None:
             return b""
         addr_bits = self._matched.n_bits
-        return bits_to_bytes(tuple(self._rx_bits[addr_bits:]))
+        return bits_to_bytes(self._rx_bits[addr_bits:])
 
     def _finish_transaction(self) -> None:
         code = self._latched_control_code()
@@ -744,13 +716,13 @@ class MemberEngine:
                 # Leave failed messages queued only for explicit retry
                 # policies; default is to drop and report.
                 self.pending.popleft()
-            self.hooks.on_tx_done(
+            self.node._on_tx_done(
                 TxOutcome(self._tx_message, code, success, bytes_sent=bytes_sent)
             )
-        elif role is Role.RX and self.hooks.is_powered():
+        elif role is Role.RX and self.bus_domain.is_on:
             payload = self._rx_payload()
             if code in (ControlCode.EOM_ACK, ControlCode.RX_ABORT):
-                self.hooks.on_rx_done(
+                self.node._on_rx_done(
                     ReceivedMessage(
                         source_hint="",
                         dest=self._matched,
@@ -761,7 +733,7 @@ class MemberEngine:
                     )
                 )
         # Reset to idle (the mediator logic restores its own lines).
-        if not self.config.is_mediator_member:
+        if not self.config.is_mediator:
             self.data_ctl.forward()
             self.clk_ctl.forward()
         self.phase = Phase.IDLE
@@ -769,7 +741,7 @@ class MemberEngine:
         self._tx_message = None
         self._tx_stream = ()
         self.stats.transactions_observed += 1
-        self.hooks.on_transaction_end(code)
+        self.node._on_transaction_end(code)
 
     def _latched_control_code(self) -> ControlCode:
         if len(self._ctl_bits) != 2:

@@ -54,8 +54,6 @@ class EnumerationAgent:
         channels = set(self.node.config.broadcast_channels)
         channels.add(CHANNEL_ENUMERATION)
         self.node.config.broadcast_channels = frozenset(channels)
-        if self.node.engine is not None:
-            self.node.engine.config.broadcast_channels = frozenset(channels)
         self.node.layer.register_broadcast_handler(
             CHANNEL_ENUMERATION, self._on_channel
         )
@@ -94,7 +92,7 @@ class EnumerationAgent:
     def _on_invalidate(self, prefix: int) -> None:
         if self.assigned_prefix == prefix:
             self.assigned_prefix = None
-            self._apply_prefix(None)
+            self.node.config.short_prefix = None
 
     def _withdraw(self) -> None:
         self._replying = False
@@ -113,17 +111,13 @@ class EnumerationAgent:
             ):
                 if outcome.success:
                     self.assigned_prefix = self._candidate
-                    self._apply_prefix(self._candidate)
+                    self.node.config.short_prefix = self._candidate
                 self._replying = False
                 self._candidate = None
             if previous is not None:
                 previous(node, outcome)
 
         return _on_result
-
-    def _apply_prefix(self, prefix: Optional[int]) -> None:
-        self.node.config.short_prefix = prefix
-        self.node.engine.config.short_prefix = prefix
 
 
 class Enumerator:

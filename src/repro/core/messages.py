@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Sequence, Tuple
 
 from repro.core.addresses import Address
 from repro.core.errors import ProtocolError
@@ -67,29 +67,33 @@ def pad_to_byte(bits: Tuple[int, ...]) -> Tuple[int, ...]:
     return tuple(bits) + (0,) * (8 - remainder)
 
 
+#: ``bytes.translate`` tables between bit values and the ASCII binary
+#: digits ``int`` reads and ``format`` writes, so a payload converts in
+#: C instead of bit by bit.
+_BIT_DIGITS = bytes(ord("0") | (value & 1) for value in range(256))
+_DIGIT_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
 def bytes_to_bits(payload: bytes) -> Tuple[int, ...]:
     """Expand bytes into bits, MSB first, as driven on the DATA ring."""
-    bits = []
-    for byte in payload:
-        for i in range(7, -1, -1):
-            bits.append((byte >> i) & 1)
-    return tuple(bits)
+    if not payload:
+        return ()
+    digits = format(int.from_bytes(payload, "big"), f"0{8 * len(payload)}b")
+    return tuple(digits.encode("ascii").translate(_DIGIT_BITS))
 
 
-def bits_to_bytes(bits: Tuple[int, ...]) -> bytes:
+def bits_to_bytes(bits: Sequence[int]) -> bytes:
     """Pack byte-aligned bits back into bytes (MSB first).
 
     Trailing bits beyond the last byte boundary are discarded, exactly
     as a receiver discards non-byte-aligned bits after an interjection
     (Figure 7, note 4).
     """
-    out = bytearray()
-    for i in range(0, len(bits) - len(bits) % 8, 8):
-        byte = 0
-        for bit in bits[i : i + 8]:
-            byte = (byte << 1) | (bit & 1)
-        out.append(byte)
-    return bytes(out)
+    n_bytes = len(bits) // 8
+    if not n_bytes:
+        return b""
+    digits = bytes(bits[: 8 * n_bytes]).translate(_BIT_DIGITS)
+    return int(digits, 2).to_bytes(n_bytes, "big")
 
 
 @dataclass(frozen=True)

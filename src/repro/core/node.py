@@ -21,14 +21,7 @@ from typing import Callable, List, Optional
 
 from repro.core import constants
 from repro.core.addresses import Address
-from repro.core.bus_controller import (
-    EngineConfig,
-    EngineHooks,
-    MemberEngine,
-    Phase,
-    Role,
-    TxOutcome,
-)
+from repro.core.bus_controller import MemberEngine, Phase, Role, TxOutcome
 from repro.core.errors import ConfigurationError, ProtocolError
 from repro.core.interjection import InterjectionDetector
 from repro.core.layer_controller import GenericLayerController
@@ -42,7 +35,18 @@ from repro.sim.signals import EdgeType, Net
 
 @dataclass
 class NodeConfig:
-    """Static configuration of one MBus node."""
+    """The configuration of one MBus node: its identity registers
+    (short and full prefix, broadcast channels, receive buffer) and
+    power design.
+
+    It is the one runtime record of a node.  The edge engine matches
+    addresses against it as it is (enumeration rewrites
+    ``short_prefix`` and ``broadcast_channels`` at run time, Section
+    4.7); the transaction-level planner's ring
+    (:func:`repro.core.tlm_engine.lower_ring`) reads it once, when the
+    system is built.  :meth:`repro.scenario.spec.NodeSpec.config`
+    lowers a spec document to one.
+    """
 
     name: str
     short_prefix: Optional[int] = None
@@ -73,6 +77,7 @@ class NodeConfig:
                 )
         if self.auto_sleep is None:
             self.auto_sleep = self.power_gated
+        self.broadcast_channels = frozenset(self.broadcast_channels)
         if self.is_mediator and self.power_gated:
             raise ConfigurationError(
                 "the mediator's frontend must be able to self-start; "
@@ -139,30 +144,7 @@ class MBusNode:
         self.clk_ctl = LineController(
             clkin, clkout, delay, self.timing.drive_delay_ps
         )
-        hooks = EngineHooks(
-            on_tx_done=self._on_tx_done,
-            on_rx_done=self._on_rx_done,
-            on_address_match=self._on_address_match,
-            on_transaction_end=self._on_transaction_end,
-            is_powered=lambda: self.bus_domain.is_on,
-            request_mediator_interjection=self._request_mediator_interjection,
-        )
-        self.engine = MemberEngine(
-            self.sim,
-            EngineConfig(
-                name=self.name,
-                short_prefix=self.config.short_prefix,
-                full_prefix=self.config.full_prefix,
-                broadcast_channels=frozenset(self.config.broadcast_channels),
-                rx_buffer_bytes=self.config.rx_buffer_bytes,
-                ack_policy=self.config.ack_policy,
-                is_mediator_member=self.config.is_mediator,
-            ),
-            self.data_ctl,
-            self.clk_ctl,
-            din,
-            hooks,
-        )
+        self.engine = MemberEngine(self)
         self.detector = InterjectionDetector(
             din,
             clkin,

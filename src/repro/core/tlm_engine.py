@@ -94,7 +94,6 @@ __all__ = [
     "RoundKey",
     "RoundTable",
     "RoundTemplate",
-    "TLMNode",
     "lower_ring",
     "plan_round",
     "post_round",
@@ -109,38 +108,28 @@ __all__ = [
 MAX_TEMPLATES = 256
 
 
-@dataclass(frozen=True)
-class TLMNode:
-    """Static per-node facts the planner needs (a NodeConfig digest)."""
-
-    name: str
-    position: int
-    short_prefix: Optional[int]
-    full_prefix: Optional[int]
-    broadcast_channels: frozenset
-    rx_buffer_bytes: int
-    ack_policy: Optional[Callable[[bytes], bool]]
-    is_mediator: bool
-    power_gated: bool
-    auto_sleep: bool
-    forward_delay_ps: int
-
-
 class RingTopology:
     """Propagation arithmetic and receiver lookup for one ring of nodes.
 
-    Position 0 is the mediator.  Signals travel 0 -> 1 -> ... -> n-1
-    -> 0; the mediator's drive reaches node ``q``'s input pads after
-    the pad-driver delay plus ``q - 1`` forwarding hops.
+    ``nodes`` are the nodes' :class:`~repro.core.node.NodeConfig`
+    records in ring order; position 0 is the mediator.  Signals travel
+    0 -> 1 -> ... -> n-1 -> 0; the mediator's drive reaches node
+    ``q``'s input pads after the pad-driver delay plus ``q - 1``
+    forwarding hops, each the node's ``node_delay_ps`` or the timing
+    default.
 
     The per-ring tables the planner reads are built here once, so a
     plan pays only for the nodes its round touches: each position's
     CLK delay, the order and maximum of the per-node round ends, and
     the receivers of each short prefix, full prefix and broadcast
-    channel.
+    channel.  They read the configs once, so a ring does not follow a
+    prefix or channel changed later (enumeration, which rewrites them
+    at run time, runs on the edge engine only).
     """
 
-    def __init__(self, nodes: Sequence[TLMNode], timing: constants.MBusTiming):
+    def __init__(
+        self, nodes: Sequence[NodeConfig], timing: constants.MBusTiming
+    ):
         self.nodes = list(nodes)
         self.n = len(nodes)
         self.timing = timing
@@ -149,7 +138,9 @@ class RingTopology:
         # delays (NodeConfig.node_delay_ps overrides) are honoured.
         self._prefix = [0] * (self.n + 1)
         for i, node in enumerate(self.nodes):
-            self._prefix[i + 1] = self._prefix[i] + node.forward_delay_ps
+            self._prefix[i + 1] = self._prefix[i] + (
+                node.node_delay_ps or timing.node_delay_ps
+            )
         #: The settle every node applies between observing a round's
         #: end and acting on it (MBusNode._settle_ps).
         self.settle_ps = NODE_SETTLE_FACTOR * timing.node_delay_ps
@@ -242,23 +233,7 @@ def lower_ring(
     """
     first = next(i for i, config in enumerate(configs) if config.is_mediator)
     order = list(range(first, len(configs))) + list(range(first))
-    nodes = [
-        TLMNode(
-            name=config.name,
-            position=position,
-            short_prefix=config.short_prefix,
-            full_prefix=config.full_prefix,
-            broadcast_channels=frozenset(config.broadcast_channels),
-            rx_buffer_bytes=config.rx_buffer_bytes,
-            ack_policy=config.ack_policy,
-            is_mediator=config.is_mediator,
-            power_gated=config.power_gated,
-            auto_sleep=bool(config.auto_sleep),
-            forward_delay_ps=config.node_delay_ps or timing.node_delay_ps,
-        )
-        for position, config in enumerate(configs[i] for i in order)
-    ]
-    return order, RingTopology(nodes, timing)
+    return order, RingTopology([configs[i] for i in order], timing)
 
 
 # ----------------------------------------------------------------------

@@ -31,7 +31,7 @@ divergence strings; the harness aggregates them per scenario.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Any, Callable, Dict, List, Tuple
 
 from repro.core.messages import ControlCode
 from repro.faults.primitives import FaultSpec, normalize_faults
@@ -90,26 +90,31 @@ def _run_scenario(
     return run(spec, workload, backend=backend, faults=faults, setup=setup)
 
 
-def _observe(scenario: Dict, backend: str, faults=None):
-    """Run and project, with errors as first-class outcomes: returns
-    ``("ok", report)`` or ``("err", exception type name)``.  A
-    scenario both runs refuse identically is consistent behaviour."""
+def _observe(scenario: Dict, backend: str, faults=None, setup=None):
+    """Run with errors as first-class outcomes: returns
+    ``("ok", report)`` or ``("err", exception type name)``."""
     try:
-        return ("ok", _run_scenario(scenario, backend, faults=faults))
+        return ("ok", _run_scenario(scenario, backend, faults, setup))
     except Exception as exc:   # any failure class is an observation
         return ("err", type(exc).__name__)
 
 
-def _diff_observations(first, second) -> List[str]:
-    (kind_a, value_a), (kind_b, value_b) = first, second
-    if kind_a == "ok" and kind_b == "ok":
-        return diff_reports(value_a, value_b)
-    if kind_a == kind_b:   # both raised
-        if value_a == value_b:
-            return []
-        return [f"error types differ: {value_a} vs {value_b}"]
-    raised = value_a if kind_a == "err" else value_b
-    return [f"one run raises {raised}, the other answers"]
+def _diff_outcomes(
+    first, second, names: Tuple[str, str],
+    diff: Callable[[Any, Any], List[str]],
+) -> List[str]:
+    """Divergences between two :func:`_observe` outcomes, the runs
+    ``names`` call them: two reports differ as ``diff`` finds, and two
+    runs that raise the same exception class agree (a scenario both
+    refuse identically is consistent behaviour)."""
+    if first[0] == second[0] == "ok":
+        return diff(first[1], second[1])
+    if first == second:
+        return []
+    return [", ".join(
+        f"{name} raises {value}" if kind == "err" else f"{name} answers"
+        for name, (kind, value) in zip(names, (first, second))
+    )]
 
 
 def _replay_outcomes(scenario: Dict, backend: str):
@@ -120,7 +125,9 @@ def _replay_outcomes(scenario: Dict, backend: str):
     second = _observe(scenario, backend)
     return first, [
         f"replay non-determinism on {backend!r}: {d}"
-        for d in _diff_observations(first, second)
+        for d in _diff_outcomes(
+            first, second, ("the first run", "the replay"), diff_reports
+        )
     ]
 
 
@@ -136,6 +143,18 @@ def _report_doc(report: RunReport) -> Dict:
     doc.pop("wall_s")
     doc.pop("wall_throughput_tps")
     return doc
+
+
+def _diff_edge_reports(eliding: RunReport, stepped: RunReport) -> List[str]:
+    """The fields, wall clock aside, in which two edge reports differ."""
+    first, second = _report_doc(eliding), _report_doc(stepped)
+    fields = sorted(
+        key for key in first.keys() | second.keys()
+        if first.get(key) != second.get(key)
+    )
+    if not fields:
+        return []
+    return ["stepped and eliding edge reports differ in " + ", ".join(fields)]
 
 
 def _ignore(net, edge) -> None:
@@ -165,34 +184,13 @@ def check_elision_transparency(scenario: Dict, eliding=None) -> List[str]:
     if eliding is None:
         eliding = _observe(scenario, "edge")
     kind, value = eliding
-    if kind == "ok":
-        if not value.system.sim.events_elided:
-            return []
-        eliding = ("ok", _report_doc(value))
-    try:
-        stepped = ("ok", _report_doc(
-            _run_scenario(scenario, "edge", setup=_step_every_edge)
-        ))
-    except Exception as exc:   # any failure class is an observation
-        stepped = ("err", type(exc).__name__)
-    if eliding == stepped:
+    if kind == "ok" and not value.system.sim.events_elided:
         return []
-    if eliding[0] == stepped[0] == "ok":
-        fields = sorted(
-            key for key in eliding[1]
-            if eliding[1][key] != stepped[1].get(key)
-        )
-        return [
-            "stepped and eliding edge reports differ in "
-            + ", ".join(fields)
-        ]
-    says = [
-        value if kind == "err" else "a report"
-        for kind, value in (eliding, stepped)
-    ]
-    return [
-        f"the stepped edge run gives {says[1]}, the eliding one {says[0]}"
-    ]
+    stepped = _observe(scenario, "edge", setup=_step_every_edge)
+    return _diff_outcomes(
+        eliding, stepped, ("the eliding edge run", "the stepped one"),
+        _diff_edge_reports,
+    )
 
 
 def check_fault_free_noop(scenario: Dict, backend: str) -> List[str]:
@@ -204,7 +202,10 @@ def check_fault_free_noop(scenario: Dict, backend: str) -> List[str]:
     observed = _observe(scenario, backend, faults=normalize_faults(()))
     return [
         f"empty fault spec changed the {backend!r} answer: {d}"
-        for d in _diff_observations(bare, observed)
+        for d in _diff_outcomes(
+            bare, observed, ("the bare run", "the run with it"),
+            diff_reports,
+        )
     ]
 
 

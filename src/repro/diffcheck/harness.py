@@ -33,8 +33,9 @@ from repro.diffcheck.checks import (
     check_fault_free_noop,
     check_replay_determinism,
     diff_reports,
+    _diff_outcomes,
+    _observe,
     _replay_outcomes,
-    _run_scenario,
 )
 from repro.diffcheck.generators import generate_scenarios, scenario_key
 from repro.diffcheck.minimize import minimize_scenario, write_repro
@@ -43,48 +44,6 @@ from repro.diffcheck.minimize import minimize_scenario, write_repro
 #: The default differential matrix.  The first entry is the reference
 #: backend every challenger is diffed against.
 DEFAULT_BACKENDS: Tuple[str, ...] = ("edge", "fast")
-
-
-def _run_matrix(
-    scenario: Dict, backends: Sequence[str]
-) -> Tuple[Dict[str, Tuple[str, object]], List[str]]:
-    """Run a clean scenario on every backend in the matrix.
-
-    Returns ``(outcomes, divergences)`` — ``outcomes`` maps backend
-    name to ``("ok", RunReport)`` or ``("err", exception type name)``.
-    Each challenger is compared to the reference (``backends[0]``):
-    symmetric same-type errors are consistent; asymmetric outcomes
-    are divergences.
-    """
-    outcomes: Dict[str, Tuple[str, object]] = {}
-    for backend in backends:
-        try:
-            outcomes[backend] = ("ok", _run_scenario(scenario, backend))
-        except Exception as exc:   # any failure class is data here
-            outcomes[backend] = ("err", type(exc).__name__)
-    reference = backends[0]
-    ref_kind, ref_value = outcomes[reference]
-    divergences: List[str] = []
-    for backend in backends[1:]:
-        kind, value = outcomes[backend]
-        if ref_kind == "ok" and kind == "ok":
-            continue
-        if ref_kind == "err" and kind == "err":
-            if ref_value != value:   # else: consistent refusal
-                divergences.append(
-                    f"backends raise differently: {reference}="
-                    f"{ref_value}, {backend}={value}"
-                )
-            continue
-        raised, answered = (
-            (reference, backend) if ref_kind == "err"
-            else (backend, reference)
-        )
-        detail = ref_value if ref_kind == "err" else value
-        divergences.append(
-            f"{raised} backend raises {detail} but {answered} answers"
-        )
-    return outcomes, divergences
 
 
 def examine_scenario(
@@ -108,25 +67,21 @@ def examine_scenario(
     divergences = list(check_bitbang_feasibility(scenario))
     if scenario.get("faults") is None:
         reference = backends[0]
-        outcomes, errors = _run_matrix(scenario, backends)
-        divergences += errors
-        reports = {
-            backend: value
-            for backend, (kind, value) in outcomes.items()
-            if kind == "ok"
+        outcomes = {
+            backend: _observe(scenario, backend) for backend in backends
         }
-        ref_report = reports.get(reference)
         for backend in backends[1:]:
-            challenger = reports.get(backend)
-            if ref_report is None or challenger is None:
-                continue
-            pair = diff_reports(ref_report, challenger)
+            pair = _diff_outcomes(
+                outcomes[reference], outcomes[backend],
+                (reference, backend), diff_reports,
+            )
             if len(backends) > 2:
                 pair = [
                     f"[{reference} vs {backend}] {d}" for d in pair
                 ]
             divergences += pair
-        if ref_report is not None:
+        kind, ref_report = outcomes[reference]
+        if kind == "ok":
             divergences += check_conservation(scenario, ref_report)
         if "edge" in outcomes:
             divergences += check_elision_transparency(

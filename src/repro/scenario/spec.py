@@ -30,22 +30,26 @@ import dataclasses
 import functools
 import hashlib
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Mapping, Optional, Tuple
 
 from repro.core import constants
 from repro.core.bus import MBusSystem
 from repro.core.errors import ConfigurationError
+from repro.core.node import NodeConfig
 from repro.core.schema import Document, canonical_json
 
 
 @dataclass(frozen=True)
 class NodeSpec(Document):
-    """Static description of one chip on the ring.
+    """Static description of one chip on the ring: the document of
+    its :class:`~repro.core.node.NodeConfig`.
 
-    Mirrors :class:`repro.core.node.NodeConfig` field for field,
-    minus the non-serialisable ``ack_policy`` callable.  Ring position
-    follows the order of the spec's ``nodes`` tuple, which determines
-    topological arbitration priority (Section 4.3).
+    Each field is the config field of the same name; the config's
+    ``ack_policy`` callable has no document form.  :meth:`config` is
+    the one lowering, used by :meth:`SystemSpec.build` and the batch
+    compiler alike.  Ring position follows the order of the spec's
+    ``nodes`` tuple, which determines topological arbitration priority
+    (Section 4.3).
     """
 
     name: str
@@ -65,21 +69,12 @@ class NodeSpec(Document):
                 self, "broadcast_channels", frozenset(self.broadcast_channels)
             )
 
-    def config_kwargs(self) -> Dict:
-        """Keyword arguments for ``MBusSystem.add_node`` / NodeConfig."""
-        kwargs = {
-            "short_prefix": self.short_prefix,
-            "full_prefix": self.full_prefix,
-            "broadcast_channels": self.broadcast_channels,
-            "power_gated": self.power_gated,
-            "rx_buffer_bytes": self.rx_buffer_bytes,
-            "memory_words": self.memory_words,
-        }
-        if self.auto_sleep is not None:
-            kwargs["auto_sleep"] = self.auto_sleep
-        if self.node_delay_ps is not None:
-            kwargs["node_delay_ps"] = self.node_delay_ps
-        return kwargs
+    def config(self) -> NodeConfig:
+        """The node's runtime record."""
+        return NodeConfig(**{
+            field.name: getattr(self, field.name)
+            for field in dataclasses.fields(self)
+        })
 
 
 @dataclass(frozen=True)
@@ -172,10 +167,7 @@ class SystemSpec(Document):
         self.validate()
         system = MBusSystem(timing=self.timing(), trace=trace, mode=mode)
         for node in self.nodes:
-            if node.is_mediator:
-                system.add_mediator_node(node.name, **node.config_kwargs())
-            else:
-                system.add_node(node.name, **node.config_kwargs())
+            system.add(node.config())
         system.build()
         if self.max_message_bytes is not None:
             system.set_max_message_bytes(self.max_message_bytes)

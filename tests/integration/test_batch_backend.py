@@ -21,7 +21,7 @@ from repro.batch import (
     compile_system_cached,
     compile_workload,
 )
-from repro.core import Address
+from repro.core import Address, constants
 from repro.core.errors import BusLockedError, ConfigurationError
 from repro.core.messages import ControlCode
 from repro.scenario import (
@@ -347,6 +347,81 @@ class TestReceiveBufferAborts:
                     bytes.fromhex("3a5e4842fab428f7")),
             backend="edge",
         )
+
+
+#: Rings where the edge engine locks and fast and batch deliver: name
+#: -> (spec, workload, timeout_s).
+EDGE_LOCKS = {
+    # Detectors that fire on a second DATA edge.
+    "threshold-2": (
+        SystemSpec(
+            name="threshold-2",
+            clock_hz=400_000,
+            interjection_threshold=2,
+            nodes=(
+                NodeSpec("m", short_prefix=0x1, is_mediator=True),
+                NodeSpec("a", short_prefix=0x2),
+                NodeSpec("b", short_prefix=0x3, power_gated=True),
+                NodeSpec("c", short_prefix=0x4),
+            ),
+        ),
+        OneShot("a", Address.short(0x4, 5),
+                bytes.fromhex("a55a0ff0c33c9669")),
+        0.01,
+    ),
+    # 14 nodes at 6.67 MHz, below Figure 9's f_max of 7.14 MHz for 14
+    # nodes but above half of it.
+    "max-clock": (
+        SystemSpec(
+            name="max-clock",
+            clock_hz=constants.MAX_IMPLEMENTED_CLOCK_HZ,
+            nodes=tuple(
+                NodeSpec(f"n{i}", short_prefix=0x1 + i, is_mediator=i == 0)
+                for i in range(14)
+            ),
+        ),
+        OneShot("n0", Address.short(0x6, 5), b"\x12\x34"),
+        0.002,
+    ),
+}
+
+
+class TestKnownEdgeLocks:
+    """Two rings the generated fuzz never draws, where the edge engine
+    locks and fast and batch deliver the one message."""
+
+    @pytest.mark.parametrize("case", sorted(EDGE_LOCKS))
+    def test_fast_and_batch_deliver(self, case):
+        spec, workload, timeout_s = EDGE_LOCKS[case]
+        fast = run(spec, workload, backend="fast", timeout_s=timeout_s)
+        batch = run(spec, workload, backend="batch", timeout_s=timeout_s)
+        assert timing_free_doc(batch) == timing_free_doc(fast)
+        assert batch.events_processed == fast.events_processed
+        (txn,) = batch.transactions
+        assert txn.control is ControlCode.EOM_ACK
+
+    def delivers_on_edge(self, case):
+        spec, workload, timeout_s = EDGE_LOCKS[case]
+        edge = run(spec, workload, backend="edge", timeout_s=timeout_s)
+        (txn,) = edge.transactions
+        assert txn.control is ControlCode.EOM_ACK
+
+    @pytest.mark.xfail(
+        raises=BusLockedError, strict=True,
+        reason="at interjection threshold 2 the edge engine ends a "
+        "member's every transaction in a general error at the "
+        "arbitration latch and retries it without end",
+    )
+    def test_edge_locks_at_interjection_threshold_2(self):
+        self.delivers_on_edge("threshold-2")
+
+    @pytest.mark.xfail(
+        raises=BusLockedError, strict=True,
+        reason="the edge engine delivers nothing on a ring clocked above "
+        "about half of Figure 9's f_max, 1/(n x 10 ns)",
+    )
+    def test_edge_locks_on_14_nodes_at_the_max_clock(self):
+        self.delivers_on_edge("max-clock")
 
 
 class TestBatchReport:

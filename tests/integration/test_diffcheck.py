@@ -219,6 +219,26 @@ class TestErrorSymmetry:
         scenario["workload"] = {"kind": "chaos", "behavior": "raise"}
         assert examine_scenario(scenario, invariants=False) == []
 
+    def test_asymmetric_outcomes_name_each_run(self, monkeypatch):
+        run_scenario = checks._run_scenario
+        runs = []
+
+        def fast_refuses_twice(scenario, backend, faults=None, setup=None):
+            runs.append(backend)
+            if backend == "fast" and runs.count("fast") < 3:
+                raise RuntimeError("refused")
+            return run_scenario(scenario, backend, faults, setup)
+
+        monkeypatch.setattr(checks, "_run_scenario", fast_refuses_twice)
+        scenario = burst_scenario()
+        assert examine_scenario(scenario, invariants=False) == [
+            "edge answers, fast raises RuntimeError"
+        ]
+        assert check_replay_determinism(scenario, "fast") == [
+            "replay non-determinism on 'fast': the first run raises "
+            "RuntimeError, the replay answers"
+        ]
+
     def test_replay_determinism_covers_erroring_scenarios(self):
         scenario = burst_scenario()
         scenario["workload"] = {"kind": "chaos", "behavior": "raise"}

@@ -58,7 +58,7 @@ class TestCompiledSystem:
         assert csys.spec_order_names == ("sensor", "cpu", "radio")
         assert csys.position_of == {"cpu": 0, "radio": 1, "sensor": 2}
         nodes = csys.topology.nodes
-        assert [node.position for node in nodes] == [0, 1, 2]
+        assert [node.name for node in nodes] == ["cpu", "radio", "sensor"]
         assert [node.short_prefix for node in nodes] == [0x1, 0x3, 0x2]
         assert csys.power_gated == (0, 1, 1)
         assert csys.n == 3

@@ -75,6 +75,33 @@ class TestEnumerationAgent:
         assert agents["u1"].assigned_prefix is None
         assert system.node("u1").config.short_prefix is None
 
+    def test_engine_matches_the_assigned_prefix(self):
+        system = MBusSystem()
+        system.add_mediator_node("ctl", short_prefix=0x1)
+        system.add_node("u1", full_prefix=0x11111)
+        system.add_node("u2", full_prefix=0x22222)
+        enumerator = Enumerator(system, "ctl")
+        assignments = enumerator.enumerate()
+        for name in ("u1", "u2"):
+            node = system.node(name)
+            assert node.engine.config is node.config
+            assert node.config.short_prefix == assignments[name]
+            result = system.send(
+                "ctl", Address.short(assignments[name], 5), b"\x42"
+            )
+            assert result.rx_nodes == [name]
+        # An invalidated prefix is no longer matched.
+        system.broadcast(
+            "ctl", CHANNEL_ENUMERATION,
+            bytes([CMD_INVALIDATE, assignments["u1"]]),
+        )
+        system.run_until_idle()
+        assert enumerator.agents["u1"].assigned_prefix is None
+        result = system.send(
+            "ctl", Address.short(assignments["u1"], 5), b"\x43"
+        )
+        assert result.rx_nodes == []
+
     def test_enumerator_runs_out_of_prefixes(self):
         system = MBusSystem()
         system.add_mediator_node("ctl", short_prefix=0x1)

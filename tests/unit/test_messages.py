@@ -1,5 +1,7 @@
 """Unit tests for messages, control codes, and byte alignment."""
 
+import random
+
 import pytest
 
 from repro.core.addresses import Address
@@ -50,6 +52,37 @@ class TestBitPacking:
         """Receivers discard non-byte-aligned bits (Figure 7 note 4)."""
         bits = bytes_to_bits(b"\xAB") + (1, 0, 1)
         assert bits_to_bytes(bits) == b"\xAB"
+
+    def test_conversions_equal_the_bit_loops(self):
+        # The bit-by-bit loops the C-level conversions replaced.
+        def reference_bits(payload):
+            return tuple(
+                (byte >> i) & 1 for byte in payload for i in range(7, -1, -1)
+            )
+
+        def reference_bytes(bits):
+            out = bytearray()
+            for i in range(0, len(bits) - len(bits) % 8, 8):
+                byte = 0
+                for bit in bits[i:i + 8]:
+                    byte = (byte << 1) | bit
+                out.append(byte)
+            return bytes(out)
+
+        rng = random.Random(7)
+        # 0 to 2,048 bits, each count of trailing bits 0-7 alike.
+        lengths = [0, 2048] + [
+            8 * rng.randint(0, 255) + trailing
+            for trailing in range(8) for _ in range(25)
+        ]
+        for n_bits in lengths:
+            bits = [rng.getrandbits(1) for _ in range(n_bits)]
+            packed = bits_to_bytes(bits)
+            assert packed == reference_bytes(bits), n_bits
+            assert bits_to_bytes(tuple(bits)) == packed
+            assert bytes_to_bits(packed) == reference_bits(packed)
+            assert bytes_to_bits(packed) == tuple(bits[:8 * len(packed)])
+        assert bits_to_bytes(()) == b"" and bytes_to_bits(b"") == ()
 
     def test_pad_to_byte(self):
         assert pad_to_byte((1,) * 8) == (1,) * 8

@@ -53,6 +53,33 @@ class TestSystemAssembly:
         with pytest.raises(ConfigurationError):
             system.add_node("late", short_prefix=0x3)
 
+    def test_add_keeps_the_config_as_the_nodes_record(self):
+        system = MBusSystem()
+        config = NodeConfig("m", short_prefix=0x1, is_mediator=True)
+        node = system.add(config)
+        system.add_node("a", short_prefix=0x2)
+        system.build()
+        assert system.mediator is node
+        assert node.config is config
+        assert node.engine.config is config
+
+    @pytest.mark.parametrize("add_second", [
+        lambda system: system.add(
+            NodeConfig("m2", short_prefix=0x2, is_mediator=True)
+        ),
+        lambda system: system.add_node(
+            "m2", short_prefix=0x2, is_mediator=True
+        ),
+        lambda system: system.add_mediator_node("m2", short_prefix=0x2),
+    ], ids=["add", "add_node", "add_mediator_node"])
+    def test_second_mediator_is_refused(self, add_second):
+        system = MBusSystem()
+        system.add_mediator_node("m", short_prefix=0x1)
+        with pytest.raises(ConfigurationError, match="exactly one mediator"):
+            add_second(system)
+        assert [node.name for node in system.nodes] == ["m"]
+        assert system.mediator.name == "m"
+
     def test_needs_two_nodes(self):
         system = MBusSystem()
         system.add_mediator_node("m", short_prefix=0x1)

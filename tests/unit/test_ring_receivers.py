@@ -10,7 +10,8 @@ import random
 
 from repro.core import constants
 from repro.core.addresses import Address
-from repro.core.tlm_engine import RingTopology, TLMNode
+from repro.core.node import NodeConfig
+from repro.core.tlm_engine import RingTopology
 
 CHANNELS = range(4)
 
@@ -24,20 +25,16 @@ def random_ring(rng):
         full = rng.choice(fulls) if rng.random() < 0.5 else None
         if short is None and full is None and pos:
             full = rng.choice(fulls)
-        nodes.append(TLMNode(
+        nodes.append(NodeConfig(
             name=f"n{pos}",
-            position=pos,
             short_prefix=short,
             full_prefix=full,
             broadcast_channels=frozenset(
                 rng.sample(CHANNELS, rng.randint(0, len(CHANNELS)))
             ),
             rx_buffer_bytes=1024,
-            ack_policy=None,
             is_mediator=pos == 0,
-            power_gated=False,
-            auto_sleep=False,
-            forward_delay_ps=1000,
+            node_delay_ps=1000,
         ))
     return nodes, shorts, fulls
 
@@ -61,7 +58,7 @@ def test_receivers_equal_the_matches_scan():
         for _ in range(20):
             address = random_address(rng, shorts, fulls)
             scan = tuple(
-                node.position for node in nodes
+                pos for pos, node in enumerate(nodes)
                 if address.matches(
                     node.short_prefix, node.full_prefix,
                     node.broadcast_channels,

@@ -19,6 +19,22 @@ def three_chip_spec(**overrides) -> SystemSpec:
     return spec.replace(**overrides) if overrides else spec
 
 
+def varied_spec() -> SystemSpec:
+    """Every NodeSpec field off its default somewhere, the mediator
+    second in ring order."""
+    return SystemSpec(
+        name="varied",
+        nodes=(
+            NodeSpec("sensor", short_prefix=0x2, power_gated=True,
+                     rx_buffer_bytes=8, broadcast_channels=(0, 3)),
+            NodeSpec("cpu", short_prefix=0x1, is_mediator=True,
+                     memory_words=64),
+            NodeSpec("radio", full_prefix=0xAB0CD, power_gated=True,
+                     auto_sleep=False, node_delay_ps=4_000),
+        ),
+    )
+
+
 class TestRoundTrip:
     def test_broadcast_channels_list_is_coerced(self):
         node = NodeSpec("n", short_prefix=0x2, broadcast_channels=[0, 1])
@@ -71,6 +87,31 @@ class TestBuild:
         result = system.send("cpu", Address.short(0x2, 5), b"\x01\x02")
         assert result.ok
         assert system.node("sensor").inbox[-1].payload == b"\x01\x02"
+
+    @pytest.mark.parametrize("mode", ["edge", "fast"])
+    def test_built_nodes_hold_the_lowered_configs(self, mode):
+        spec = varied_spec()
+        system = spec.build(mode=mode)
+        configs = [node.config() for node in spec.nodes]
+        assert [node.config for node in system.nodes] == configs
+        if mode == "edge":
+            # The engine matches against the node's own record.
+            assert all(
+                node.engine.config is node.config for node in system.nodes
+            )
+        else:
+            # The planner's ring holds the same records, mediator first.
+            ring = system.nodes[0].fast_backend.topology.nodes
+            assert ring == [configs[i] for i in (1, 2, 0)]
+            assert ring[0] is system.node("cpu").config
+
+    def test_compiled_ring_holds_the_lowered_configs(self):
+        from repro.batch.compiler import CompiledSystem
+
+        spec = varied_spec()
+        configs = [node.config() for node in spec.nodes]
+        ring = CompiledSystem(spec).topology.nodes
+        assert ring == [configs[i] for i in (1, 2, 0)]
 
     def test_build_applies_watchdog_and_anchor(self):
         import dataclasses
