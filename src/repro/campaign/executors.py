@@ -230,12 +230,15 @@ class _Worker:
         )
         self.conn.send((attempt.trial.to_dict(), attempt.attempts))
 
-    def shutdown(self) -> None:
+    def stop(self) -> None:
+        """Ask an idle worker to exit; :meth:`join` waits for it."""
         try:
             self.conn.send(None)
         except (BrokenPipeError, OSError):
             pass
         self.conn.close()
+
+    def join(self) -> None:
         self.process.join(timeout=2.0)
         if self.process.is_alive():
             self.process.kill()
@@ -279,11 +282,16 @@ class ProcessPool:
         ctx = multiprocessing.get_context()
         queue: deque = deque(_Attempt(trial) for trial in trials)
         retries: List[_Attempt] = []
-        workers = [
-            _Worker(ctx) for _ in range(min(self.n_workers, len(trials)) or 1)
-        ]
+        workers: List[_Worker] = []
         interrupted = False
         try:
+            # Each worker gets its first trial as soon as it is forked,
+            # so it runs while the next one forks.
+            for _ in range(min(self.n_workers, len(trials)) or 1):
+                worker = _Worker(ctx)
+                workers.append(worker)
+                if not stop.is_set():
+                    self._dispatch_ready([worker], queue, retries)
             while queue or retries or any(w.busy for w in workers):
                 if stop.is_set():
                     interrupted = True
@@ -294,11 +302,18 @@ class ProcessPool:
                     ctx, workers, queue, retries, on_outcome
                 )
         finally:
+            # Every idle worker is told to stop before any is joined,
+            # so they exit side by side.
+            idle = [
+                w for w in workers if not w.busy and w.process.is_alive()
+            ]
+            for worker in idle:
+                worker.stop()
             for worker in workers:
-                if worker.busy or not worker.process.is_alive():
-                    worker.kill()
+                if worker in idle:
+                    worker.join()
                 else:
-                    worker.shutdown()
+                    worker.kill()
         return interrupted
 
     # ------------------------------------------------------------------

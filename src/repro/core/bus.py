@@ -74,9 +74,11 @@ class QuietRing:
     """The ring check of cycle elision, and the bulk update it allows.
 
     A clock cycle of a transfer is decided in advance when no node
-    drives DATA (a *quiet* transfer, such as a glitch-started runaway)
-    or exactly one transmitter does and every other node only forwards
-    and latches (a *driven* one).  On an ``n``-node ring a quiet cycle
+    transmits, so every DATA segment stays at its level (a *quiet*
+    transfer, such as a glitch-started runaway, or one whose DATA a
+    node that stopped transmitting still holds), or when exactly one
+    transmitter drives DATA and every other node only forwards and
+    latches (a *driven* one).  On an ``n``-node ring a quiet cycle
     is ``2 * (n + 1)`` events (per edge, the mediator's toggle and one
     apply per CLK segment); a driven one adds the transmitter's apply
     and, when its bit changes level, one forwarded apply on each of
@@ -151,8 +153,9 @@ class QuietRing:
         Every engine must pass :meth:`MemberEngine.quiet_cycles`
         (which also bounds the count), and at most one may be a
         transmitter; every node must be :attr:`~MBusNode.settled`;
-        every DATA line controller but the transmitter's, and every
-        member's CLK line controller, must forward; no ring net may
+        every member's CLK line controller must forward, and so must
+        every DATA line controller but a transmitter's (with none, a
+        DATA controller may hold a fixed level); no ring net may
         have a queued set, a listener ``build()`` did not attach, or a
         fault state that is not :attr:`~repro.sim.signals.Net.neutral`.
         (With no set queued and CLK-in low at the rising edge, the
@@ -176,7 +179,10 @@ class QuietRing:
         for node in self._nodes:
             if not node.settled:
                 return self._refuse(partial(_unsettled, node))
-            if node.data_ctl.forwarding is (node.data_ctl is tx_ctl):
+            # With no transmitter a DATA controller that holds a level
+            # keeps its segment as constant as one that forwards.
+            ctl = node.data_ctl
+            if tx_ctl is not None and ctl.forwarding is (ctl is tx_ctl):
                 return self._refuse()
         for ctl in self._member_clks:
             if not ctl.forwarding:

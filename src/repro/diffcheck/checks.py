@@ -117,24 +117,23 @@ def _diff_outcomes(
     )]
 
 
-def _replay_outcomes(scenario: Dict, backend: str):
-    """``(first outcome, divergences)`` of
-    :func:`check_replay_determinism`, so a caller can reuse the first
-    run (see :func:`_observe`)."""
-    first = _observe(scenario, backend)
+def check_replay_determinism(
+    scenario: Dict, backend: str, first=None
+) -> List[str]:
+    """Two runs of one scenario on one backend must project
+    identically — including raising the same error, if any.
+
+    ``first`` is the first run's outcome if the caller has it (see
+    :func:`_observe`); otherwise it is run here."""
+    if first is None:
+        first = _observe(scenario, backend)
     second = _observe(scenario, backend)
-    return first, [
+    return [
         f"replay non-determinism on {backend!r}: {d}"
         for d in _diff_outcomes(
             first, second, ("the first run", "the replay"), diff_reports
         )
     ]
-
-
-def check_replay_determinism(scenario: Dict, backend: str) -> List[str]:
-    """Two runs of one scenario on one backend must project
-    identically — including raising the same error, if any."""
-    return _replay_outcomes(scenario, backend)[1]
 
 
 def _report_doc(report: RunReport) -> Dict:
@@ -193,12 +192,18 @@ def check_elision_transparency(scenario: Dict, eliding=None) -> List[str]:
     )
 
 
-def check_fault_free_noop(scenario: Dict, backend: str) -> List[str]:
+def check_fault_free_noop(
+    scenario: Dict, backend: str, bare=None
+) -> List[str]:
     """An *empty* fault spec must be a no-op: same projections as a
-    run with no fault machinery attached at all."""
+    run with no fault machinery attached at all.
+
+    ``bare`` is that run's outcome if the caller has it (see
+    :func:`_observe`); otherwise it is run here."""
     if scenario.get("faults") is not None:
         return []   # only meaningful for clean scenarios
-    bare = _observe(scenario, backend)
+    if bare is None:
+        bare = _observe(scenario, backend)
     observed = _observe(scenario, backend, faults=normalize_faults(()))
     return [
         f"empty fault spec changed the {backend!r} answer: {d}"

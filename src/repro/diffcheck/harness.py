@@ -35,7 +35,6 @@ from repro.diffcheck.checks import (
     diff_reports,
     _diff_outcomes,
     _observe,
-    _replay_outcomes,
 )
 from repro.diffcheck.generators import generate_scenarios, scenario_key
 from repro.diffcheck.minimize import minimize_scenario, write_repro
@@ -59,7 +58,10 @@ def examine_scenario(
     empty-fault-spec no-op.  Faulty scenarios force the edge engine,
     so they get replay determinism.  Every scenario whose edge run
     elided cycles (or raised) also gets elision transparency: a run
-    that steps every edge must agree with it.
+    that steps every edge must agree with it.  Each check reuses the
+    run it already has: a clean three-way scenario runs 7 times (the
+    matrix, a replay of each challenger, the reference with an empty
+    fault spec and, when edge elided, its stepped twin).
     """
     backends = tuple(backends)
     if not backends:
@@ -90,12 +92,14 @@ def examine_scenario(
         if invariants:
             for backend in backends[1:]:
                 divergences += check_replay_determinism(
-                    scenario, backend
+                    scenario, backend, outcomes[backend]
                 )
-            divergences += check_fault_free_noop(scenario, backends[0])
+            divergences += check_fault_free_noop(
+                scenario, reference, outcomes[reference]
+            )
     else:
-        edge, replay = _replay_outcomes(scenario, "edge")
-        divergences += replay
+        edge = _observe(scenario, "edge")
+        divergences += check_replay_determinism(scenario, "edge", edge)
         divergences += check_elision_transparency(scenario, edge)
     return divergences
 

@@ -3,21 +3,29 @@ run that steps every edge.
 
 A glitch can start a transfer that no node drives (a *runaway*): the
 ring clocks the idle DATA level into every receiver until a buffer
-overruns or the mediator's watchdog fires.  In a normal transfer one
-transmitter drives its bits and every other node forwards and latches
-them.  The edge engine advances the cycles of either in arithmetic
-(``QuietRing`` and ``Simulator.elide``) unless a ring net carries a
-listener that ``build()`` did not attach, so a traced run steps every
-edge.  Each test here pits an untraced run against its traced twin at
-a boundary where the shortcut has to stop: a decision point of the
-ring, a horizon, the event budget, a single ``step()``, a probe, a
-fault window, or a cycle too short for the transmitter's bit to cross
-the ring.
+overruns or the mediator's watchdog fires.  A glitch storm can also
+leave a node's DATA controller holding a level after its transaction
+ended while the mediator keeps clocking (a *held* transfer): no one
+transmits there either, so the ring's levels stay put.  In a normal
+transfer one transmitter drives its bits and every other node forwards
+and latches them.  The edge engine advances the cycles of each in
+arithmetic (``QuietRing`` and ``Simulator.elide``) unless a ring net
+carries a listener that ``build()`` did not attach, so a traced run
+steps every edge.  Each test here pits an untraced run against its
+traced twin at a boundary where the shortcut has to stop: a decision
+point of the ring, a horizon, the event budget, a single ``step()``, a
+probe, a fault window, or a cycle too short for the transmitter's bit
+to cross the ring.
 """
+
+import json
+import os
 
 import pytest
 
-from repro.core import Address
+from repro.campaign import Campaign, canonical_json
+from repro.campaign.trial import execute_trial, trial_record
+from repro.core import Address, ControlCode
 from repro.core.bus import QuietRing
 from repro.core.bus_controller import Role
 from repro.faults import (
@@ -36,7 +44,7 @@ from repro.obs import observe
 from repro.scenario import NodeSpec, OneShot, SystemSpec, run
 from repro.scenario.workload import workload_from_dict
 from repro.sim.scheduler import SimulationError
-from test_edge_golden import _fault_grid_trials
+from test_edge_golden import EXAMPLES, GLITCH_SEEDS, _fault_grid_trials
 
 #: The follow-up message that a runaway must not disturb.
 POST_AT_S = 0.05
@@ -733,3 +741,120 @@ class TestGoldenGrid:
                 for trace in (False, True)
             ]
             assert report_doc(runs[0]) == report_doc(runs[1]), trial.params
+
+
+#: A faults-pool trial whose runaway's DATA a node holds.  At 1,042.8
+#: us the 16 kHz storm saturates the detector of the mediator's member,
+#: which ends its message on control bits latched from the clock that
+#: is still running: the mediator saw no interjection.  Its node's DATA
+#: controller stays in drive mode, and m (an observer again) and a
+#: (still receiving) latch the levels the storm left on the ring until
+#: a's 1 kB buffer overruns at 21,518.8 us.
+HELD_PAYLOAD = "85c924c3597164c4"
+HELD_EVENTS = 69_943
+HELD_CYCLES = 8_211
+
+
+def held_trial():
+    with open(os.path.join(EXAMPLES, "recovery_campaign.json")) as handle:
+        doc = json.load(handle)
+    doc["workload"]["payload"] = HELD_PAYLOAD
+    doc["grid"] = {
+        "kind": "product",
+        "axes": {
+            "faults.faults.0.rate_hz": [16000.0],
+            "faults.faults.0.seed": [GLITCH_SEEDS[0]],
+        },
+    }
+    (trial,) = Campaign.from_dict(doc).trials()
+    return trial
+
+
+def held_documents():
+    """The held trial's ``(spec, workload, faults)``."""
+    doc = held_trial().to_dict()
+    return (
+        SystemSpec.from_dict(doc["spec"]),
+        workload_from_dict(doc["workload"]),
+        FaultSpec.from_dict(doc["faults"]),
+    )
+
+
+def held(system) -> bool:
+    """True while no engine transmits and m's DATA controller drives."""
+    return not system.node("m").data_ctl.forwarding and all(
+        node.engine.role is not Role.TX for node in system.nodes
+    )
+
+
+class TestHeldTransfer:
+    """With no transmitter, a DATA controller that holds a level keeps
+    its segment constant, so the held span advances in whole cycles:
+    each run must equal its traced twin."""
+
+    def test_record_equals_its_stepped_twins(self):
+        trial = held_trial()
+        with observe(trace=False, profile=False) as session:
+            line, _wall_s = execute_trial(trial)
+        counters = session.metrics.to_dict()["counters"]
+        spec, workload, faults = held_documents()
+        stepped = run(spec, workload, backend="edge", faults=faults,
+                      trace=True)
+        assert line == canonical_json(trial_record(trial, stepped.to_dict()))
+        assert stepped.events_processed == HELD_EVENTS
+        runaway = stepped.transactions[-1]
+        assert (runaway.control, runaway.clock_cycles) == (
+            ControlCode.RX_ABORT, HELD_CYCLES
+        )
+        assert counters["sim.events_elided"] >= 0.9 * HELD_EVENTS
+
+    @pytest.mark.parametrize("timeout_s", [5.0000013e-3, 12.34567e-3,
+                                           21.5e-3])
+    def test_timeout_inside_the_held_span(self, timeout_s):
+        spec, workload, faults = held_documents()
+        plain, traced = [
+            run(spec, workload, backend="edge", faults=faults,
+                timeout_s=timeout_s, trace=trace)
+            for trace in (False, True)
+        ]
+        assert report_doc(plain) == report_doc(traced)
+        assert held(plain.system) and plain.system.sim.events_elided > 0
+        assert plain.sim_time_s == pytest.approx(timeout_s)
+
+    def test_budget_inside_the_held_span(self):
+        spec, workload, faults = held_documents()
+        actions = tuple(
+            (event.at_s, lambda system, event=event: system.post(
+                event.source, event.dest, event.payload, event.priority))
+            for event in workload.compile(spec)
+        )
+        for max_events in (10_000, 33_333, 65_000):
+            raised = []
+            for trace in (False, True):
+                system = live_system(spec, faults, trace, actions)
+                with pytest.raises(SimulationError):
+                    system.sim.run(max_events=max_events)
+                assert held(system)
+                raised.append(state(system))
+            assert raised[0] == raised[1], max_events
+            assert raised[0][1] == max_events + 1
+
+    def test_a_second_driver_is_refused(self):
+        # Just before a rising toggle mid-transfer a's transfer to c
+        # passes the ring check; once c's DATA controller holds its
+        # level beside a's, the check refuses it.
+        plain, traced = driven_twins("member-transmits", "clean")
+        traced.sim.run(until=100_000_000)
+        drive_ps = traced.timing.drive_delay_ps
+        toggle = [
+            edge.time - drive_ps
+            for edge in traced.tracer.edges_of("m.dout.clk")
+            if edge.value == 1
+        ][-1] + 2 * traced.timing.half_period_ps
+        plain.sim.run(until=toggle - 1)
+        ring = plain.mediator.mediator.quiet_ring
+        half = plain.timing.half_period_ps
+        assert plain.node("a").engine.role is Role.TX
+        assert ring.quiet_cycles(8, half) == 8
+        plain.node("c").data_ctl.hold()
+        assert ring.quiet_cycles(8, half) == 0

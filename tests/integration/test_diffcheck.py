@@ -335,6 +335,59 @@ class TestInvariants:
         ]
         assert stepped == [0]
 
+    THREE_WAY = ("edge", "fast", "batch")
+
+    def test_clean_three_way_scenario_runs_seven_times(self, monkeypatch):
+        # The matrix's runs are each challenger's first replay and the
+        # reference's bare run, so the invariants add one replay of fast
+        # and of batch and one edge run with an empty fault spec; the
+        # stepped twin checks the eliding edge run.
+        scenario = generate_scenario(1_000_001)
+        assert scenario["faults"] is None
+        run_scenario = checks._run_scenario
+        runs = []
+
+        def counted(scenario, backend, faults=None, setup=None):
+            runs.append((backend, faults is not None, setup is not None))
+            return run_scenario(scenario, backend, faults, setup)
+
+        monkeypatch.setattr(checks, "_run_scenario", counted)
+        assert examine_scenario(scenario, backends=self.THREE_WAY) == []
+        assert sorted(runs) == [
+            ("batch", False, False), ("batch", False, False),
+            ("edge", False, False), ("edge", False, True),
+            ("edge", True, False),
+            ("fast", False, False), ("fast", False, False),
+        ]
+
+    def test_reused_runs_still_catch_a_replay_and_a_noop(self, monkeypatch):
+        # fast's second run and edge's run with an empty fault spec each
+        # lose their last transaction: both comparisons still fire.
+        scenario = generate_scenario(1_000_001)
+        run_scenario = checks._run_scenario
+        runs = []
+
+        def one_short(scenario, backend, faults=None, setup=None):
+            runs.append(backend)
+            report = run_scenario(scenario, backend, faults, setup)
+            if (backend == "fast" and runs.count("fast") == 2) or (
+                faults is not None
+            ):
+                report.transactions.pop()
+            return report
+
+        monkeypatch.setattr(checks, "_run_scenario", one_short)
+        differ = [
+            "transaction signatures differ (5 vs 4 transactions)",
+            "delivery sets differ",
+        ]
+        assert examine_scenario(scenario, backends=self.THREE_WAY) == [
+            f"replay non-determinism on 'fast': {d}" for d in differ
+        ] + [
+            f"empty fault spec changed the 'edge' answer: {d}"
+            for d in differ
+        ]
+
     def test_faulty_scenarios_replay_deterministically(self):
         # Find a generated faulty scenario and pin its determinism.
         for seed in range(60):
